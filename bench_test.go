@@ -74,7 +74,7 @@ func saServing(b *testing.B, cfg runtime.Config, opts oven.Options) (*runtime.Ru
 	in, out := vector.New(0), vector.New(0)
 	for _, n := range names {
 		in.SetText(sa.Set.TestInputs[0])
-		if err := rt.Predict(n, in, out); err != nil {
+		if err := rt.PredictRequest(runtime.Request{Model: n, In: in, Out: out}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -108,7 +108,7 @@ func BenchmarkFig9LatencyPretzelHotSA(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		in.SetText(input)
-		if err := rt.Predict(names[i%len(names)], in, out); err != nil {
+		if err := rt.PredictRequest(runtime.Request{Model: names[i%len(names)], In: in, Out: out}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -156,7 +156,7 @@ func BenchmarkFig10Materialization(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		in.SetText(input)
-		if err := rt.Predict(names[i%len(names)], in, out); err != nil {
+		if err := rt.PredictRequest(runtime.Request{Model: names[i%len(names)], In: in, Out: out}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -183,7 +183,11 @@ func BenchmarkFig12BatchEngineThroughput(b *testing.B) {
 		}
 		jobs := make([]interface{ Wait() error }, k)
 		for i := 0; i < k; i++ {
-			j, err := rt.Submit(names[(done+i)%len(names)], in, outs[i])
+			j, err := rt.SubmitRequestBatch(runtime.BatchRequest{
+				Model: names[(done+i)%len(names)],
+				Ins:   []*vector.Vector{in},
+				Outs:  []*vector.Vector{outs[i]},
+			})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -212,7 +216,7 @@ func benchmarkScalePool(b *testing.B, poolShards int) {
 		for pb.Next() {
 			i := atomic.AddInt64(&next, 1)
 			in.SetText(input)
-			if err := rt.Predict(names[i%int64(len(names))], in, out); err != nil {
+			if err := rt.PredictRequest(runtime.Request{Model: names[i%int64(len(names))], In: in, Out: out}); err != nil {
 				b.Error(err)
 				return
 			}
@@ -322,16 +326,14 @@ func BenchmarkExpParscale(b *testing.B)    { experimentBenchmark(b, "parscale") 
 func BenchmarkExpOverload(b *testing.B)    { experimentBenchmark(b, "overload") }
 
 // BenchmarkBatchStage measures single-stage record throughput of a
-// LinearScore stage across batch sizes, in three dispatch modes:
+// LinearScore stage across batch sizes, through the one stage driver:
 //
-//   - batched:     one RunStageBatch event, native BatchKernel (weights
-//     loaded once, record loop innermost)
-//   - fallback:    one RunStageBatch event, per-record Kernel.Run (what
-//     non-batch-aware kernels get — overheads still amortized)
-//   - per-record:  one RunStage call per record: the pre-batch scheduler
-//     behavior, paying timing reads and metric updates per record
+//   - batched:     one RunStageBatch event over the whole row — timing
+//     reads and metric updates paid once per batch
+//   - per-record:  one RunStageBatch event per record (rows of one, what
+//     the request-response engine runs), paying them per record
 //
-// One iteration = one stage event over the whole batch; rec/s is the
+// One iteration = the whole batch through the stage; rec/s is the
 // record throughput. This is the microbench behind the batchsweep
 // experiment.
 func BenchmarkBatchStage(b *testing.B) {
@@ -348,9 +350,9 @@ func BenchmarkBatchStage(b *testing.B) {
 		Ops:  []ops.Op{&ops.LinearPredictor{Model: model}},
 	}
 	for _, batch := range []int{1, 8, 64, 256} {
-		for _, mode := range []string{"batched", "fallback", "per-record"} {
+		for _, mode := range []string{"batched", "per-record"} {
 			b.Run(fmt.Sprintf("batch=%d/%s", batch, mode), func(b *testing.B) {
-				ec := &plan.Exec{Pool: vector.NewPool(), DisableBatchKernels: mode == "fallback"}
+				ec := &plan.Exec{Pool: vector.NewPool()}
 				insRows := make([][]*vector.Vector, batch)
 				outs := make([]*vector.Vector, batch)
 				for r := 0; r < batch; r++ {
@@ -368,7 +370,7 @@ func BenchmarkBatchStage(b *testing.B) {
 				if mode == "per-record" {
 					for i := 0; i < b.N; i++ {
 						for r := 0; r < batch; r++ {
-							if err := plan.RunStage(st, ec, insRows[r], outs[r]); err != nil {
+							if err := plan.RunStageBatch(st, ec, insRows[r:r+1], outs[r:r+1], nil); err != nil {
 								b.Fatal(err)
 							}
 						}
@@ -409,7 +411,7 @@ func BenchmarkBatchStageParallel(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			s := sched.New(sched.Config{Executors: cpus, BatchGrain: 32})
+			s := sched.New(sched.Config{Executors: cpus})
 			defer s.Close()
 			ins := make([]*vector.Vector, batch)
 			outs := make([]*vector.Vector, batch)

@@ -1,7 +1,6 @@
 // Command pretzel-bench regenerates the tables and figures of the
 // PRETZEL paper's evaluation (§5). Each experiment prints the same rows
-// or series the paper reports; see DESIGN.md §3 for the index and
-// EXPERIMENTS.md for recorded results.
+// or series the paper reports; -list prints the index.
 //
 // Usage:
 //

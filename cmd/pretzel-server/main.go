@@ -59,8 +59,6 @@ func main() {
 		dir        = flag.String("models", "models", "model repository directory (node mode; missing = start empty)")
 		addr       = flag.String("addr", ":8080", "listen address")
 		executors  = flag.Int("executors", 8, "batch-engine executors")
-		batchGrain = flag.Int("batch-grain", 0, "rows per data-parallel subtask when a batch fans across executors (0 = default 32)")
-		parBatch   = flag.Bool("parallel-batch", true, "fan large batches into row-range subtasks across idle executors")
 		cache      = flag.Int("cache", 4096, "prediction cache entries (0 = off)")
 		delay      = flag.Duration("batch-delay", 0, "adaptive batching delay bound (0 = request-response)")
 		batchSLO   = flag.Duration("batch-slo", 0, "AIMD batch latency target (0 = fixed-size flush)")
@@ -139,8 +137,6 @@ func main() {
 		local, n, err := buildNode(nodeConfig{
 			dir:         *dir,
 			executors:   *executors,
-			batchGrain:  *batchGrain,
-			seqBatch:    !*parBatch,
 			inflight:    *inflight,
 			reserved:    *reserved,
 			perModel:    *perModel,
@@ -207,8 +203,6 @@ type nodeParts struct {
 type nodeConfig struct {
 	dir                                     string
 	executors, inflight, reserved, perModel int
-	batchGrain                              int
-	seqBatch                                bool
 	materialize                             bool
 	ramBudget                               int64
 	pollEvery                               time.Duration
@@ -224,8 +218,6 @@ func buildNode(nc nodeConfig) (*nodeParts, int, error) {
 	objStore := pretzel.NewObjectStore()
 	cfg := pretzel.RuntimeConfig{
 		Executors:            nc.executors,
-		BatchGrain:           nc.batchGrain,
-		DisableParallelBatch: nc.seqBatch,
 		MaxInFlight:          nc.inflight,
 		ReservedHighPriority: nc.reserved,
 		MaxInFlightPerModel:  nc.perModel,

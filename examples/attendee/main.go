@@ -87,11 +87,12 @@ func main() {
 		in, out := pretzel.NewVector(), pretzel.NewVector()
 		in.SetText(workload.FormatRecord(r.Features))
 		t0 := time.Now()
-		job, err := rt.Submit("attendee-count", in, out)
+		err := rt.PredictRequestBatch(pretzel.BatchRequest{
+			Model: "attendee-count",
+			Ins:   []*pretzel.Vector{in},
+			Outs:  []*pretzel.Vector{out},
+		})
 		if err != nil {
-			log.Fatal(err)
-		}
-		if err := job.Wait(); err != nil {
 			log.Fatal(err)
 		}
 		lat.Record(time.Since(t0))

@@ -59,7 +59,7 @@ func main() {
 	for _, p := range set.Pipelines {
 		in.SetText(input)
 		t0 := time.Now()
-		if err := rt.Predict(p.Name, in, out); err != nil {
+		if err := rt.PredictRequest(pretzel.Request{Model: p.Name, In: in, Out: out}); err != nil {
 			log.Fatal(err)
 		}
 		lat.Record(time.Since(t0))

@@ -1,7 +1,6 @@
 // Package bench is the experiment harness: one driver per table and
 // figure of the paper's evaluation (§5), regenerating the same rows and
-// series. See DESIGN.md §3 for the experiment index and EXPERIMENTS.md
-// for recorded paper-vs-measured results.
+// series. Experiments is the index (pretzel-bench -list prints it).
 package bench
 
 import (
@@ -230,7 +229,7 @@ func Experiments() []Experiment {
 		{"reservation", "§5.4.1: reservation-based scheduling under load", runReservation},
 		{"fig14", "Figure 14: heavy load end-to-end vs containers", runFig14},
 		{"deadline", "deadline-aware scheduling: expired jobs shed before dispatch", runDeadline},
-		{"batchsweep", "batch-aware kernels: records/s vs batch size, batched vs per-record", runBatchSweep},
+		{"batchsweep", "batch engine: records/s vs batch size", runBatchSweep},
 		{"parscale", "data-parallel batch execution: one batch job's rec/s + fan-out speedup vs cores", runParscale},
 		{"overload", "admission-controlled overload: open-loop goodput, shed rate, p99 across capacity", runOverload},
 		{"cluster", "sharded cluster tier: aggregate goodput + p99 vs node count at fixed per-node capacity", runClusterExp},

@@ -67,10 +67,10 @@ func runDeadline(w io.Writer, env *Env) error {
 		for i := 0; i < total; i++ {
 			ins[i], outs[i] = vector.New(0), vector.New(0)
 			ins[i].SetText(input)
-			t, err := rt.SubmitRequest(runtime.Request{
+			t, err := rt.SubmitRequestBatch(runtime.BatchRequest{
 				Model:    names[i%len(names)],
-				In:       ins[i],
-				Out:      outs[i],
+				Ins:      ins[i : i+1],
+				Outs:     outs[i : i+1],
 				Deadline: deadline,
 			})
 			if err != nil {

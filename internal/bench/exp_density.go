@@ -72,7 +72,7 @@ func runDensity(w io.Writer, env *Env) error {
 	for i := 0; i < n; i += step {
 		for _, s := range ds.TestInputs[:3] {
 			in.SetText(s)
-			if err := rt.Predict(fmt.Sprintf("dv-%05d", i), in, out); err != nil {
+			if err := rt.PredictRequest(runtime.Request{Model: fmt.Sprintf("dv-%05d", i), In: in, Out: out}); err != nil {
 				return err
 			}
 			d := float64(out.Dense[0] - ds.Reference(i, s))

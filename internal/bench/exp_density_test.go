@@ -87,7 +87,7 @@ func TestDensityTenThousandVariants(t *testing.T) {
 	for i := 0; i < n; i++ {
 		in.SetText(input)
 		name := fmt.Sprintf("dv-%05d", i)
-		if err := rt.Predict(name, in, out); err != nil {
+		if err := rt.PredictRequest(runtime.Request{Model: name, In: in, Out: out}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		want := ds.Reference(i, input)
@@ -100,7 +100,7 @@ func TestDensityTenThousandVariants(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	if allocs := testing.AllocsPerRun(100, func() {
 		in.SetText(input)
-		if err := rt.Predict("dv-00000", in, out); err != nil {
+		if err := rt.PredictRequest(runtime.Request{Model: "dv-00000", In: in, Out: out}); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {

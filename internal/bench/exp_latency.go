@@ -27,6 +27,14 @@ type latencyPair struct {
 
 // measure runs the fig9 protocol: first prediction is cold, 10 warmups
 // discarded, HotIters averaged into one hot sample per model.
+// rtPredict adapts the runtime's request-response entry point to the
+// predict signature measure drives.
+func rtPredict(rt *runtime.Runtime) func(name string, in, out *vector.Vector) error {
+	return func(name string, in, out *vector.Vector) error {
+		return rt.PredictRequest(runtime.Request{Model: name, In: in, Out: out})
+	}
+}
+
 func measure(predict func(name string, in, out *vector.Vector) error,
 	names []string, input string, hotIters int) (latencyPair, error) {
 	lp := latencyPair{
@@ -89,7 +97,7 @@ func runFig9(w io.Writer, env *Env) error {
 			rt.Close()
 			return err
 		}
-		pz, err := measure(rt.Predict, set.names, set.input, env.HotIters)
+		pz, err := measure(rtPredict(rt), set.names, set.input, env.HotIters)
 		if err != nil {
 			rt.Close()
 			return err
@@ -156,7 +164,7 @@ func runAblation(w io.Writer, env *Env) error {
 		if _, err := loadPretzel(rt, objStore, files, opts); err != nil {
 			return latencyPair{}, err
 		}
-		return measure(rt.Predict, names, input, env.HotIters)
+		return measure(rtPredict(rt), names, input, env.HotIters)
 	}
 
 	base, err := run(oven.DefaultOptions(), runtime.Config{Executors: 1})
@@ -211,7 +219,7 @@ func runFig10(w io.Writer, env *Env) error {
 			for mi, n := range names {
 				in.SetText(input)
 				t0 := time.Now()
-				if err := rt.Predict(n, in, out); err != nil {
+				if err := rt.PredictRequest(runtime.Request{Model: n, In: in, Out: out}); err != nil {
 					return nil, err
 				}
 				sums[mi] += time.Since(t0)
@@ -380,7 +388,7 @@ func clientLatency(url string, names []string, input string, rt *runtime.Runtime
 			if rt != nil {
 				in.SetText(input)
 				t1 := time.Now()
-				if err := rt.Predict(n, in, out); err != nil {
+				if err := rt.PredictRequest(runtime.Request{Model: n, In: in, Out: out}); err != nil {
 					return nil, nil, err
 				}
 				pred.Record(time.Since(t1))

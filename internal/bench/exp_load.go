@@ -136,7 +136,7 @@ func pretzelThroughput(files, names []string, input string, cores, total int) (f
 		if total-done < k {
 			k = total - done
 		}
-		j, err := rt.SubmitBatch(names[mi%len(names)], ins[:k], outBufs[mi%nBuf][:k])
+		j, err := rt.SubmitRequestBatch(runtime.BatchRequest{Model: names[mi%len(names)], Ins: ins[:k], Outs: outBufs[mi%nBuf][:k]})
 		if err != nil {
 			close(inflight)
 			drain.Wait()
@@ -313,7 +313,7 @@ func reservationProbe(env *Env, reserve bool) (time.Duration, error) {
 				default:
 				}
 				// Flood only non-vip models.
-				j, err := rt.SubmitBatch(names[1+(g+i)%(len(names)-1)], ins, outs)
+				j, err := rt.SubmitRequestBatch(runtime.BatchRequest{Model: names[1+(g+i)%(len(names)-1)], Ins: ins, Outs: outs})
 				if err != nil {
 					return
 				}
@@ -330,7 +330,7 @@ func reservationProbe(env *Env, reserve bool) (time.Duration, error) {
 	deadline := time.Now().Add(env.LoadWindow)
 	for time.Now().Before(deadline) {
 		t0 := time.Now()
-		j, err := rt.Submit(vip, in, out)
+		j, err := rt.SubmitRequestBatch(runtime.BatchRequest{Model: vip, Ins: []*vector.Vector{in}, Outs: []*vector.Vector{out}})
 		if err != nil {
 			close(stop)
 			flood.Wait()
@@ -424,7 +424,7 @@ func heavyLoadMicro(env *Env, reserve bool) ([]loadResult, time.Duration, error)
 					outs[k] = vector.New(0)
 				}
 				start := time.Now()
-				j, err := rt.SubmitBatch(names[mi], ins, outs)
+				j, err := rt.SubmitRequestBatch(runtime.BatchRequest{Model: names[mi], Ins: ins, Outs: outs})
 				if err != nil {
 					errOnce.Do(func() { firstErr = err })
 					return
@@ -474,7 +474,7 @@ func warmHeavy(rt *runtime.Runtime, names, inputs []string) error {
 	for i, n := range names {
 		in, out := vector.New(0), vector.New(0)
 		in.SetText(inputs[i])
-		j, err := rt.Submit(n, in, out)
+		j, err := rt.SubmitRequestBatch(runtime.BatchRequest{Model: n, Ins: []*vector.Vector{in}, Outs: []*vector.Vector{out}})
 		if err != nil {
 			return err
 		}

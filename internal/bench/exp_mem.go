@@ -200,7 +200,7 @@ func warmRuntime(rt *runtime.Runtime, names []string, input string, iters int) e
 	for _, n := range names {
 		for k := 0; k < iters; k++ {
 			in.SetText(input)
-			if err := rt.Predict(n, in, out); err != nil {
+			if err := rt.PredictRequest(runtime.Request{Model: n, In: in, Out: out}); err != nil {
 				return err
 			}
 		}

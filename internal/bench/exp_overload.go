@@ -59,7 +59,11 @@ func measureCapacity(rt *runtime.Runtime, names []string, input string, window t
 			n := int64(0)
 			for i := 0; time.Now().Before(stop); i++ {
 				in.SetText(input)
-				tk, err := rt.SubmitRequest(runtime.Request{Model: names[(w+i)%len(names)], In: in, Out: out})
+				tk, err := rt.SubmitRequestBatch(runtime.BatchRequest{
+					Model: names[(w+i)%len(names)],
+					Ins:   []*vector.Vector{in},
+					Outs:  []*vector.Vector{out},
+				})
 				if err != nil {
 					continue
 				}
@@ -107,7 +111,7 @@ func openLoopRun(rt *runtime.Runtime, names []string, input string, rate float64
 			in, out := vector.New(0), vector.New(0)
 			in.SetText(input)
 			t0 := time.Now()
-			tk, err := rt.SubmitRequest(runtime.Request{Model: names[i%len(names)], In: in, Out: out})
+			tk, err := rt.SubmitRequestBatch(runtime.BatchRequest{Model: names[i%len(names)], Ins: []*vector.Vector{in}, Outs: []*vector.Vector{out}})
 			if err != nil {
 				if errors.Is(err, runtime.ErrOverloaded) {
 					res.Shed++
@@ -140,7 +144,12 @@ func openLoopRun(rt *runtime.Runtime, names []string, input string, rate float64
 			in, out := vector.New(0), vector.New(0)
 			in.SetText(input)
 			t0 := time.Now()
-			tk, err := rt.SubmitRequest(runtime.Request{Model: names[0], In: in, Out: out, Priority: runtime.PriorityHigh})
+			tk, err := rt.SubmitRequestBatch(runtime.BatchRequest{
+				Model:    names[0],
+				Ins:      []*vector.Vector{in},
+				Outs:     []*vector.Vector{out},
+				Priority: runtime.PriorityHigh,
+			})
 			if err == nil {
 				err = tk.Wait()
 			}

@@ -77,7 +77,7 @@ func parscalePoint(files []string, name string, inputs []string, cores, batch, i
 	defer goruntime.GOMAXPROCS(prev)
 
 	objStore := store.New()
-	rt := runtime.New(objStore, runtime.Config{Executors: cores, BatchGrain: 32})
+	rt := runtime.New(objStore, runtime.Config{Executors: cores})
 	defer rt.Close()
 	if _, err := loadPretzel(rt, objStore, files, oven.DefaultOptions()); err != nil {
 		return 0, 0, err
@@ -93,13 +93,13 @@ func parscalePoint(files []string, name string, inputs []string, cores, batch, i
 	// only when spare (parked) executors exist to claim subtasks.
 	time.Sleep(20 * time.Millisecond)
 	for i := 0; i < 3; i++ {
-		if err := rt.PredictBatch(name, ins, outs); err != nil {
+		if err := rt.PredictRequestBatch(runtime.BatchRequest{Model: name, Ins: ins, Outs: outs}); err != nil {
 			return 0, 0, err
 		}
 	}
 	t0 := time.Now()
 	for i := 0; i < iters; i++ {
-		if err := rt.PredictBatch(name, ins, outs); err != nil {
+		if err := rt.PredictRequestBatch(runtime.BatchRequest{Model: name, Ins: ins, Outs: outs}); err != nil {
 			return 0, 0, err
 		}
 	}

@@ -95,7 +95,7 @@ func predictThroughput(files, names []string, input string, cores, total, poolSh
 					return
 				}
 				in.SetText(input)
-				if err := rt.Predict(names[i%int64(len(names))], in, out); err != nil {
+				if err := rt.PredictRequest(runtime.Request{Model: names[i%int64(len(names))], In: in, Out: out}); err != nil {
 					errMu.Lock()
 					if firstErr == nil {
 						firstErr = err

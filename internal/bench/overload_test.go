@@ -22,7 +22,12 @@ func hpProbe(t *testing.T, rt *runtime.Runtime, name, input string, n int) *metr
 	for i := 0; i < n; i++ {
 		in.SetText(input)
 		t0 := time.Now()
-		tk, err := rt.SubmitRequest(runtime.Request{Model: name, In: in, Out: out, Priority: runtime.PriorityHigh})
+		tk, err := rt.SubmitRequestBatch(runtime.BatchRequest{
+			Model:    name,
+			Ins:      []*vector.Vector{in},
+			Outs:     []*vector.Vector{out},
+			Priority: runtime.PriorityHigh,
+		})
 		if err != nil {
 			t.Fatalf("uncontended high-priority submit: %v", err)
 		}

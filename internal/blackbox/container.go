@@ -12,8 +12,7 @@ import (
 // Docker/WSL runtime, the container's private CLR, etc.). The value is
 // calibrated from Fig. 8, where ML.Net + Clipper uses ≈2.5× the memory of
 // plain ML.Net for the (small) AC models: (10GB − 4GB) / 250 ≈ 24MiB per
-// container. This is the single synthetic constant in the baselines; see
-// DESIGN.md §1.
+// container. This is the single synthetic constant in the baselines.
 const ContainerBallastBytes = 24 << 20
 
 // rpcRequest is the serialized request crossing the container boundary.

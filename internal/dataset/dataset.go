@@ -2,7 +2,7 @@
 //
 // The paper trains Sentiment Analysis pipelines on the Amazon Review
 // dataset and Attendee Count pipelines on an internal record of events;
-// neither is available, so we generate equivalents (see DESIGN.md §1):
+// neither is available, so we generate equivalents:
 //
 //   - a review corpus with a Zipfian vocabulary, where the label is a
 //     noisy function of sentiment-bearing marker words, and

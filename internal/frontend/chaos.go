@@ -12,7 +12,6 @@
 package frontend
 
 import (
-	"encoding/json"
 	"net/http"
 	"strconv"
 
@@ -49,8 +48,8 @@ func (s *Server) handleChaosArm(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var rule chaos.Rule
-	if err := json.NewDecoder(r.Body).Decode(&rule); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request: " + err.Error()})
+	if err := decodeBody(w, r, &rule); err != nil {
+		writeErr(w, err)
 		return
 	}
 	armed, err := inj.Arm(rule)

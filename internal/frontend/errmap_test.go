@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -108,6 +109,20 @@ func TestSentinelStatusTable(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestOversizedBodyIs413: a /predict body over the fixed 1 MiB bound is
+// refused with 413 instead of being buffered.
+func TestOversizedBodyIs413(t *testing.T) {
+	srv := httptest.NewServer(New(&stubEngine{pred: []float32{1}}, Config{}))
+	defer srv.Close()
+	out, code := postPredict(t, srv, "m", strings.Repeat("x", 2<<20))
+	if code != http.StatusRequestEntityTooLarge || out.Error == "" {
+		t.Fatalf("2 MiB body: code=%d body=%+v, want 413 with an error", code, out)
+	}
+	if _, code := postPredict(t, srv, "m", "x"); code != http.StatusOK {
+		t.Fatalf("small body after an oversized one: code=%d", code)
 	}
 }
 

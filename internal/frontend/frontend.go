@@ -216,6 +216,8 @@ func statusFor(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, runtime.ErrInvalidInput), errors.Is(err, serving.ErrBadModel):
 		return http.StatusBadRequest
+	case errors.As(err, new(*http.MaxBytesError)):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, serving.ErrUnsupported):
 		return http.StatusNotImplemented
 	case errors.Is(err, runtime.ErrKernelPanic):
@@ -280,13 +282,31 @@ type Response struct {
 	Error      string    `json:"error,omitempty"`
 }
 
+// maxBodyBytes bounds every JSON request body (predict and the small
+// management bodies) so an untrusted client cannot make the node buffer
+// an arbitrarily large one; model uploads carry their own, larger
+// bound (Config.MaxUploadBytes).
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes a size-bounded JSON request body into v. The
+// error is ready for statusFor: a body over maxBodyBytes is a
+// *http.MaxBytesError (413), anything else malformed is
+// runtime.ErrInvalidInput (400).
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil || errors.As(err, new(*http.MaxBytesError)) {
+		return err
+	}
+	return fmt.Errorf("%w: bad request: %v", runtime.ErrInvalidInput, err)
+}
+
 // handlePredict decodes a request, serves it and encodes the response.
 // Typed engine errors map to proper status codes: unknown model = 404,
 // expired deadline = 504, closed/draining = 503, invalid input = 400.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	var req Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, Response{Error: "bad request: " + err.Error()})
+	if err := decodeBody(w, r, &req); err != nil {
+		writeJSON(w, statusFor(err), Response{Error: err.Error()})
 		return
 	}
 	ctx := r.Context()

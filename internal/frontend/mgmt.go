@@ -24,7 +24,6 @@
 package frontend
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -173,8 +172,8 @@ type LabelRequest struct {
 func (s *Server) handleSetLabel(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var req LabelRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request: " + err.Error()})
+	if err := decodeBody(w, r, &req); err != nil {
+		writeErr(w, err)
 		return
 	}
 	if err := s.eng.SetLabel(name, req.Label, req.Version); err != nil {
@@ -207,8 +206,8 @@ func (s *Server) handleModelPin(w http.ResponseWriter, r *http.Request) {
 	}
 	req := PinRequest{Pinned: true}
 	if r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request: " + err.Error()})
+		if err := decodeBody(w, r, &req); err != nil {
+			writeErr(w, err)
 			return
 		}
 	}
@@ -319,7 +318,11 @@ func (s *Server) handleMemberAdd(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req MemberRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Addr == "" {
+	if err := decodeBody(w, r, &req); err != nil {
+		writeErr(w, err)
+		return
+	}
+	if req.Addr == "" {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "body must be {\"addr\": \"host:port\"} (id optional)"})
 		return
 	}

@@ -1,11 +1,15 @@
-// Batch-aware stage execution: the batch engine's unit of work is a
-// whole record row, not a record (§4.2, §5.2 — "weights are read once
-// for many records"). RunStageBatch pushes an entire batch through one
-// kernel invocation: one timing read and one metrics update per stage
-// event, one batched materialization-cache probe, and the record loop
-// as the innermost loop of the kernel itself (BatchKernel). Kernels
-// that only implement the per-record Kernel interface fall back to a
-// driver loop with identical semantics.
+// Stage execution: the one driver both engines run a stage through.
+// The unit of work is a record row (§4.2, §5.2): the batch engine hands
+// RunStageBatch a whole job's records per stage event, the
+// request-response engine (RunPlan) a row of one. Either way the driver
+// pays one timing read and one metrics update per stage event, probes
+// the materialization cache for the whole row up front, and loops the
+// stage's kernel over the records that missed.
+//
+// Kernels deliberately have no whole-row method: on the repository
+// benchmark a native row loop inside each kernel measured the same as
+// this record loop (batch-offline 182–195k vs 178–193k rec/s, sa-long
+// 23.9–24.9k vs 20.3–24.9k), so a second face per kernel buys nothing.
 package plan
 
 import (
@@ -15,31 +19,11 @@ import (
 	"pretzel/internal/vector"
 )
 
-// BatchKernel is the batch-aware face of a physical stage
-// implementation: RunBatch evaluates the stage for every record of a
-// batch in one invocation, so stage parameters (model weights,
-// dictionaries, fused-operator state) are loaded once per batch rather
-// than once per record.
-//
-// Contract: len(insRows) == len(outs); insRows[r] holds record r's
-// stage inputs in Stage.Inputs order. accs is the per-record pushdown
-// accumulator row — kernels of UsesAcc stages read/write accs[r] (never
-// ec.Acc, which stays a per-record-path concern); other kernels ignore
-// it, and it may then be nil. Implementations must produce bit-identical
-// outputs and accumulator values to running Kernel.Run record by record.
-type BatchKernel interface {
-	Kernel
-	RunBatch(ec *Exec, insRows [][]*vector.Vector, outs []*vector.Vector, accs []float32) error
-}
-
-// RunStageBatch executes one stage over a whole record row: the batch
-// engine's per-event entry point. Unlike a per-record RunStage loop it
-// pays the timing reads and the stage-counter updates once for the
-// whole batch, probes the materialization cache for all records up
-// front (running the kernel only over the misses and inserting their
-// results back), and dispatches kernels through BatchKernel when
-// implemented. accs must have len(outs) entries when the stage uses the
-// pushdown accumulator.
+// RunStageBatch executes one stage over a record row — one stage event.
+// insRows[r] holds record r's stage inputs in Stage.Inputs order and
+// outs[r] receives its output; accs is the per-record pushdown
+// accumulator row and must have len(outs) entries when the stage uses
+// the accumulator (other stages ignore it, and it may then be nil).
 func RunStageBatch(s *Stage, ec *Exec, insRows [][]*vector.Vector, outs []*vector.Vector, accs []float32) error {
 	kern := s.Kernel()
 	if kern == nil {
@@ -77,7 +61,7 @@ func runStageBatchRange(s *Stage, kern Kernel, ec *Exec, insRows [][]*vector.Vec
 		return 0, nil
 	}
 	if !s.Materializable || ec.Cache == nil || len(insRows[0]) != 1 {
-		return 0, runBatchKernel(kern, ec, insRows, outs, accs, s.UsesAcc)
+		return 0, runRows(kern, ec, insRows, outs, accs, s.UsesAcc)
 	}
 	if cap(ec.hashes) < n {
 		ec.hashes = make([]uint64, n)
@@ -97,7 +81,7 @@ func runStageBatchRange(s *Stage, kern Kernel, ec *Exec, insRows [][]*vector.Vec
 	}
 	if len(miss) == n {
 		// Nothing was served: run the whole batch as-is.
-		if err := runBatchKernel(kern, ec, insRows, outs, accs, s.UsesAcc); err != nil {
+		if err := runRows(kern, ec, insRows, outs, accs, s.UsesAcc); err != nil {
 			return hits, err
 		}
 		for r := 0; r < n; r++ {
@@ -124,7 +108,7 @@ func runStageBatchRange(s *Stage, kern Kernel, ec *Exec, insRows [][]*vector.Vec
 			mAccs[i] = accs[r]
 		}
 	}
-	if err := runBatchKernel(kern, ec, mIns, mOuts, mAccs, s.UsesAcc); err != nil {
+	if err := runRows(kern, ec, mIns, mOuts, mAccs, s.UsesAcc); err != nil {
 		return hits, err
 	}
 	if s.UsesAcc {
@@ -138,14 +122,10 @@ func runStageBatchRange(s *Stage, kern Kernel, ec *Exec, insRows [][]*vector.Vec
 	return hits, nil
 }
 
-// runBatchKernel invokes the kernel over a batch: one RunBatch call
-// when the kernel is batch-aware, otherwise the per-record fallback
-// loop with accumulator handoff through ec.Acc (exactly what a
-// per-record scheduler would have done).
-func runBatchKernel(kern Kernel, ec *Exec, insRows [][]*vector.Vector, outs []*vector.Vector, accs []float32, usesAcc bool) error {
-	if bk, ok := kern.(BatchKernel); ok && !ec.DisableBatchKernels {
-		return bk.RunBatch(ec, insRows, outs, accs)
-	}
+// runRows is the record loop, the only caller of Kernel.Run: the
+// kernel evaluates each record of the row in turn, with the record's
+// pushdown accumulator handed through ec.Acc for UsesAcc stages.
+func runRows(kern Kernel, ec *Exec, insRows [][]*vector.Vector, outs []*vector.Vector, accs []float32, usesAcc bool) error {
 	for r := range outs {
 		if usesAcc {
 			ec.Acc = accs[r]

@@ -62,53 +62,6 @@ func runPlanBatched(t *testing.T, p *Plan, ec *Exec, ins, outs []*vector.Vector)
 	return accs
 }
 
-// TestRunStageBatchEquivalence: batched execution (native kernels AND
-// the per-record fallback) must produce bit-identical outputs and
-// accumulator values to the per-record reference executor.
-func TestRunStageBatchEquivalence(t *testing.T) {
-	const nRec = 9
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"batched", false}, {"per-record-fallback", true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			pl := saMiniPlan(t)
-			ins := batchInputs(nRec)
-			// Per-record reference through RunPlan, including the head
-			// stage's accumulator value per record.
-			ref := &Exec{Pool: vector.NewPool()}
-			wantOuts := make([]*vector.Vector, nRec)
-			wantAccs := make([]float32, nRec)
-			for r := range ins {
-				wantOuts[r] = vector.New(0)
-				if err := RunPlan(pl, ref, ins[r], wantOuts[r]); err != nil {
-					t.Fatal(err)
-				}
-				head := vector.New(0)
-				ref.Reset()
-				if err := pl.Stages[0].Kernel().Run(ref, []*vector.Vector{ins[r]}, head); err != nil {
-					t.Fatal(err)
-				}
-				wantAccs[r] = ref.Acc
-			}
-			ec := &Exec{Pool: vector.NewPool(), DisableBatchKernels: mode.disable}
-			gotOuts := make([]*vector.Vector, nRec)
-			for r := range gotOuts {
-				gotOuts[r] = vector.New(0)
-			}
-			gotAccs := runPlanBatched(t, pl, ec, ins, gotOuts)
-			for r := range ins {
-				if !gotOuts[r].Equal(wantOuts[r]) {
-					t.Fatalf("record %d: batched %v != per-record %v", r, gotOuts[r], wantOuts[r])
-				}
-				if gotAccs[r] != wantAccs[r] {
-					t.Fatalf("record %d: batched acc %v != per-record acc %v", r, gotAccs[r], wantAccs[r])
-				}
-			}
-		})
-	}
-}
-
 // TestRunStageBatchCounters: a batched stage event is ONE execution in
 // the white-box counters, with every record accounted in Records.
 func TestRunStageBatchCounters(t *testing.T) {

@@ -2,9 +2,7 @@ package plan
 
 import (
 	"fmt"
-	"time"
 
-	"pretzel/internal/linalg"
 	"pretzel/internal/ml"
 	"pretzel/internal/ops"
 	"pretzel/internal/text"
@@ -50,27 +48,6 @@ func (k *GenericKernel) Run(ec *Exec, ins []*vector.Vector, out *vector.Vector) 
 			return fmt.Errorf("plan: generic stage op %d (%s): %w", i, op.Info().Kind, err)
 		}
 		cur, next = dst, cur
-	}
-	return nil
-}
-
-// RunBatch implements BatchKernel: the fused-sequence dispatch (and the
-// single-op fast path's interface lookup) is resolved once per batch,
-// with the record loop innermost.
-func (k *GenericKernel) RunBatch(ec *Exec, insRows [][]*vector.Vector, outs []*vector.Vector, _ []float32) error {
-	if len(k.Fused) == 1 {
-		op := k.Fused[0]
-		for r := range outs {
-			if err := op.Transform(insRows[r], outs[r]); err != nil {
-				return fmt.Errorf("record %d (%s): %w", r, op.Info().Kind, err)
-			}
-		}
-		return nil
-	}
-	for r := range outs {
-		if err := k.Run(ec, insRows[r], outs[r]); err != nil {
-			return fmt.Errorf("record %d: %w", r, err)
-		}
 	}
 	return nil
 }
@@ -125,46 +102,6 @@ func (k *SAHeadKernel) Run(ec *Exec, ins []*vector.Vector, out *vector.Vector) e
 	return nil
 }
 
-// RunBatch implements BatchKernel: the char-block weights are loaded
-// once for the whole batch and every record's partial margin lands in
-// its accs slot (the batched face of the §4.1.2 model pushdown).
-func (k *SAHeadKernel) RunBatch(ec *Exec, insRows [][]*vector.Vector, outs []*vector.Vector, accs []float32) error {
-	w := k.Weights
-	for r := range outs {
-		ins := insRows[r]
-		if len(ins) != 1 {
-			return fmt.Errorf("plan: sa-head record %d expects one input", r)
-		}
-		out := outs[r]
-		acc := float32(0)
-		if k.Tokenize {
-			if ins[0].Kind != vector.KindText {
-				return fmt.Errorf("plan: sa-head record %d expects text input, got %s", r, ins[0].Kind)
-			}
-			out.Reset()
-			out.Kind = vector.KindTokens
-			ec.TokBuf = text.TokenizeFunc(ins[0].Text, ec.TokBuf, func(tok []byte) {
-				out.AppendTokenBytes(tok)
-				k.Char.ExtractToken(tok, func(ix int32) {
-					acc += w[ix]
-				})
-			})
-		} else {
-			if ins[0].Kind != vector.KindTokens {
-				return fmt.Errorf("plan: sa-head record %d expects tokens input, got %s", r, ins[0].Kind)
-			}
-			for i := 0; i < ins[0].NumTokens(); i++ {
-				k.Char.ExtractToken(ins[0].TokenAt(i), func(ix int32) {
-					acc += w[ix]
-				})
-			}
-			out.CopyFrom(ins[0])
-		}
-		accs[r] += acc
-	}
-	return nil
-}
-
 // --- SATailKernel ---
 
 // SATailKernel is the second stage of the optimized SA plan: WordNgram
@@ -211,40 +148,6 @@ func (k *SATailKernel) Run(ec *Exec, ins []*vector.Vector, out *vector.Vector) e
 	return nil
 }
 
-// RunBatch implements BatchKernel: the word-block weights, the stream
-// configuration and the link model are set up once per batch; each
-// record only resets the token ring.
-func (k *SATailKernel) RunBatch(ec *Exec, insRows [][]*vector.Vector, outs []*vector.Vector, accs []float32) error {
-	w := k.Weights
-	ec.WStream.Configure(&k.Word)
-	m := ml.LinearModel{Kind: k.Link}
-	for r := range outs {
-		ins := insRows[r]
-		if len(ins) < 1 {
-			return fmt.Errorf("plan: sa-tail record %d expects an input", r)
-		}
-		acc := float32(0)
-		emit := func(ix int32) { acc += w[ix] }
-		ec.WStream.Reset()
-		switch {
-		case k.Tokenize && ins[0].Kind == vector.KindText:
-			ec.TokBuf = text.TokenizeFunc(ins[0].Text, ec.TokBuf, func(tok []byte) {
-				ec.WStream.Push(tok, emit)
-			})
-		case ins[0].Kind == vector.KindTokens:
-			toks := ins[0]
-			for i := 0; i < toks.NumTokens(); i++ {
-				ec.WStream.Push(toks.TokenAt(i), emit)
-			}
-		default:
-			return fmt.Errorf("plan: sa-tail record %d expects tokens or text input, got %s", r, ins[0].Kind)
-		}
-		d := outs[r].UseDense(1)
-		d[0] = m.Link(accs[r] + acc + k.Bias)
-	}
-	return nil
-}
-
 // --- FeaturizeKernel ---
 
 // FeaturizeKernel is the materializable SA flavor: the complete
@@ -281,29 +184,6 @@ func (k *FeaturizeKernel) Run(ec *Exec, ins []*vector.Vector, out *vector.Vector
 	return nil
 }
 
-// RunBatch implements BatchKernel: dictionaries, output layout and the
-// stream configuration are resolved once per batch.
-func (k *FeaturizeKernel) RunBatch(ec *Exec, insRows [][]*vector.Vector, outs []*vector.Vector, _ []float32) error {
-	dim := k.Dim()
-	off := int32(k.CharDim)
-	ec.WStream.Configure(&k.Word)
-	for r := range outs {
-		ins := insRows[r]
-		if len(ins) != 1 || ins[0].Kind != vector.KindText {
-			return fmt.Errorf("plan: sa-featurize record %d expects one text input", r)
-		}
-		out := outs[r]
-		out.UseSparse(dim)
-		ec.WStream.Reset()
-		ec.TokBuf = text.TokenizeFunc(ins[0].Text, ec.TokBuf, func(tok []byte) {
-			k.Char.ExtractToken(tok, func(ix int32) { out.AppendSparse(ix, 1) })
-			ec.WStream.Push(tok, func(ix int32) { out.AppendSparse(off+ix, 1) })
-		})
-		out.SortSparse()
-	}
-	return nil
-}
-
 // --- LinearScoreKernel ---
 
 // LinearScoreKernel scores a sparse feature vector with a linear model
@@ -334,53 +214,6 @@ func (k *LinearScoreKernel) Run(ec *Exec, ins []*vector.Vector, out *vector.Vect
 	return nil
 }
 
-// RunBatch implements BatchKernel: the model (weights, bias, link) is
-// loaded once and every record of the batch streams through it — the
-// parameter-locality effect PRETZEL's batch engine is built around
-// (§4.2: "weights are read once for many records"). The work is split
-// into a margins pass — the weight slice stays hoisted in a register
-// across all rows instead of being re-fetched through the model header
-// per record — and a link pass whose kind dispatch happens once per
-// batch. Both passes call the same linalg primitives as the per-record
-// path, so results are bit-identical to Run.
-func (k *LinearScoreKernel) RunBatch(ec *Exec, insRows [][]*vector.Vector, outs []*vector.Vector, _ []float32) error {
-	m := k.Model
-	w, bias := m.Weights, m.Bias
-	for r := range outs {
-		ins := insRows[r]
-		if len(ins) != 1 {
-			return fmt.Errorf("plan: linear-score record %d expects one input", r)
-		}
-		var margin float32
-		switch ins[0].Kind {
-		case vector.KindSparse:
-			margin = linalg.SparseDot(ins[0].Idx, ins[0].Val, w) + bias
-		case vector.KindDense:
-			margin = linalg.Dot(w, ins[0].Dense) + bias
-		default:
-			return fmt.Errorf("plan: linear-score record %d expects a vector input, got %s", r, ins[0].Kind)
-		}
-		outs[r].UseDense(1)[0] = margin
-	}
-	switch m.Kind {
-	case ml.LogisticRegression:
-		for r := range outs {
-			d := outs[r].Dense
-			d[0] = linalg.Sigmoid(d[0])
-		}
-	case ml.PoissonRegression:
-		for r := range outs {
-			d := outs[r].Dense
-			x := d[0]
-			if x > 30 {
-				x = 30
-			}
-			d[0] = linalg.Exp(x)
-		}
-	}
-	return nil
-}
-
 // --- ConcatKernel ---
 
 // ConcatKernel concatenates stage outputs. Plans keep an explicit concat
@@ -398,37 +231,16 @@ func (k *ConcatKernel) Run(ec *Exec, ins []*vector.Vector, out *vector.Vector) e
 	return k.Op.Transform(ins, out)
 }
 
-// RunBatch implements BatchKernel: the operator (and its layout table)
-// is resolved once for the whole batch.
-func (k *ConcatKernel) RunBatch(ec *Exec, insRows [][]*vector.Vector, outs []*vector.Vector, _ []float32) error {
-	op := k.Op
-	for r := range outs {
-		if err := op.Transform(insRows[r], outs[r]); err != nil {
-			return fmt.Errorf("record %d: %w", r, err)
-		}
-	}
-	return nil
-}
-
-var (
-	_ BatchKernel = (*GenericKernel)(nil)
-	_ BatchKernel = (*SAHeadKernel)(nil)
-	_ BatchKernel = (*SATailKernel)(nil)
-	_ BatchKernel = (*FeaturizeKernel)(nil)
-	_ BatchKernel = (*LinearScoreKernel)(nil)
-	_ BatchKernel = (*ConcatKernel)(nil)
-)
-
 // RunPlan executes a compiled plan on one input, acquiring ALL the
 // execution's intermediate vectors in one batched pool visit up front
 // and releasing them in one visit at the end (§4.2.1: at most one pool
 // interaction per request instead of one lock round-trip per vector).
-// It is the single-threaded reference executor used by the
-// request-response engine; the batch engine schedules stages
-// individually (see the sched package). Steady-state executions perform
-// no heap allocation beyond what pooled vectors grow.
+// It is the single-threaded executor of the request-response engine:
+// every stage runs as a row of one through RunStageBatch — the same
+// driver the batch engine schedules stage by stage (see the sched
+// package) — over Exec-owned scratch, so steady-state executions
+// perform no heap allocation beyond what pooled vectors grow.
 func RunPlan(p *Plan, ec *Exec, in *vector.Vector, out *vector.Vector) error {
-	ec.Reset()
 	n := len(p.Stages)
 	// Stage output table, reused across calls via the Exec scratch slice.
 	if cap(ec.outTab) < n {
@@ -440,6 +252,7 @@ func RunPlan(p *Plan, ec *Exec, in *vector.Vector, out *vector.Vector) error {
 		ec.Pool.GetN(ec.Shard, outputs[:nInter], p.InterCaps())
 	}
 	outputs[n-1] = out
+	ec.rowAcc[0] = 0
 	for i, s := range p.Stages {
 		// Cancelled or deadline-expired requests stop here: the next
 		// stage kernel never runs (white-box deadline enforcement).
@@ -447,16 +260,16 @@ func RunPlan(p *Plan, ec *Exec, in *vector.Vector, out *vector.Vector) error {
 			releaseOutputs(ec, outputs, nInter)
 			return fmt.Errorf("plan %s: dropped before stage %d: %w", p.Name, i, err)
 		}
-		ins := ec.InsBuf()
-		for _, src := range s.Inputs {
+		insRows := ec.InsRows(1, len(s.Inputs))
+		for c, src := range s.Inputs {
 			if src == InputID {
-				ins = append(ins, in)
+				insRows[0][c] = in
 			} else {
-				ins = append(ins, outputs[src])
+				insRows[0][c] = outputs[src]
 			}
 		}
-		ec.SetInsBuf(ins)
-		if err := runStage(s, ec, ins, outputs[i]); err != nil {
+		ec.rowOut[0] = outputs[i]
+		if err := RunStageBatch(s, ec, insRows, ec.rowOut[:], ec.rowAcc[:]); err != nil {
 			releaseOutputs(ec, outputs, nInter)
 			return fmt.Errorf("plan %s: stage %d: %w", p.Name, i, err)
 		}
@@ -476,44 +289,4 @@ func releaseOutputs(ec *Exec, outputs []*vector.Vector, nInter int) {
 	for i := range outputs {
 		outputs[i] = nil
 	}
-}
-
-// runStage executes one stage, consulting the materialization cache for
-// cacheable stages and accounting the execution in the stage's
-// white-box counters.
-func runStage(s *Stage, ec *Exec, ins []*vector.Vector, out *vector.Vector) error {
-	kern := s.Kernel()
-	if kern == nil {
-		return fmt.Errorf("plan: stage %x has no kernel bound", s.ID)
-	}
-	start := time.Now()
-	err := guardStage(s, kern, ec, ins, out)
-	s.metrics.nanos.Add(uint64(time.Since(start)))
-	s.metrics.execs.Add(1)
-	s.metrics.records.Add(1)
-	if err != nil {
-		s.metrics.errs.Add(1)
-	}
-	return err
-}
-
-func runStageInner(s *Stage, kern Kernel, ec *Exec, ins []*vector.Vector, out *vector.Vector) error {
-	if s.Materializable && ec.Cache != nil && len(ins) == 1 {
-		h := HashInput(ins[0])
-		if ec.Cache.GetInto(s.ID, h, out) {
-			s.metrics.cacheHits.Add(1)
-			return nil
-		}
-		if err := kern.Run(ec, ins, out); err != nil {
-			return err
-		}
-		ec.Cache.Put(s.ID, h, out)
-		return nil
-	}
-	return kern.Run(ec, ins, out)
-}
-
-// RunStage exposes single-stage execution to the scheduler.
-func RunStage(s *Stage, ec *Exec, ins []*vector.Vector, out *vector.Vector) error {
-	return runStage(s, ec, ins, out)
 }

@@ -1,13 +1,12 @@
 // Kernel panic containment. PRETZEL runs many tenants' pipelines in
 // one address space — the price of white-box model density is that a
 // single panicking kernel would otherwise take down every model on the
-// node. Both stage-execution entry points (the request-response
-// runStage and the batch engine's RunStageBatch) therefore run the
-// kernel inside a recover() barrier: a panic becomes a *PanicError
-// carrying the stage identity and the captured stack, which the
-// runtime maps to its typed ErrKernelPanic and counts toward the
-// model's quarantine window. The process and every sibling model keep
-// serving.
+// node. The stage driver (RunStageBatch, which both engines go
+// through) therefore runs the kernel inside a recover() barrier: a
+// panic becomes a *PanicError carrying the stage identity and the
+// captured stack, which the runtime maps to its typed ErrKernelPanic
+// and counts toward the model's quarantine window. The process and
+// every sibling model keep serving.
 package plan
 
 import (
@@ -40,27 +39,11 @@ func (e *PanicError) Error() string {
 // kernel would do.
 type FaultFunc func(model string) error
 
-// guardStage runs one per-record stage execution inside the recover
-// barrier, converting a kernel panic into a *PanicError.
-func guardStage(s *Stage, kern Kernel, ec *Exec, ins []*vector.Vector, out *vector.Vector) (err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = &PanicError{StageID: s.ID, Value: v, Stack: debug.Stack()}
-		}
-	}()
-	if ec.Fault != nil {
-		if ferr := ec.Fault(ec.FaultModel); ferr != nil {
-			return ferr
-		}
-	}
-	return runStageInner(s, kern, ec, ins, out)
-}
-
-// guardStageBatch is guardStage for the batch path: one recover
-// barrier around the whole stage event (each data-parallel subtask adds
-// its own barrier on top — see runStageBatchFanned). The fault hook
-// fires once per event, before the fan decision, so injected faults and
-// deliberate panics behave identically on both paths.
+// guardStageBatch runs one stage event inside the recover barrier,
+// converting a kernel panic into a *PanicError (each data-parallel
+// subtask adds its own barrier on top — see runStageBatchFanned). The
+// fault hook fires once per event, before the fan decision, so injected
+// faults and deliberate panics behave identically fanned or not.
 func guardStageBatch(s *Stage, kern Kernel, ec *Exec, insRows [][]*vector.Vector, outs []*vector.Vector, accs []float32) (err error) {
 	defer func() {
 		if v := recover(); v != nil {

@@ -33,7 +33,9 @@ type Exec struct {
 	// Concat: each featurizing stage adds its block's dot product, the
 	// final stage applies bias and link (§4.1.2, "in the example ... the
 	// linear regression can be pushed into CharNgram and WordNgram,
-	// therefore bypassing the execution of Concat").
+	// therefore bypassing the execution of Concat"). The stage driver
+	// loads it from, and stores it back to, the record's slot of the
+	// accumulator row around every Kernel.Run of a UsesAcc stage.
 	Acc float32
 
 	// Pool supplies intermediate vectors.
@@ -58,16 +60,12 @@ type Exec struct {
 	// deadline enforcement costs no context allocation on the hot path).
 	DeadlineNS int64
 
-	// DisableBatchKernels forces RunStageBatch onto the per-record
-	// fallback even for kernels that implement BatchKernel (the
-	// batchsweep ablation baseline).
-	DisableBatchKernels bool
-
 	// Fan, when non-nil, lets RunStageBatch split a large batch into
 	// contiguous row-range subtasks run concurrently on the executor
 	// pool (data-parallel batch execution). Set once per executor by the
-	// scheduler; nil for request-path contexts, which keeps them on the
-	// sequential path with zero overhead beyond this one branch.
+	// scheduler; nil for request-path contexts (RunPlan's rows of one),
+	// which keeps them on the sequential path with zero overhead beyond
+	// this one branch.
 	Fan Fanout
 
 	// Fault, when non-nil, is the kernel-level fault-injection hook:
@@ -83,11 +81,15 @@ type Exec struct {
 	TokBuf  []byte
 	WStream text.WordNgramStream
 	outTab  []*vector.Vector
-	insTab  []*vector.Vector
 	scratch [2]*vector.Vector
 
-	// Batch-path scratch reused across stage events (RunStageBatch):
-	// the per-record input rows handed to batch kernels and the
+	// RunPlan's one-slot output and accumulator rows: a request is a
+	// row of one pushed through the same stage driver as a batch.
+	rowOut [1]*vector.Vector
+	rowAcc [1]float32
+
+	// Stage-driver scratch reused across stage events (RunStageBatch):
+	// the per-record input rows handed to the kernel and the
 	// materialization-cache probe state.
 	insRows  [][]*vector.Vector
 	insFlat  []*vector.Vector
@@ -97,20 +99,6 @@ type Exec struct {
 	missOuts []*vector.Vector
 	missAccs []float32
 }
-
-// InsBuf returns the context's reusable stage-input buffer, emptied.
-// Passing a context-owned slice through the Kernel interface keeps the
-// hot path allocation-free (a stack buffer would escape at the
-// interface call).
-func (e *Exec) InsBuf() []*vector.Vector {
-	if e.insTab == nil {
-		e.insTab = make([]*vector.Vector, 0, 4)
-	}
-	return e.insTab[:0]
-}
-
-// SetInsBuf hands a (possibly grown) input buffer back to the context.
-func (e *Exec) SetInsBuf(b []*vector.Vector) { e.insTab = b }
 
 // InsRows returns the context's reusable batch input table: n rows of k
 // input slots each, backed by one flat executor-owned array. Building a
@@ -145,9 +133,6 @@ func (e *Exec) ScratchPair() (*vector.Vector, *vector.Vector) {
 
 const minScratchShift = 6
 
-// Reset prepares the context for a fresh prediction.
-func (e *Exec) Reset() { e.Acc = 0 }
-
 // Cancelled reports why the in-flight request must stop: the context
 // error when Ctx is cancelled or expired, context.DeadlineExceeded when
 // DeadlineNS has passed, nil otherwise. Both checks are branch-cheap
@@ -179,7 +164,8 @@ func (e *Exec) ClearRequestState() {
 type Kernel interface {
 	// Kind names the physical implementation class.
 	Kind() string
-	// Run evaluates the stage.
+	// Run evaluates the stage for one record. It is the only kernel
+	// method: a batch is the stage driver looping Run over the row.
 	Run(ec *Exec, ins []*vector.Vector, out *vector.Vector) error
 }
 

@@ -81,7 +81,6 @@ func TestSAHeadTailEndToEnd(t *testing.T) {
 	ec := &Exec{Pool: vector.NewPool()}
 	in, toks, out := vector.New(0), vector.New(0), vector.New(0)
 	in.SetText("A NICE product")
-	ec.Reset()
 	if err := head.Run(ec, []*vector.Vector{in}, toks); err != nil {
 		t.Fatal(err)
 	}
@@ -215,13 +214,13 @@ func TestRunStageMaterialization(t *testing.T) {
 	ec := &Exec{Pool: vector.NewPool(), Cache: cache}
 	in, out1, out2 := vector.New(0), vector.New(0), vector.New(0)
 	in.SetText("nice product")
-	if err := RunStage(st, ec, []*vector.Vector{in}, out1); err != nil {
+	if err := RunStageBatch(st, ec, [][]*vector.Vector{{in}}, []*vector.Vector{out1}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if cache.Stats().Entries != 1 {
 		t.Fatal("result not cached")
 	}
-	if err := RunStage(st, ec, []*vector.Vector{in}, out2); err != nil {
+	if err := RunStageBatch(st, ec, [][]*vector.Vector{{in}}, []*vector.Vector{out2}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if cache.Stats().Hits != 1 {

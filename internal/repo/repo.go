@@ -12,10 +12,9 @@
 // ever see complete "model.zip" files.
 //
 // For compatibility with flat model directories (pretzel-train -out,
-// the pre-lifecycle server layout), Scan also surfaces a top-level
-// "<name>.zip" as version 1 of <name> — unless a versioned directory
-// for that name exists, which always wins. Writes only ever use the
-// versioned layout.
+// the pre-lifecycle server layout), a top-level "<name>.zip" is
+// version 1 of <name> — unless "<name>/1/model.zip" exists, which
+// wins. Writes only ever use the versioned layout.
 package repo
 
 import (
@@ -140,43 +139,26 @@ func (r *Repo) Scan() ([]Entry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("repo: scanning root: %w", err)
 	}
+	// A model is a directory, a legacy flat "<name>.zip", or both.
 	var out []Entry
-	versioned := make(map[string]bool)
+	seen := make(map[string]bool)
 	for _, de := range dirents {
+		name := de.Name()
 		if !de.IsDir() {
+			if !strings.HasSuffix(name, ".zip") {
+				continue
+			}
+			name = strings.TrimSuffix(name, ".zip")
+		}
+		if seen[name] || validName(name) != nil {
 			continue
 		}
-		name := de.Name()
+		seen[name] = true
 		vs, err := r.versions(name)
 		if err != nil {
 			return nil, err
 		}
-		if len(vs) > 0 {
-			versioned[name] = true
-			out = append(out, vs...)
-		}
-	}
-	// Legacy flat zips: "<name>.zip" at the root is version 1 of
-	// <name>, unless a versioned directory shadows it.
-	for _, de := range dirents {
-		if de.IsDir() || !strings.HasSuffix(de.Name(), ".zip") {
-			continue
-		}
-		name := strings.TrimSuffix(de.Name(), ".zip")
-		if versioned[name] || validName(name) != nil {
-			continue
-		}
-		fi, err := de.Info()
-		if err != nil {
-			continue
-		}
-		out = append(out, Entry{
-			Name:    name,
-			Version: 1,
-			Path:    filepath.Join(r.root, de.Name()),
-			Bytes:   fi.Size(),
-			ModTime: fi.ModTime(),
-		})
+		out = append(out, vs...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Name != out[j].Name {
@@ -187,17 +169,17 @@ func (r *Repo) Scan() ([]Entry, error) {
 	return out, nil
 }
 
-// versions lists the published versions of one model's versioned
-// directory (no legacy fallback), sorted ascending.
+// versions lists the published versions of one model, sorted
+// ascending: the entries of its versioned directory, plus a legacy flat
+// zip as version 1 whenever "<name>/1/model.zip" is absent (the same
+// precedence Read applies).
 func (r *Repo) versions(name string) ([]Entry, error) {
 	dirents, err := os.ReadDir(r.dir(name))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
+	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("repo: scanning %s: %w", name, err)
 	}
 	var out []Entry
+	hasV1 := false
 	for _, de := range dirents {
 		if !de.IsDir() {
 			continue
@@ -211,27 +193,25 @@ func (r *Repo) versions(name string) ([]Entry, error) {
 		if err != nil {
 			continue // publish in progress or crashed before rename
 		}
+		hasV1 = hasV1 || v == 1
 		out = append(out, Entry{Name: name, Version: v, Path: path, Bytes: fi.Size(), ModTime: fi.ModTime()})
+	}
+	if !hasV1 {
+		if fi, err := os.Stat(r.legacyPath(name)); err == nil && !fi.IsDir() {
+			out = append(out, Entry{Name: name, Version: 1, Path: r.legacyPath(name), Bytes: fi.Size(), ModTime: fi.ModTime()})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Version < out[j].Version })
 	return out, nil
 }
 
-// Versions lists the published versions of one model, including a
-// legacy flat zip (as version 1) when no versioned directory exists.
+// Versions lists the published versions of one model, a legacy flat
+// zip included (see versions).
 func (r *Repo) Versions(name string) ([]Entry, error) {
 	if err := validName(name); err != nil {
 		return nil, err
 	}
-	vs, err := r.versions(name)
-	if err != nil || len(vs) > 0 {
-		return vs, err
-	}
-	fi, err := os.Stat(r.legacyPath(name))
-	if err != nil {
-		return nil, nil
-	}
-	return []Entry{{Name: name, Version: 1, Path: r.legacyPath(name), Bytes: fi.Size(), ModTime: fi.ModTime()}}, nil
+	return r.versions(name)
 }
 
 // Read returns the zip bytes of one published version, verified

@@ -102,14 +102,42 @@ func TestLegacyFlatLayout(t *testing.T) {
 	if err != nil || len(vs) != 1 || vs[0].Version != 1 {
 		t.Fatalf("legacy versions %v %v", vs, err)
 	}
-	// A versioned publish shadows the flat file (and picks version 2:
-	// the legacy file is version 1).
+	// The first versioned publish picks version 2 — the flat file is
+	// version 1 — and must not make version 1 vanish: after a reopen
+	// both are listed, and version 1 is still the flat file.
 	if e, err := r.Put("old", 0, []byte("v2")); err != nil || e.Version != 2 {
 		t.Fatalf("put over legacy %+v %v", e, err)
 	}
-	entries, _ = r.Scan()
-	if len(entries) != 1 || entries[0].Ref() != "old@2" {
-		t.Fatalf("versioned layout must shadow the flat file: %v", entries)
+	r, err = Open(r.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err = r.Scan()
+	if err != nil || len(entries) != 2 || entries[0].Ref() != "old@1" || entries[1].Ref() != "old@2" {
+		t.Fatalf("flat version 1 must stay listed beside old@2: %v %v", entries, err)
+	}
+	if vs, err := r.Versions("old"); err != nil || len(vs) != 2 || vs[0].Path != filepath.Join(r.Root(), "old.zip") {
+		t.Fatalf("versions after put over legacy: %v %v", vs, err)
+	}
+	// Deleting version 1 still removes the flat file.
+	if err := r.Delete("old", 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(r.Root(), "old.zip")); !os.IsNotExist(err) {
+		t.Fatalf("flat zip survived Delete(old, 1): %v", err)
+	}
+	if entries, _ = r.Scan(); len(entries) != 1 || entries[0].Ref() != "old@2" {
+		t.Fatalf("after deleting the flat version: %v", entries)
+	}
+	// A published old/1/model.zip wins over a flat file of the same name.
+	if err := os.WriteFile(filepath.Join(r.Root(), "old.zip"), []byte("legacy"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Put("old", 1, []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	if vs, _ := r.Versions("old"); len(vs) != 2 || vs[0].Path == filepath.Join(r.Root(), "old.zip") {
+		t.Fatalf("versioned old@1 must shadow the flat file: %v", vs)
 	}
 }
 

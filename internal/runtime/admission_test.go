@@ -102,11 +102,15 @@ func TestOverloadedShedsBestEffortKeepsReserved(t *testing.T) {
 
 	// Request-response engine, best effort: shed at admission.
 	in.SetText("a nice product")
-	if err := rt.Predict("sa", in, out); !errors.Is(err, ErrOverloaded) {
+	if err := rt.PredictRequest(Request{Model: "sa", In: in, Out: out}); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("best-effort Predict under zero best-effort capacity: %v", err)
 	}
 	// Batch engine, best effort: shed before any stage dispatch.
-	if _, err := rt.SubmitRequest(Request{Model: "sa", In: in, Out: out}); !errors.Is(err, ErrOverloaded) {
+	if _, err := rt.SubmitRequestBatch(BatchRequest{
+		Model: "sa",
+		Ins:   []*vector.Vector{in},
+		Outs:  []*vector.Vector{out},
+	}); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("best-effort Submit: %v", err)
 	}
 	if st := rt.SchedStats(); st.Submitted != 0 {
@@ -118,7 +122,7 @@ func TestOverloadedShedsBestEffortKeepsReserved(t *testing.T) {
 	if err := rt.PredictRequest(Request{Model: "sa", In: in, Out: out, Priority: PriorityHigh}); err != nil {
 		t.Fatalf("high-priority PredictRequest: %v", err)
 	}
-	tk, err := rt.SubmitRequest(Request{Model: "sa", In: in, Out: out, Priority: PriorityHigh})
+	tk, err := rt.SubmitRequestBatch(BatchRequest{Model: "sa", Ins: []*vector.Vector{in}, Outs: []*vector.Vector{out}, Priority: PriorityHigh})
 	if err != nil {
 		t.Fatalf("high-priority Submit: %v", err)
 	}
@@ -149,7 +153,7 @@ func TestPerModelHistogramOnBothEngines(t *testing.T) {
 	in, out := vector.New(0), vector.New(0)
 	for i := 0; i < 10; i++ {
 		in.SetText("a nice product")
-		if err := rt.Predict("sa", in, out); err != nil {
+		if err := rt.PredictRequest(Request{Model: "sa", In: in, Out: out}); err != nil {
 			t.Fatal(err)
 		}
 	}

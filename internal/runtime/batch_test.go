@@ -6,15 +6,22 @@ import (
 	"testing"
 
 	"pretzel/internal/oven"
+	"pretzel/internal/pipeline"
 	"pretzel/internal/vector"
 	"pretzel/internal/workload"
 )
 
-// examplePlans compiles every pipeline of both example workloads (SA
-// text pipelines and AC structured pipelines) into one runtime and
-// returns the model names with a few serving inputs per workload.
-func examplePlans(t *testing.T, cfg Config, opts oven.Options) (*Runtime, []string, []string) {
-	t.Helper()
+// TestRowDriverMatchesReferenceAllExamplePlans runs every example plan
+// (SA with the linear model pushed down, SA with the materializable
+// featurize stage, AC) through the one stage driver at batch sizes 1, 9
+// and 65 — below and above the fan-out grain — on a one-executor
+// (always sequential) and a four-executor (fanning) runtime. Every
+// answer must agree with the unoptimized pipeline.Run reference within
+// the oven tests' tolerance, and must be bit-identical across batch
+// sizes, across engines (PredictRequest is a row of one through the
+// same driver) and across the sequential and fanned runtimes. Run with
+// -race this is also the concurrency check on the cache protocol.
+func TestRowDriverMatchesReferenceAllExamplePlans(t *testing.T) {
 	sc := workload.SmallScale()
 	sc.SACount, sc.ACCount = 6, 4
 	sa, err := workload.BuildSA(sc)
@@ -25,63 +32,93 @@ func examplePlans(t *testing.T, cfg Config, opts oven.Options) (*Runtime, []stri
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, os := newRT(t, cfg)
-	var names []string
-	for _, p := range sa.Pipelines {
-		register(t, rt, os, p, opts)
-		names = append(names, p.Name)
-	}
-	inputs := append([]string(nil), sa.TestInputs[:3]...)
-	for _, p := range ac.Pipelines {
-		register(t, rt, os, p, opts)
-		names = append(names, p.Name)
-	}
-	return rt, names, append(inputs, ac.TestInputs[:3]...)
-}
-
-// TestBatchedMatchesPerRecordAllExamplePlans: batched execution through
-// the scheduler (native batch kernels, sharded MatCache enabled) must
-// be bit-identical to the per-record request-response engine across
-// every example plan. Run with -race this is also the concurrency check
-// on the batched cache protocol.
-func TestBatchedMatchesPerRecordAllExamplePlans(t *testing.T) {
-	rt, names, inputs := examplePlans(t,
-		Config{Executors: 4, MatCacheBytes: 32 << 20},
-		oven.Options{AOT: true, Materialization: true})
-	const repeat = 3 // repeats exercise the cache-hit path of the batch
-	for _, name := range names {
-		ins := make([]*vector.Vector, 0, len(inputs)*repeat)
-		outs := make([]*vector.Vector, 0, len(inputs)*repeat)
-		wants := make([]*vector.Vector, 0, len(inputs)*repeat)
-		for rep := 0; rep < repeat; rep++ {
-			for _, doc := range inputs {
-				in := vector.New(0)
-				in.SetText(doc)
-				want := vector.New(0)
-				if err := rt.Predict(name, in, want); err != nil {
-					// AC inputs against SA plans (and vice versa) fail on
-					// input kind; equivalence only covers valid pairs.
-					continue
+	const maxBatch = 65
+	for _, ex := range []struct {
+		name   string
+		pipes  []*pipeline.Pipeline
+		inputs []string
+		opts   oven.Options
+		tol    float32
+	}{
+		{"sa-pushdown", sa.Pipelines, sa.TestInputs, oven.DefaultOptions(), 1e-5},
+		{"sa-materialized", sa.Pipelines, sa.TestInputs, oven.Options{AOT: true, Materialization: true}, 1e-5},
+		{"ac", ac.Pipelines, ac.TestInputs, oven.DefaultOptions(), 1e-4},
+	} {
+		t.Run(ex.name, func(t *testing.T) {
+			ins := make([]*vector.Vector, maxBatch)
+			for i := range ins {
+				ins[i] = vector.New(0)
+				ins[i].SetText(ex.inputs[i%len(ex.inputs)])
+			}
+			// Reference answers first, on the pipelines as trained.
+			refs := make([][]*vector.Vector, len(ex.pipes))
+			for pi, p := range ex.pipes {
+				refs[pi] = make([]*vector.Vector, maxBatch)
+				for i, in := range ins {
+					refs[pi][i] = vector.New(0)
+					if err := p.Run(in, refs[pi][i], nil); err != nil {
+						t.Fatalf("%s reference: %v", p.Name, err)
+					}
 				}
-				ins = append(ins, in)
-				outs = append(outs, vector.New(0))
-				wants = append(wants, want)
 			}
-		}
-		if len(ins) == 0 {
-			t.Fatalf("plan %s: no valid inputs", name)
-		}
-		if err := rt.PredictBatch(name, ins, outs); err != nil {
-			t.Fatalf("plan %s: %v", name, err)
-		}
-		for i := range outs {
-			if !outs[i].Equal(wants[i]) {
-				t.Fatalf("plan %s record %d: batched %v != per-record %v", name, i, outs[i], wants[i])
+			seq, seqStore := newRT(t, Config{Executors: 1, MatCacheBytes: 32 << 20})
+			fan, fanStore := newRT(t, Config{Executors: 4, MatCacheBytes: 32 << 20})
+			for _, p := range ex.pipes {
+				register(t, seq, seqStore, p, ex.opts)
+				register(t, fan, fanStore, p, ex.opts)
 			}
-		}
-	}
-	if st := rt.MatCacheStats(); st.Hits == 0 {
-		t.Fatalf("repeated batches never hit the materialization cache: %+v", st)
+			settle() // park the executors so the 65-row batches fan
+			for pi, p := range ex.pipes {
+				// exact[i] is the first answer seen for record i; every
+				// later run must reproduce it bit for bit.
+				exact := make([]*vector.Vector, maxBatch)
+				check := func(how string, outs []*vector.Vector) {
+					t.Helper()
+					for i, out := range outs {
+						want := refs[pi][i]
+						if len(out.Dense) != len(want.Dense) {
+							t.Fatalf("%s %s record %d: %v, reference %v", p.Name, how, i, out, want)
+						}
+						for k := range want.Dense {
+							if d := out.Dense[k] - want.Dense[k]; d > ex.tol || d < -ex.tol {
+								t.Fatalf("%s %s record %d: %v, reference %v", p.Name, how, i, out, want)
+							}
+						}
+						if exact[i] == nil {
+							exact[i] = out
+						} else if !out.Equal(exact[i]) {
+							t.Fatalf("%s %s record %d: %v differs from an earlier run's %v", p.Name, how, i, out, exact[i])
+						}
+					}
+				}
+				for _, rt := range []*Runtime{seq, fan} {
+					for _, n := range []int{1, 9, maxBatch} {
+						outs := make([]*vector.Vector, n)
+						for i := range outs {
+							outs[i] = vector.New(0)
+						}
+						if err := rt.PredictRequestBatch(BatchRequest{Model: p.Name, Ins: ins[:n], Outs: outs}); err != nil {
+							t.Fatalf("%s batch=%d: %v", p.Name, n, err)
+						}
+						check(fmt.Sprintf("batch=%d", n), outs)
+					}
+				}
+				out := vector.New(0)
+				if err := seq.PredictRequest(Request{Model: p.Name, In: ins[0], Out: out}); err != nil {
+					t.Fatal(err)
+				}
+				check("request-response", []*vector.Vector{out})
+			}
+			if fan.SchedStats().ParallelStages == 0 {
+				t.Fatal("no 65-row stage event fanned out on the four-executor runtime")
+			}
+			if seq.SchedStats().ParallelStages != 0 {
+				t.Fatal("a one-executor runtime has nobody to fan to")
+			}
+			if ex.opts.Materialization && fan.MatCacheStats().Hits == 0 {
+				t.Fatal("repeated inputs never hit the materialization cache")
+			}
+		})
 	}
 }
 
@@ -107,7 +144,7 @@ func TestConcurrentBatchJobsSharedMatCache(t *testing.T) {
 		in, out := vector.New(0), vector.New(0)
 		for d, doc := range docs {
 			in.SetText(doc)
-			if err := rt.Predict(name, in, out); err != nil {
+			if err := rt.PredictRequest(Request{Model: name, In: in, Out: out}); err != nil {
 				t.Fatal(err)
 			}
 			vals[d] = out.Dense[0]
@@ -133,7 +170,7 @@ func TestConcurrentBatchJobsSharedMatCache(t *testing.T) {
 			}
 			for i := 0; i < iters; i++ {
 				name := fmt.Sprintf("sa-%d", (id+i)%3)
-				if err := rt.PredictBatch(name, ins, outs); err != nil {
+				if err := rt.PredictRequestBatch(BatchRequest{Model: name, Ins: ins, Outs: outs}); err != nil {
 					t.Error(err)
 					return
 				}

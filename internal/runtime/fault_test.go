@@ -25,7 +25,7 @@ func panicOn(model string) func(string) error {
 func predictOne(rt *Runtime, model string) error {
 	in, out := vector.New(0), vector.New(0)
 	in.SetText("a nice product")
-	return rt.Predict(model, in, out)
+	return rt.PredictRequest(Request{Model: model, In: in, Out: out})
 }
 
 // TestKernelPanicIsolation is the containment contract on the
@@ -130,7 +130,7 @@ func TestKernelPanicBatchEngine(t *testing.T) {
 			ins[i].SetText("nice product")
 			outs[i] = vector.New(0)
 		}
-		return rt.PredictBatch(model, ins, outs)
+		return rt.PredictRequestBatch(BatchRequest{Model: model, Ins: ins, Outs: outs})
 	}
 	for i := 0; i < 5; i++ {
 		if err := batch("bad"); !errors.Is(err, ErrKernelPanic) {

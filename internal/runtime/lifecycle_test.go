@@ -143,7 +143,7 @@ func TestHotSwapUnderConcurrentPredict(t *testing.T) {
 				default:
 				}
 				in.SetText("nice product")
-				if err := rt.Predict("sa", in, out); err != nil {
+				if err := rt.PredictRequest(Request{Model: "sa", In: in, Out: out}); err != nil {
 					errCh <- err
 					return
 				}
@@ -238,7 +238,7 @@ func TestExpiredSubmitDroppedBeforeDispatch(t *testing.T) {
 	defer cancel()
 	in, out := vector.New(0), vector.New(0)
 	in.SetText("nice")
-	tk, err := rt.SubmitRequest(Request{Ctx: ctx, Model: "sa", In: in, Out: out})
+	tk, err := rt.SubmitRequestBatch(BatchRequest{Ctx: ctx, Model: "sa", Ins: []*vector.Vector{in}, Outs: []*vector.Vector{out}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,12 @@ func TestExpiredSubmitDroppedBeforeDispatch(t *testing.T) {
 		t.Fatalf("scheduler must account the expired job: %+v", st)
 	}
 	// The pre-submit deadline check rejects immediately.
-	_, err = rt.SubmitRequest(Request{Model: "sa", In: in, Out: out, Deadline: time.Now().Add(-time.Second)})
+	_, err = rt.SubmitRequestBatch(BatchRequest{
+		Model:    "sa",
+		Ins:      []*vector.Vector{in},
+		Outs:     []*vector.Vector{out},
+		Deadline: time.Now().Add(-time.Second),
+	})
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("pre-submit check: want ErrDeadlineExceeded, got %v", err)
 	}
@@ -265,14 +270,14 @@ func TestTypedErrors(t *testing.T) {
 	rt, _ := newRT(t, Config{Executors: 1})
 	in, out := vector.New(0), vector.New(0)
 	in.SetText("x")
-	if err := rt.Predict("ghost", in, out); !errors.Is(err, ErrModelNotFound) {
+	if err := rt.PredictRequest(Request{Model: "ghost", In: in, Out: out}); !errors.Is(err, ErrModelNotFound) {
 		t.Fatalf("want ErrModelNotFound, got %v", err)
 	}
 	if err := rt.PredictRequest(Request{Model: "m"}); !errors.Is(err, ErrInvalidInput) {
 		t.Fatalf("nil vectors: want ErrInvalidInput, got %v", err)
 	}
 	register(t, rt, nil, saPipeline(t, "sa", 0), oven.DefaultOptions())
-	if err := rt.PredictBatch("sa", []*vector.Vector{in}, nil); !errors.Is(err, ErrInvalidInput) {
+	if err := rt.PredictRequestBatch(BatchRequest{Model: "sa", Ins: []*vector.Vector{in}, Outs: nil}); !errors.Is(err, ErrInvalidInput) {
 		t.Fatalf("batch mismatch: want ErrInvalidInput, got %v", err)
 	}
 
@@ -285,10 +290,14 @@ func TestTypedErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	rtc.Close()
-	if err := rtc.Predict("sa", in, out); !errors.Is(err, ErrClosed) {
+	if err := rtc.PredictRequest(Request{Model: "sa", In: in, Out: out}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("closed predict: want ErrClosed, got %v", err)
 	}
-	if _, err := rtc.SubmitRequest(Request{Model: "sa", In: in, Out: out}); !errors.Is(err, ErrClosed) {
+	if _, err := rtc.SubmitRequestBatch(BatchRequest{
+		Model: "sa",
+		Ins:   []*vector.Vector{in},
+		Outs:  []*vector.Vector{out},
+	}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("closed submit: want ErrClosed, got %v", err)
 	}
 }
@@ -298,7 +307,7 @@ func TestTicketResolvedModel(t *testing.T) {
 	mustCompile(t, rt, "sa", 0)
 	in, out := vector.New(0), vector.New(0)
 	in.SetText("nice")
-	tk, err := rt.SubmitRequest(Request{Model: "sa", In: in, Out: out})
+	tk, err := rt.SubmitRequestBatch(BatchRequest{Model: "sa", Ins: []*vector.Vector{in}, Outs: []*vector.Vector{out}})
 	if err != nil {
 		t.Fatal(err)
 	}

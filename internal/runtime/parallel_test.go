@@ -24,7 +24,7 @@ func settle() { time.Sleep(20 * time.Millisecond) }
 // utilization (events + busy time on the originating executor at
 // minimum).
 func TestParallelBatchEngages(t *testing.T) {
-	rt, os := newRT(t, Config{Executors: 4, BatchGrain: 8})
+	rt, os := newRT(t, Config{Executors: 4})
 	register(t, rt, os, saPipeline(t, "sa", 0), oven.DefaultOptions())
 	settle()
 	const nRec = 128
@@ -38,7 +38,7 @@ func TestParallelBatchEngages(t *testing.T) {
 	// Submitted from one goroutine, the sibling executors are parked —
 	// exactly the spare-capacity condition ShouldFan waits for.
 	for i := 0; i < 20; i++ {
-		if err := rt.PredictBatch("sa", ins, outs); err != nil {
+		if err := rt.PredictRequestBatch(BatchRequest{Model: "sa", Ins: ins, Outs: outs}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -73,11 +73,11 @@ func TestParallelBatchEngages(t *testing.T) {
 // TestParallelBatchStress is the -race stress for the data-parallel
 // path: 16 goroutines push large batches through the fanned engine
 // while a sibling model churns through register/unregister. After every
-// PredictBatch returns, the caller immediately overwrites its output
+// PredictRequestBatch returns, the caller immediately overwrites its output
 // vectors — if any subtask outlived its stage event and still wrote a
 // row, the race detector catches the conflicting access.
 func TestParallelBatchStress(t *testing.T) {
-	rt, os := newRT(t, Config{Executors: 8, BatchGrain: 8})
+	rt, os := newRT(t, Config{Executors: 8})
 	register(t, rt, os, saPipeline(t, "sa", 0), oven.DefaultOptions())
 	settle()
 	const nRec = 96
@@ -92,7 +92,7 @@ func TestParallelBatchStress(t *testing.T) {
 			outs[r] = vector.New(0)
 		}
 		for i := 0; i < 4; i++ {
-			if err := rt.PredictBatch("sa", ins, outs); err != nil {
+			if err := rt.PredictRequestBatch(BatchRequest{Model: "sa", Ins: ins, Outs: outs}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -145,7 +145,7 @@ func TestParallelBatchStress(t *testing.T) {
 				outs[r] = vector.New(0)
 			}
 			for i := 0; i < iters; i++ {
-				if err := rt.PredictBatch("sa", ins, outs); err != nil {
+				if err := rt.PredictRequestBatch(BatchRequest{Model: "sa", Ins: ins, Outs: outs}); err != nil {
 					t.Error(err)
 					return
 				}

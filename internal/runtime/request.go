@@ -1,6 +1,7 @@
 // Request-path API of the Runtime: context-aware, deadline-enforcing
-// prediction requests with typed sentinel errors. The old
-// Predict/Submit signatures remain as thin wrappers.
+// prediction requests with typed sentinel errors. Three entry points:
+// PredictRequest (inline, request-response engine), SubmitRequestBatch
+// (asynchronous, batch engine) and PredictRequestBatch (submit + Wait).
 package runtime
 
 import (
@@ -54,7 +55,7 @@ type Request struct {
 	Model string
 	// In and Out are the request input and output vectors.
 	In, Out *vector.Vector
-	// Priority selects the batch-engine queue class (Submit path only).
+	// Priority selects the admission class (see admit).
 	Priority Priority
 	// Deadline, when non-zero, is an absolute deadline enforced before
 	// every stage — cheaper than wrapping Ctx in context.WithDeadline
@@ -221,23 +222,6 @@ func (rt *Runtime) PredictRequest(req Request) error {
 	return mapError(err)
 }
 
-// SubmitRequest schedules one request on the batch engine and returns
-// its ticket; callers Wait on it. Expired requests are dropped before
-// any stage dispatch.
-func (rt *Runtime) SubmitRequest(req Request) (*Ticket, error) {
-	if req.In == nil || req.Out == nil {
-		return nil, fmt.Errorf("%w: in and out are required", ErrInvalidInput)
-	}
-	return rt.SubmitRequestBatch(BatchRequest{
-		Ctx:      req.Ctx,
-		Model:    req.Model,
-		Ins:      []*vector.Vector{req.In},
-		Outs:     []*vector.Vector{req.Out},
-		Priority: req.Priority,
-		Deadline: req.Deadline,
-	})
-}
-
 // SubmitRequestBatch schedules a whole batch of records as one job on
 // the batch engine and returns its ticket.
 func (rt *Runtime) SubmitRequestBatch(req BatchRequest) (*Ticket, error) {
@@ -302,38 +286,4 @@ func (rt *Runtime) PredictRequestBatch(req BatchRequest) error {
 		return err
 	}
 	return t.Wait()
-}
-
-// --- compatibility wrappers (pre-Request API) ---
-
-// Predict serves one request on the request-response engine.
-func (rt *Runtime) Predict(name string, in, out *vector.Vector) error {
-	return rt.PredictRequest(Request{Model: name, In: in, Out: out})
-}
-
-// Submit schedules one prediction on the batch engine and returns the
-// job; callers Wait on it. Prefer SubmitRequest for typed errors.
-func (rt *Runtime) Submit(name string, in, out *vector.Vector) (*sched.Job, error) {
-	t, err := rt.SubmitRequest(Request{Model: name, In: in, Out: out})
-	if err != nil {
-		return nil, err
-	}
-	return t.job, nil
-}
-
-// SubmitBatch schedules a whole batch of records as one job: every
-// pipeline stage becomes a single event processing all records (the
-// batch engine's unit of work).
-func (rt *Runtime) SubmitBatch(name string, ins, outs []*vector.Vector) (*sched.Job, error) {
-	t, err := rt.SubmitRequestBatch(BatchRequest{Model: name, Ins: ins, Outs: outs})
-	if err != nil {
-		return nil, err
-	}
-	return t.job, nil
-}
-
-// PredictBatch serves a batch of records through the batch engine and
-// waits for completion.
-func (rt *Runtime) PredictBatch(name string, ins, outs []*vector.Vector) error {
-	return rt.PredictRequestBatch(BatchRequest{Model: name, Ins: ins, Outs: outs})
 }

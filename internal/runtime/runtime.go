@@ -54,16 +54,6 @@ type Config struct {
 	// 0 means one shard per core (GOMAXPROCS); 1 emulates the old
 	// global-mutex pool (used as the scaling-experiment baseline).
 	PoolShards int
-	// DisableBatchKernels forces the batch engine onto the per-record
-	// kernel fallback (the batchsweep ablation baseline).
-	DisableBatchKernels bool
-	// BatchGrain is the batch-engine row count above which one stage
-	// event fans out into row-range subtasks across idle executors
-	// (0 = default 32).
-	BatchGrain int
-	// DisableParallelBatch pins every stage event to one executor
-	// regardless of batch size (ablation baseline).
-	DisableParallelBatch bool
 
 	// MaxInFlight bounds concurrently admitted requests across all
 	// models (0 = no limit). When the limit is reached, further
@@ -248,9 +238,6 @@ func New(objStore *store.ObjectStore, cfg Config) *Runtime {
 		DisableVectorPooling: cfg.DisableVectorPooling,
 		VectorsPerExecutor:   cfg.VectorsPerExecutor,
 		VectorCapHint:        cfg.VectorCapHint,
-		DisableBatchKernels:  cfg.DisableBatchKernels,
-		BatchGrain:           cfg.BatchGrain,
-		DisableParallelBatch: cfg.DisableParallelBatch,
 	})
 	return rt
 }

@@ -73,13 +73,13 @@ func TestRequestResponseEngine(t *testing.T) {
 	register(t, rt, os, saPipeline(t, "sa", 0), oven.DefaultOptions())
 	in, out := vector.New(0), vector.New(0)
 	in.SetText("a nice product")
-	if err := rt.Predict("sa", in, out); err != nil {
+	if err := rt.PredictRequest(Request{Model: "sa", In: in, Out: out}); err != nil {
 		t.Fatal(err)
 	}
 	if out.Dense[0] <= 0.5 {
 		t.Fatalf("score %v", out.Dense[0])
 	}
-	if err := rt.Predict("missing", in, out); err == nil {
+	if err := rt.PredictRequest(Request{Model: "missing", In: in, Out: out}); err == nil {
 		t.Fatal("unknown plan must error")
 	}
 }
@@ -95,7 +95,7 @@ func TestBatchEngine(t *testing.T) {
 		ins[i].SetText("nice product")
 		outs[i] = vector.New(0)
 	}
-	if err := rt.PredictBatch("sa", ins, outs); err != nil {
+	if err := rt.PredictRequestBatch(BatchRequest{Model: "sa", Ins: ins, Outs: outs}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range outs {
@@ -103,10 +103,10 @@ func TestBatchEngine(t *testing.T) {
 			t.Fatalf("batch result %d differs", i)
 		}
 	}
-	if err := rt.PredictBatch("sa", ins, outs[:1]); err == nil {
+	if err := rt.PredictRequestBatch(BatchRequest{Model: "sa", Ins: ins, Outs: outs[:1]}); err == nil {
 		t.Fatal("mismatched batch must error")
 	}
-	if err := rt.PredictBatch("nope", ins, outs); err == nil {
+	if err := rt.PredictRequestBatch(BatchRequest{Model: "nope", Ins: ins, Outs: outs}); err == nil {
 		t.Fatal("unknown plan must error")
 	}
 }
@@ -116,10 +116,10 @@ func TestEnginesAgree(t *testing.T) {
 	register(t, rt, os, saPipeline(t, "sa", 0), oven.DefaultOptions())
 	in, a, b := vector.New(0), vector.New(0), vector.New(0)
 	in.SetText("nice bad product refund")
-	if err := rt.Predict("sa", in, a); err != nil {
+	if err := rt.PredictRequest(Request{Model: "sa", In: in, Out: a}); err != nil {
 		t.Fatal(err)
 	}
-	j, err := rt.Submit("sa", in, b)
+	j, err := rt.SubmitRequestBatch(BatchRequest{Model: "sa", Ins: []*vector.Vector{in}, Outs: []*vector.Vector{b}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestReservationThroughRuntime(t *testing.T) {
 	}
 	in, out := vector.New(0), vector.New(0)
 	in.SetText("nice")
-	j, err := rt.Submit("vip", in, out)
+	j, err := rt.SubmitRequestBatch(BatchRequest{Model: "vip", Ins: []*vector.Vector{in}, Outs: []*vector.Vector{out}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestMaterializationAcrossPlansViaRuntime(t *testing.T) {
 	in.SetText("the same nice input text")
 	for i := 0; i < 3; i++ {
 		out := vector.New(0)
-		if err := rt.Predict(fmt.Sprintf("sa-%d", i), in, out); err != nil {
+		if err := rt.PredictRequest(Request{Model: fmt.Sprintf("sa-%d", i), In: in, Out: out}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -283,7 +283,7 @@ func TestConcurrentPredicts(t *testing.T) {
 			in, out := vector.New(0), vector.New(0)
 			for i := 0; i < 200; i++ {
 				in.SetText("nice product works")
-				if err := rt.Predict("sa", in, out); err != nil {
+				if err := rt.PredictRequest(Request{Model: "sa", In: in, Out: out}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -325,7 +325,7 @@ func TestUnregisterReleaseFreesStoreAndCatalog(t *testing.T) {
 	}
 	in, out := vector.New(0), vector.New(0)
 	in.SetText("nice product")
-	if err := rt.Predict("a", in, out); err != nil {
+	if err := rt.PredictRequest(Request{Model: "a", In: in, Out: out}); err != nil {
 		t.Fatalf("surviving model must keep serving after sibling release: %v", err)
 	}
 
@@ -338,7 +338,7 @@ func TestUnregisterReleaseFreesStoreAndCatalog(t *testing.T) {
 	if got := rt.CatalogStats().Kernels; got != 0 {
 		t.Fatalf("releasing the last model must empty the catalog: %d kernels left", got)
 	}
-	if err := rt.Predict("a", in, out); !errors.Is(err, ErrModelNotFound) {
+	if err := rt.PredictRequest(Request{Model: "a", In: in, Out: out}); !errors.Is(err, ErrModelNotFound) {
 		t.Fatalf("released model must be gone: %v", err)
 	}
 }
@@ -354,7 +354,7 @@ func TestUnregisterReleaseOneVersion(t *testing.T) {
 	}
 	in, out := vector.New(0), vector.New(0)
 	in.SetText("nice product")
-	if err := rt.Predict("m", in, out); err != nil {
+	if err := rt.PredictRequest(Request{Model: "m", In: in, Out: out}); err != nil {
 		t.Fatalf("version 1 must survive version 2's release: %v", err)
 	}
 	if err := rt.UnregisterRelease("m"); err != nil {

@@ -26,7 +26,7 @@ func TestPredictZeroAlloc(t *testing.T) {
 	// Warm: grow pooled buffers, populate the context pool.
 	for i := 0; i < 100; i++ {
 		in.SetText(input)
-		if err := rt.Predict("sa", in, out); err != nil {
+		if err := rt.PredictRequest(Request{Model: "sa", In: in, Out: out}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -34,7 +34,7 @@ func TestPredictZeroAlloc(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocs := testing.AllocsPerRun(200, func() {
 		in.SetText(input)
-		if err := rt.Predict("sa", in, out); err != nil {
+		if err := rt.PredictRequest(Request{Model: "sa", In: in, Out: out}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -44,7 +44,7 @@ func TestPredictZeroAlloc(t *testing.T) {
 }
 
 // TestConcurrentEnginesStress hammers both engines from many goroutines
-// at once — request-response Predicts racing batch SubmitBatch jobs over
+// at once — request-response PredictRequests racing batch-engine jobs over
 // several plans — then checks the pool accounting invariants. Run with
 // -race, it is the concurrency test for the sharded pool + sharded
 // scheduler queues.
@@ -66,7 +66,7 @@ func TestConcurrentEnginesStress(t *testing.T) {
 			in, out := vector.New(0), vector.New(0)
 			for i := 0; i < iters; i++ {
 				in.SetText("nice product refund bad great nice")
-				if err := rt.Predict(fmt.Sprintf("sa-%d", (id+i)%3), in, out); err != nil {
+				if err := rt.PredictRequest(Request{Model: fmt.Sprintf("sa-%d", (id+i)%3), In: in, Out: out}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -87,7 +87,7 @@ func TestConcurrentEnginesStress(t *testing.T) {
 				outs[i] = vector.New(0)
 			}
 			for i := 0; i < iters/4; i++ {
-				j, err := rt.SubmitBatch(fmt.Sprintf("sa-%d", (id+i)%3), ins, outs)
+				j, err := rt.SubmitRequestBatch(BatchRequest{Model: fmt.Sprintf("sa-%d", (id+i)%3), Ins: ins, Outs: outs})
 				if err != nil {
 					t.Error(err)
 					return
@@ -134,7 +134,7 @@ func TestConcurrentStressDisabledPool(t *testing.T) {
 			in, out := vector.New(0), vector.New(0)
 			for i := 0; i < 100; i++ {
 				in.SetText("nice product")
-				if err := rt.Predict("sa", in, out); err != nil {
+				if err := rt.PredictRequest(Request{Model: "sa", In: in, Out: out}); err != nil {
 					t.Error(err)
 					return
 				}

@@ -17,12 +17,16 @@ import (
 	"pretzel/internal/plan"
 )
 
+// batchGrain is the row count above which a stage event fans out into
+// row-range subtasks across idle executors, and the size of each range
+// (the last may be short).
+const batchGrain = 32
+
 // subtask is one fanned stage event's shared claim state.
 type subtask struct {
 	run     func(lo, hi int, ec *plan.Exec) error
 	n       int   // total rows
-	grain   int   // rows per range (last range may be short)
-	nRanges int32 // number of ranges = ceil(n/grain)
+	nRanges int32 // number of ranges = ceil(n/batchGrain)
 
 	cursor   atomic.Int32 // next unclaimed range index
 	finished atomic.Int32 // ranges completed (run or skipped-after-failure)
@@ -61,8 +65,8 @@ func (st *subtask) runRanges(ec *plan.Exec) (ran uint64) {
 			return ran
 		}
 		if !st.failed.Load() {
-			lo := int(i) * st.grain
-			hi := lo + st.grain
+			lo := int(i) * batchGrain
+			hi := lo + batchGrain
 			if hi > st.n {
 				hi = st.n
 			}
@@ -83,7 +87,6 @@ type fanout struct {
 	qs       *queueSet
 	idx      int
 	ec       *plan.Exec
-	grain    int
 	counters *executorCounters
 }
 
@@ -93,7 +96,7 @@ type fanout struct {
 // claim/join overhead without adding parallelism — the event stays on
 // the sequential zero-alloc path. Reads two atomics, allocates nothing.
 func (f *fanout) ShouldFan(n int) bool {
-	return n > f.grain && f.qs.sleepers.Load() > 0 && !f.qs.closed.Load()
+	return n > batchGrain && f.qs.sleepers.Load() > 0 && !f.qs.closed.Load()
 }
 
 // Fan implements plan.Fanout. Help events — one per executor that could
@@ -104,8 +107,8 @@ func (f *fanout) ShouldFan(n int) bool {
 // A failed push (set closing) is harmless: the originator's own claim
 // loop covers every range.
 func (f *fanout) Fan(n int, run func(lo, hi int, ec *plan.Exec) error) error {
-	nr := int32((n + f.grain - 1) / f.grain)
-	st := &subtask{run: run, n: n, grain: f.grain, nRanges: nr, doneCh: make(chan struct{})}
+	nr := int32((n + batchGrain - 1) / batchGrain)
+	st := &subtask{run: run, n: n, nRanges: nr, doneCh: make(chan struct{})}
 	helpers := int(nr) - 1
 	if max := len(f.qs.shards) - 1; helpers > max {
 		helpers = max

@@ -419,17 +419,6 @@ type Config struct {
 	VectorsPerExecutor int
 	// VectorCapHint sizes preallocated vectors.
 	VectorCapHint int
-	// DisableBatchKernels forces every stage event onto the per-record
-	// kernel fallback (the batchsweep ablation baseline).
-	DisableBatchKernels bool
-	// BatchGrain is the row count above which a stage event fans out
-	// into row-range subtasks across idle executors (and the size of
-	// each range). Default 32.
-	BatchGrain int
-	// DisableParallelBatch keeps every stage event on the sequential
-	// single-executor path regardless of batch size (ablation baseline
-	// and the `-parallel-batch=false` server flag).
-	DisableParallelBatch bool
 }
 
 // Scheduler coordinates executors over the shared queues.
@@ -564,9 +553,6 @@ func New(cfg Config) *Scheduler {
 	if cfg.Executors <= 0 {
 		cfg.Executors = 4
 	}
-	if cfg.BatchGrain <= 0 {
-		cfg.BatchGrain = 32
-	}
 	s := &Scheduler{
 		cfg:          cfg,
 		shared:       newQueueSet(cfg.Executors),
@@ -700,10 +686,8 @@ func (s *Scheduler) Close() {
 func (s *Scheduler) executor(qs *queueSet, idx int, pool *vector.Pool) {
 	defer s.wg.Done()
 	c := s.newExecutorCounters()
-	ec := &plan.Exec{Pool: pool, Shard: pool.ShardHint(), DisableBatchKernels: s.cfg.DisableBatchKernels}
-	if !s.cfg.DisableParallelBatch {
-		ec.Fan = &fanout{s: s, qs: qs, idx: idx, ec: ec, grain: s.cfg.BatchGrain, counters: c}
-	}
+	ec := &plan.Exec{Pool: pool, Shard: pool.ShardHint()}
+	ec.Fan = &fanout{s: s, qs: qs, idx: idx, ec: ec, counters: c}
 	for {
 		ev, ok := qs.pop(idx)
 		if !ok {

@@ -754,46 +754,3 @@ func TestBatchJobOneExecPerStageEvent(t *testing.T) {
 		}
 	}
 }
-
-// TestBatchJobMatchesPerRecordJobs: a batched job must produce exactly
-// the outputs of per-record jobs over the same inputs, in both kernel
-// dispatch modes (native BatchKernel and per-record fallback).
-func TestBatchJobMatchesPerRecordJobs(t *testing.T) {
-	pl := saPlan(t, "sa")
-	docs := []string{"a nice product", "bad refund awful", "nice nice", "product", "great nice thing"}
-	// Per-record reference.
-	ref := New(Config{Executors: 2})
-	defer ref.Close()
-	wants := make([]*vector.Vector, len(docs))
-	for i, d := range docs {
-		in := vector.New(0)
-		in.SetText(d)
-		wants[i] = vector.New(0)
-		j := NewJob(pl, in, wants[i], nil)
-		ref.Submit(j)
-		if err := j.Wait(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, disable := range []bool{false, true} {
-		s := New(Config{Executors: 2, DisableBatchKernels: disable})
-		ins := make([]*vector.Vector, len(docs))
-		outs := make([]*vector.Vector, len(docs))
-		for i, d := range docs {
-			ins[i] = vector.New(0)
-			ins[i].SetText(d)
-			outs[i] = vector.New(0)
-		}
-		j := NewBatchJob(pl, ins, outs, nil)
-		s.Submit(j)
-		if err := j.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		for i := range outs {
-			if !outs[i].Equal(wants[i]) {
-				t.Fatalf("disable=%v record %d: batched %v != per-record %v", disable, i, outs[i], wants[i])
-			}
-		}
-		s.Close()
-	}
-}

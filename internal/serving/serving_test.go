@@ -188,7 +188,12 @@ func TestLocalReadySaturated(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fill the only admission slot with a ticket that is never waited.
-	tk, err := rt.SubmitRequest(runtime.Request{Model: "sa", In: newTextVec("x"), Out: newTextVec(""), Priority: runtime.PriorityHigh})
+	tk, err := rt.SubmitRequestBatch(runtime.BatchRequest{
+		Model:    "sa",
+		Ins:      []*vector.Vector{newTextVec("x")},
+		Outs:     []*vector.Vector{newTextVec("")},
+		Priority: runtime.PriorityHigh,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

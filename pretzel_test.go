@@ -83,12 +83,12 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 	in, out := pretzel.NewVector(), pretzel.NewVector()
 	in.SetText("nice wonderful great product love it")
-	if err := rt.Predict("qs", in, out); err != nil {
+	if err := rt.PredictRequest(pretzel.Request{Model: "qs", In: in, Out: out}); err != nil {
 		t.Fatal(err)
 	}
 	pos := out.Dense[0]
 	in.SetText("terrible awful broken refund hate")
-	if err := rt.Predict("qs", in, out); err != nil {
+	if err := rt.PredictRequest(pretzel.Request{Model: "qs", In: in, Out: out}); err != nil {
 		t.Fatal(err)
 	}
 	neg := out.Dense[0]
@@ -121,10 +121,10 @@ func TestPublicAPIBatchMatchesInline(t *testing.T) {
 	}
 	in, a, b := pretzel.NewVector(), pretzel.NewVector(), pretzel.NewVector()
 	in.SetText("nice but also bad, mixed feelings overall")
-	if err := rt.Predict("qs", in, a); err != nil {
+	if err := rt.PredictRequest(pretzel.Request{Model: "qs", In: in, Out: a}); err != nil {
 		t.Fatal(err)
 	}
-	j, err := rt.Submit("qs", in, b)
+	j, err := rt.SubmitRequestBatch(pretzel.BatchRequest{Model: "qs", Ins: []*pretzel.Vector{in}, Outs: []*pretzel.Vector{b}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,10 +226,10 @@ func TestCompileOptionEquivalence(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		r := corpus.Next(15)
 		in.SetText(r.Text)
-		if err := rt.Predict("qs", in, a); err != nil {
+		if err := rt.PredictRequest(pretzel.Request{Model: "qs", In: in, Out: a}); err != nil {
 			t.Fatal(err)
 		}
-		if err := rt.Predict("qs-mat", in, b); err != nil {
+		if err := rt.PredictRequest(pretzel.Request{Model: "qs-mat", In: in, Out: b}); err != nil {
 			t.Fatal(err)
 		}
 		if d := a.Dense[0] - b.Dense[0]; d > 1e-5 || d < -1e-5 {
@@ -259,7 +259,7 @@ func TestAblationOptionsThroughFacade(t *testing.T) {
 	}
 	in, out := pretzel.NewVector(), pretzel.NewVector()
 	in.SetText("nice")
-	if err := rt.Predict("lazy", in, out); err != nil {
+	if err := rt.PredictRequest(pretzel.Request{Model: "lazy", In: in, Out: out}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -305,7 +305,12 @@ func TestFacadeRequestAPI(t *testing.T) {
 	}
 
 	// Async path with a ticket.
-	tk, err := rt.SubmitRequest(pretzel.Request{Model: "qs", In: in, Out: out, Priority: pretzel.PriorityHigh})
+	tk, err := rt.SubmitRequestBatch(pretzel.BatchRequest{
+		Model:    "qs",
+		Ins:      []*pretzel.Vector{in},
+		Outs:     []*pretzel.Vector{out},
+		Priority: pretzel.PriorityHigh,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
