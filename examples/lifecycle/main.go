@@ -111,7 +111,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 5. Retire version 1: Unregister drains its in-flight work first.
+	// 5. Retire version 1: Unregister drains its in-flight work first,
+	// then releases the parameters and stages only version 1 held.
 	time.Sleep(20 * time.Millisecond) // let version-2 traffic flow
 	if err := rt.Unregister("sentiment@1"); err != nil {
 		log.Fatal(err)

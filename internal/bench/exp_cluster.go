@@ -48,24 +48,10 @@ func (p *pacedEngine) Predict(ctx context.Context, model, input string, opts ser
 	return p.Engine.Predict(ctx, model, input, opts)
 }
 
-// Warm and ExportVersion forward the lifecycle capability seams, so a
+// Unwrap lets serving.As reach the capabilities of the engine below: a
 // paced node over a lifecycle manager still answers the rebalancer's
 // pre-warm and zip-replication calls (the churn experiment needs both).
-func (p *pacedEngine) Warm(name string) error {
-	if wm, ok := p.Engine.(interface{ Warm(string) error }); ok {
-		return wm.Warm(name)
-	}
-	return fmt.Errorf("%w: no lifecycle manager attached", serving.ErrUnsupported)
-}
-
-func (p *pacedEngine) ExportVersion(name string, version int) ([]byte, error) {
-	if ex, ok := p.Engine.(interface {
-		ExportVersion(string, int) ([]byte, error)
-	}); ok {
-		return ex.ExportVersion(name, version)
-	}
-	return nil, fmt.Errorf("%w: no lifecycle manager attached", serving.ErrUnsupported)
-}
+func (p *pacedEngine) Unwrap() serving.Engine { return p.Engine }
 
 // clusterPipe builds one tiny SA pipeline for the cluster experiment.
 func clusterPipe(name string) (*pipeline.Pipeline, error) {

@@ -109,7 +109,7 @@ func TestDensityTenThousandVariants(t *testing.T) {
 
 	// Tear everything down: both stores must return exactly to empty.
 	for i := 0; i < n; i++ {
-		if err := rt.UnregisterRelease(fmt.Sprintf("dv-%05d", i)); err != nil {
+		if err := rt.Unregister(fmt.Sprintf("dv-%05d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -170,7 +170,7 @@ func BenchmarkDensityRegister(b *testing.B) {
 		if _, err := rt.RegisterVersion(pl, name, 1); err != nil {
 			b.Fatal(err)
 		}
-		if err := rt.UnregisterRelease(name); err != nil {
+		if err := rt.Unregister(name); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,12 +10,13 @@
 // Panic rules are special: a panic injected at the middleware layer
 // would unwind the HTTP handler, not a kernel — so the Injector
 // instead installs the runtime's kernel-level fault hook (through the
-// wrapped engine's SetKernelFault, which serving.Local forwards) and
-// panics INSIDE stage execution, exercising exactly the containment
-// path a buggy kernel takes: recover at the stage boundary, typed
-// ErrKernelPanic, panic counting, quarantine. Engines without the hook
-// (a cluster Router — panic isolation is a node property) refuse panic
-// rules at Arm time instead of silently doing nothing.
+// SetKernelFault of the serving.Local at the bottom of the stack, found
+// with serving.As) and panics INSIDE stage execution, exercising
+// exactly the containment path a buggy kernel takes: recover at the
+// stage boundary, typed ErrKernelPanic, panic counting, quarantine.
+// Stacks without the hook (over a cluster Router — panic isolation is a
+// node property) refuse panic rules at Arm time instead of silently
+// doing nothing.
 package chaos
 
 import (
@@ -94,18 +95,19 @@ type ruleState struct {
 }
 
 // faultSetter is the kernel-fault face of an engine that can thread a
-// hook into stage execution (serving.Local forwards it to the runtime).
+// hook into stage execution (serving.Local hands it to the runtime).
 type faultSetter interface {
 	SetKernelFault(fn func(model string) error)
 }
 
-// Injector is the chaos middleware: a serving.Engine that forwards to
-// the wrapped engine, injecting armed faults on the way. Safe for
-// concurrent use; with no rules armed the overhead is one atomic load
-// per call.
+// Injector is the chaos middleware: it embeds the wrapped engine, so
+// every call passes straight through except the ones it intercepts
+// (Predict, PredictBatch, Ready, Close), where armed faults are
+// injected on the way. Safe for concurrent use; with no rules armed the
+// overhead is one atomic load per call.
 type Injector struct {
-	inner serving.Engine
-	seed  uint64
+	serving.Engine
+	seed uint64
 
 	mu    sync.Mutex
 	rng   *rand.Rand
@@ -129,14 +131,14 @@ var _ serving.Engine = (*Injector)(nil)
 // faults.
 func New(inner serving.Engine, seed int64) *Injector {
 	return &Injector{
-		inner: inner,
-		seed:  uint64(seed),
-		rng:   rand.New(rand.NewPCG(uint64(seed), 0x9e3779b97f4a7c15)),
+		Engine: inner,
+		seed:   uint64(seed),
+		rng:    rand.New(rand.NewPCG(uint64(seed), 0x9e3779b97f4a7c15)),
 	}
 }
 
-// Inner returns the wrapped engine.
-func (c *Injector) Inner() serving.Engine { return c.inner }
+// Unwrap returns the wrapped engine (see serving.As).
+func (c *Injector) Unwrap() serving.Engine { return c.Engine }
 
 // Seed returns the seed the injector was built with.
 func (c *Injector) Seed() int64 { return int64(c.seed) }
@@ -153,8 +155,8 @@ func (c *Injector) Arm(r Rule) (Rule, error) {
 			return Rule{}, fmt.Errorf("chaos: unknown error name %q (want overloaded, deadline, not_found, canceled, invalid or internal)", r.Error)
 		}
 	case EffectPanic:
-		if _, ok := c.inner.(faultSetter); !ok {
-			return Rule{}, fmt.Errorf("chaos: engine %T has no kernel fault hook (panic injection needs a local runtime; over a router, arm the rule on a node)", c.inner)
+		if _, ok := serving.As[faultSetter](c.Engine); !ok {
+			return Rule{}, fmt.Errorf("chaos: engine %T has no kernel fault hook (panic injection needs a local runtime; over a router, arm the rule on a node)", c.Engine)
 		}
 	case EffectBlackout:
 	default:
@@ -176,7 +178,7 @@ func (c *Injector) Arm(r Rule) (Rule, error) {
 	c.rules = append(c.rules, rs)
 	c.armed.Store(int64(len(c.rules)))
 	if r.Effect == EffectPanic && c.panicArmed.Add(1) == 1 {
-		c.inner.(faultSetter).SetKernelFault(c.kernelFault)
+		c.setKernelFault(c.kernelFault)
 	}
 	if r.Effect == EffectBlackout {
 		c.blackouts.Add(1)
@@ -216,12 +218,18 @@ func (c *Injector) dropEffectLocked(rs *ruleState) {
 	switch rs.Effect {
 	case EffectPanic:
 		if c.panicArmed.Add(-1) == 0 {
-			if fs, ok := c.inner.(faultSetter); ok {
-				fs.SetKernelFault(nil)
-			}
+			c.setKernelFault(nil)
 		}
 	case EffectBlackout:
 		c.blackouts.Add(-1)
+	}
+}
+
+// setKernelFault installs (nil removes) the hook on the engine below
+// that has one; Arm refuses panic rules when none does.
+func (c *Injector) setKernelFault(fn func(model string) error) {
+	if fs, ok := serving.As[faultSetter](c.Engine); ok {
+		fs.SetKernelFault(fn)
 	}
 }
 
@@ -340,7 +348,7 @@ func (c *Injector) kernelFault(model string) error {
 	return nil
 }
 
-// --- serving.Engine ---
+// --- the intercepted serving.Engine methods ---
 
 // Predict forwards one prediction through the armed faults.
 func (c *Injector) Predict(ctx context.Context, model, input string, opts serving.PredictOptions) ([]float32, error) {
@@ -349,7 +357,7 @@ func (c *Injector) Predict(ctx context.Context, model, input string, opts servin
 			return nil, err
 		}
 	}
-	return c.inner.Predict(ctx, model, input, opts)
+	return c.Engine.Predict(ctx, model, input, opts)
 }
 
 // PredictBatch forwards a batch; faults apply once to the whole batch
@@ -361,22 +369,8 @@ func (c *Injector) PredictBatch(ctx context.Context, model string, inputs []stri
 			return nil, err
 		}
 	}
-	return c.inner.PredictBatch(ctx, model, inputs, opts)
+	return c.Engine.PredictBatch(ctx, model, inputs, opts)
 }
-
-func (c *Injector) Resolve(ref string) (string, int, error) { return c.inner.Resolve(ref) }
-func (c *Injector) Models() []runtime.ModelInfo             { return c.inner.Models() }
-func (c *Injector) ModelInfo(name string) (runtime.ModelInfo, error) {
-	return c.inner.ModelInfo(name)
-}
-func (c *Injector) Register(zip []byte, opts serving.RegisterOptions) (serving.RegisterResult, error) {
-	return c.inner.Register(zip, opts)
-}
-func (c *Injector) Unregister(ref string) error { return c.inner.Unregister(ref) }
-func (c *Injector) SetLabel(name, label string, version int) error {
-	return c.inner.SetLabel(name, label, version)
-}
-func (c *Injector) Stats() serving.Stats { return c.inner.Stats() }
 
 // Ready reports not-ready while a blackout rule is armed (probes and
 // health checkers see the node as down), else defers to the engine.
@@ -384,67 +378,12 @@ func (c *Injector) Ready() error {
 	if c.blackouts.Load() > 0 {
 		return fmt.Errorf("%w: chaos blackout armed", serving.ErrNotReady)
 	}
-	return c.inner.Ready()
-}
-
-// Pin forwards the lifecycle tier's pin capability through the
-// middleware (ErrUnsupported when no lifecycle manager is below).
-func (c *Injector) Pin(name string, pinned bool) error {
-	if p, ok := c.inner.(interface{ Pin(string, bool) error }); ok {
-		return p.Pin(name, pinned)
-	}
-	return fmt.Errorf("%w: no lifecycle manager attached", serving.ErrUnsupported)
-}
-
-// Warm forwards the lifecycle tier's pre-warm capability through the
-// middleware (ErrUnsupported when no lifecycle manager is below).
-func (c *Injector) Warm(name string) error {
-	if w, ok := c.inner.(interface{ Warm(string) error }); ok {
-		return w.Warm(name)
-	}
-	return fmt.Errorf("%w: no lifecycle manager attached", serving.ErrUnsupported)
-}
-
-// ExportVersion forwards the repository's zip-export capability
-// through the middleware (ErrUnsupported when no repository is below).
-func (c *Injector) ExportVersion(name string, version int) ([]byte, error) {
-	if e, ok := c.inner.(interface {
-		ExportVersion(string, int) ([]byte, error)
-	}); ok {
-		return e.ExportVersion(name, version)
-	}
-	return nil, fmt.Errorf("%w: no model repository attached", serving.ErrUnsupported)
-}
-
-// AddMember and RemoveMember forward cluster-membership administration
-// through the middleware, so a chaos-wrapped router still rebalances.
-func (c *Injector) AddMember(id, addr string) error {
-	if a, ok := c.inner.(interface{ AddMember(string, string) error }); ok {
-		return a.AddMember(id, addr)
-	}
-	return fmt.Errorf("%w: not a routing engine", serving.ErrUnsupported)
-}
-
-func (c *Injector) RemoveMember(id string) error {
-	if a, ok := c.inner.(interface{ RemoveMember(string) error }); ok {
-		return a.RemoveMember(id)
-	}
-	return fmt.Errorf("%w: not a routing engine", serving.ErrUnsupported)
-}
-
-// Quarantined forwards the wrapped engine's quarantine report (nil
-// when the engine has none), keeping /readyz truthful through the
-// middleware.
-func (c *Injector) Quarantined() []string {
-	if q, ok := c.inner.(interface{ Quarantined() []string }); ok {
-		return q.Quarantined()
-	}
-	return nil
+	return c.Engine.Ready()
 }
 
 // Close disarms everything (removing the kernel hook) and closes the
 // wrapped engine.
 func (c *Injector) Close() error {
 	c.Reset()
-	return c.inner.Close()
+	return c.Engine.Close()
 }

@@ -918,35 +918,13 @@ func (r *Router) resolveRemote(ref string) (string, int, error) {
 	if err != nil {
 		return "", 0, err
 	}
-	has := func(v int) bool {
-		for _, vi := range info.Versions {
-			if vi.Version == v {
-				return true
-			}
-		}
-		return false
+	installed := make(map[int]struct{}, len(info.Versions))
+	for _, vi := range info.Versions {
+		installed[vi.Version] = struct{}{}
 	}
-	var v int
-	switch {
-	case rest == "":
-		if lv, ok := info.Labels[runtime.LabelStable]; ok {
-			v = lv
-		} else if len(info.Versions) == 1 {
-			v = info.Versions[0].Version
-		} else {
-			return "", 0, fmt.Errorf("%w: %q has no %q label; reference an explicit version or label", runtime.ErrModelNotFound, name, runtime.LabelStable)
-		}
-	default:
-		if n, err := strconv.Atoi(strings.TrimPrefix(rest, "v")); err == nil && n > 0 {
-			v = n
-		} else if lv, ok := info.Labels[rest]; ok {
-			v = lv
-		} else {
-			return "", 0, fmt.Errorf("%w: %q has no version or label %q", runtime.ErrModelNotFound, name, rest)
-		}
-	}
-	if !has(v) {
-		return "", 0, fmt.Errorf("%w: %q has no version %d", runtime.ErrModelNotFound, name, v)
+	v, err := runtime.ResolveVersion(name, rest, info.Labels, installed)
+	if err != nil {
+		return "", 0, err
 	}
 	return name, v, nil
 }

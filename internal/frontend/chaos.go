@@ -16,13 +16,17 @@ import (
 	"strconv"
 
 	"pretzel/internal/chaos"
+	"pretzel/internal/serving"
 )
 
-// injector returns the engine's chaos injector, or nil when the server
-// was built without one.
-func (s *Server) injector() *chaos.Injector {
-	inj, _ := s.eng.(*chaos.Injector)
-	return inj
+// injector returns the chaos injector in the engine stack; on a server
+// built without one it answers 409 and reports false.
+func (s *Server) injector(w http.ResponseWriter) (*chaos.Injector, bool) {
+	inj, ok := serving.As[*chaos.Injector](s.eng)
+	if !ok {
+		writeJSON(w, http.StatusConflict, errorBody{Error: "chaos injection disabled (start the server with -chaos)"})
+	}
+	return inj, ok
 }
 
 // ChaosState is the GET /chaos body.
@@ -33,18 +37,16 @@ type ChaosState struct {
 }
 
 func (s *Server) handleChaosGet(w http.ResponseWriter, r *http.Request) {
-	inj := s.injector()
-	if inj == nil {
-		writeJSON(w, http.StatusConflict, errorBody{Error: "chaos injection disabled (start the server with -chaos)"})
+	inj, ok := s.injector(w)
+	if !ok {
 		return
 	}
 	writeJSON(w, http.StatusOK, ChaosState{Seed: inj.Seed(), Injected: inj.Injected(), Rules: inj.Rules()})
 }
 
 func (s *Server) handleChaosArm(w http.ResponseWriter, r *http.Request) {
-	inj := s.injector()
-	if inj == nil {
-		writeJSON(w, http.StatusConflict, errorBody{Error: "chaos injection disabled (start the server with -chaos)"})
+	inj, ok := s.injector(w)
+	if !ok {
 		return
 	}
 	var rule chaos.Rule
@@ -61,9 +63,8 @@ func (s *Server) handleChaosArm(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleChaosReset(w http.ResponseWriter, r *http.Request) {
-	inj := s.injector()
-	if inj == nil {
-		writeJSON(w, http.StatusConflict, errorBody{Error: "chaos injection disabled (start the server with -chaos)"})
+	inj, ok := s.injector(w)
+	if !ok {
 		return
 	}
 	inj.Reset()
@@ -71,9 +72,8 @@ func (s *Server) handleChaosReset(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleChaosDisarm(w http.ResponseWriter, r *http.Request) {
-	inj := s.injector()
-	if inj == nil {
-		writeJSON(w, http.StatusConflict, errorBody{Error: "chaos injection disabled (start the server with -chaos)"})
+	inj, ok := s.injector(w)
+	if !ok {
 		return
 	}
 	id, err := strconv.Atoi(r.PathValue("id"))

@@ -152,7 +152,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	// Quarantined models are reported but do NOT fail readiness: the
 	// quarantine is the containment working — every sibling model on
 	// this node still serves.
-	if q, ok := s.eng.(interface{ Quarantined() []string }); ok {
+	if q, ok := serving.As[interface{ Quarantined() []string }](s.eng); ok {
 		if names := q.Quarantined(); len(names) > 0 {
 			body["quarantined"] = names
 		}

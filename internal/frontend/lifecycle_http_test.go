@@ -178,16 +178,40 @@ func TestMgmtPinEndpoint(t *testing.T) {
 	}
 }
 
-func TestMgmtPinWithoutLifecycleManagerIs501(t *testing.T) {
-	fe := newFE(saRuntime(t), Config{})
-	srv := httptest.NewServer(fe)
+// TestColdVersionRefThroughResultCache: with the result cache on, every
+// /predict resolves its reference first — so a cold model's "m@v2" must
+// resolve to version 2 exactly as it does once the model is warm, not
+// 404 as an unknown label.
+func TestColdVersionRefThroughResultCache(t *testing.T) {
+	_, mgr := lifecycleFE(t, lifecycle.Config{LazyLoad: true}, "m", "m") // versions 1 and 2
+	srv := httptest.NewServer(New(mgr, Config{CacheEntries: 16}))
 	defer srv.Close()
-	resp, err := http.Post(srv.URL+"/models/sa/pin", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
+
+	resolve := func(when string) {
+		t.Helper()
+		for _, ref := range []string{"m@v2", "m@2"} {
+			if name, v, err := mgr.Resolve(ref); err != nil || name != "m" || v != 2 {
+				t.Fatalf("%s: Resolve(%q) = %s@%d, %v; want m@2", when, ref, name, v, err)
+			}
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Fatalf("pin without manager: %d, want 501", resp.StatusCode)
+	resolve("cold")
+	if mi, _ := mgr.ModelInfo("m"); mi.State != lifecycle.StateCold {
+		t.Fatalf("resolving must not load: %q", mi.State)
+	}
+	cold, code := postPredict(t, srv, "m@v2", "a nice product")
+	if code != http.StatusOK || cold.Cached {
+		t.Fatalf("cold m@v2 over HTTP: %d %+v", code, cold)
+	}
+	resolve("warm")
+	warm, code := postPredict(t, srv, "m@v2", "a nice product")
+	if code != http.StatusOK || !warm.Cached || warm.Prediction[0] != cold.Prediction[0] {
+		t.Fatalf("warm m@v2 must hit the entry the cold request cached: %d %+v", code, warm)
+	}
+	// It is version 2 that answered, not the stable version 1.
+	v1, _ := postPredict(t, srv, "m", "a nice product")
+	v2, _ := postPredict(t, srv, "m@2", "a nice product")
+	if cold.Prediction[0] != v2.Prediction[0] || cold.Prediction[0] == v1.Prediction[0] || !v2.Cached {
+		t.Fatalf("m@v2 answered %v; v1 %v, v2 %+v", cold.Prediction, v1.Prediction, v2)
 	}
 }

@@ -188,9 +188,10 @@ type PinRequest struct {
 	Pinned bool `json:"pinned"`
 }
 
-// pinner is the optional lifecycle capability: engines wrapping a
-// model storage tier (lifecycle.Manager, or middleware forwarding to
-// one) expose Pin; everything else answers 501.
+// pinner is the optional lifecycle capability: an engine stack with a
+// model storage tier (lifecycle.Manager) in it exposes Pin; everything
+// else answers 501. Like every optional capability here it is looked
+// up with serving.As, which sees through middlewares.
 type pinner interface {
 	Pin(name string, pinned bool) error
 }
@@ -199,7 +200,7 @@ type pinner interface {
 // subject to) the lifecycle tier's budget eviction. Pinning a cold
 // model loads it.
 func (s *Server) handleModelPin(w http.ResponseWriter, r *http.Request) {
-	p, ok := s.eng.(pinner)
+	p, ok := serving.As[pinner](s.eng)
 	if !ok {
 		writeErr(w, fmt.Errorf("%w: no lifecycle manager attached", serving.ErrUnsupported))
 		return
@@ -231,7 +232,7 @@ type warmer interface {
 // caller (a rebalancing router, an operator before a launch) knows the
 // first real request will not pay the cold start.
 func (s *Server) handleModelWarm(w http.ResponseWriter, r *http.Request) {
-	wm, ok := s.eng.(warmer)
+	wm, ok := serving.As[warmer](s.eng)
 	if !ok {
 		writeErr(w, fmt.Errorf("%w: no lifecycle manager attached", serving.ErrUnsupported))
 		return
@@ -257,7 +258,7 @@ type zipExporter interface {
 // required: replication always targets a concrete version, and
 // guessing "latest" here could silently copy the wrong bytes.
 func (s *Server) handleModelZip(w http.ResponseWriter, r *http.Request) {
-	ze, ok := s.eng.(zipExporter)
+	ze, ok := serving.As[zipExporter](s.eng)
 	if !ok {
 		writeErr(w, fmt.Errorf("%w: no model repository attached", serving.ErrUnsupported))
 		return
@@ -279,8 +280,8 @@ func (s *Server) handleModelZip(w http.ResponseWriter, r *http.Request) {
 }
 
 // memberAdmin is the optional cluster-membership capability behind the
-// /cluster/members endpoints: only a routing engine (or middleware
-// over one) can join and leave nodes.
+// /cluster/members endpoints: only a routing engine can join and leave
+// nodes.
 type memberAdmin interface {
 	AddMember(id, addr string) error
 	RemoveMember(id string) error
@@ -312,7 +313,7 @@ func (s *Server) handleMembersGet(w http.ResponseWriter, r *http.Request) {
 // the rebalancer pre-warmed the new member's share of the catalog and
 // swapped the ring: a 200 means traffic is already flowing warm.
 func (s *Server) handleMemberAdd(w http.ResponseWriter, r *http.Request) {
-	ma, ok := s.eng.(memberAdmin)
+	ma, ok := serving.As[memberAdmin](s.eng)
 	if !ok {
 		writeErr(w, fmt.Errorf("%w: not a routing engine", serving.ErrUnsupported))
 		return
@@ -337,7 +338,7 @@ func (s *Server) handleMemberAdd(w http.ResponseWriter, r *http.Request) {
 // rides in the ?id= query parameter — IDs default to full base URLs,
 // and slashes do not survive a path segment.
 func (s *Server) handleMemberRemove(w http.ResponseWriter, r *http.Request) {
-	ma, ok := s.eng.(memberAdmin)
+	ma, ok := serving.As[memberAdmin](s.eng)
 	if !ok {
 		writeErr(w, fmt.Errorf("%w: not a routing engine", serving.ErrUnsupported))
 		return

@@ -10,10 +10,12 @@
 // time makes the disk→RAM path a first-class serving metric, not an
 // operational footnote.
 //
-// The manager wraps a *serving.Local (it needs the runtime escape
-// hatch for footprint deltas and store-releasing unregistration) and
-// itself implements serving.Engine, so the chaos injector and the
-// HTTP front end stack on top unchanged.
+// The manager wraps a *serving.Local rather than any serving.Engine: it
+// compiles cold models into the local runtime's stores and charges each
+// one the runtime MemBytes delta its load produced, which only an
+// in-process runtime can answer. It implements serving.Engine itself
+// (and Unwrap, so serving.As sees through it), so the chaos injector
+// and the HTTP front end stack on top unchanged.
 package lifecycle
 
 import (
@@ -78,8 +80,9 @@ type managed struct {
 	// for admission while the model is still cold.
 	bytes int64
 	est   int64
-	// versions/labels mirror the on-disk repository view, so Resolve
-	// and Models answer for cold models without touching disk.
+	// versions (ascending) and labels (as persisted) mirror the on-disk
+	// repository view, so Resolve and Models answer for cold models
+	// without touching disk.
 	versions []int
 	labels   map[string]int
 	// lastAccess is the LRU clock (monotonic counter, not wall time:
@@ -163,15 +166,17 @@ func New(inner *serving.Local, r *repo.Repo, cfg Config) (*Manager, error) {
 	for _, e := range entries {
 		m.noteVersion(e.Name, e.Version, e.Bytes)
 	}
+	for name, e := range m.entries {
+		// Persisted labels must resolve before the first load too; a
+		// failed read leaves none, as it does during a load.
+		e.labels, _ = r.Labels(name)
+	}
 	if !cfg.LazyLoad {
 		m.loadMu.Lock()
 		for _, e := range m.sortedEntries() {
-			if e.state != StateCold {
-				continue
-			}
 			// Preload never evicts: fill until the budget is hit and
 			// leave the tail cold for lazy loading.
-			if err := m.loadLocked(e, false); err != nil && !errors.Is(err, errBudget) {
+			if err := m.warmLocked(e, false); err != nil && !errors.Is(err, errBudget) {
 				m.loadMu.Unlock()
 				return nil, fmt.Errorf("lifecycle: preloading %q: %w", e.name, err)
 			}
@@ -196,10 +201,8 @@ func (m *Manager) noteVersion(name string, version int, bytes int64) *managed {
 		e = &managed{name: name, state: StateCold}
 		m.entries[name] = e
 	}
-	for _, v := range e.versions {
-		if v == version {
-			return e
-		}
+	if e.published(version) {
+		return e
 	}
 	e.versions = append(e.versions, version)
 	sort.Ints(e.versions)
@@ -252,12 +255,25 @@ func estimateBytes(p *pipeline.Pipeline) int64 {
 // without evicting (never surfaced to callers).
 var errBudget = errors.New("lifecycle: over budget")
 
-// loadLocked loads every published version of e into the runtime.
-// Caller holds loadMu; e.state must be cold. When allowEvict is set,
-// LRU victims are evicted until the estimate fits (a model larger than
-// the whole budget still loads — availability beats the cap); when
+// warmLocked is the one cold→warm path: it makes e resident by loading
+// every published version into the runtime. A warm entry is a no-op,
+// and while a failed load cools down the cached error is returned
+// instead of redoing the disk read + compile. Caller holds loadMu — the
+// single-flight gate, which also excludes eviction. When allowEvict is
+// set, LRU victims are evicted until the estimate fits (a model larger
+// than the whole budget still loads — availability beats the cap); when
 // clear, a model that does not fit is skipped with errBudget.
-func (m *Manager) loadLocked(e *managed, allowEvict bool) error {
+func (m *Manager) warmLocked(e *managed, allowEvict bool) error {
+	m.mu.RLock()
+	warm := e.state == StateWarm
+	badErr, badUntil := e.badErr, e.badUntil
+	m.mu.RUnlock()
+	if warm {
+		return nil
+	}
+	if badErr != nil && time.Now().Before(badUntil) {
+		return badErr
+	}
 	start := time.Now()
 	m.setState(e, StateLoading)
 	// doLoad owns loadErrs accounting (it counts per failed version).
@@ -323,27 +339,21 @@ func (m *Manager) doLoad(e *managed, allowEvict bool) error {
 	if len(imps) == 0 {
 		return badErr
 	}
+	// Room is made for the whole model up front, so a preload that
+	// does not fit is skipped before any version is installed.
 	if !m.makeRoom(est, e, allowEvict) {
 		return errBudget
 	}
-
-	before := m.rt.MemBytes()
-	var done []int
+	done := 0
 	for _, im := range imps {
-		pl, err := oven.Compile(im.pipe, m.rt.ObjectStore(), m.comp)
-		if err == nil {
-			if _, err = m.rt.RegisterVersion(pl, e.name, im.version); err != nil {
-				oven.ReleasePlan(m.rt.ObjectStore(), m.comp.Plans, pl)
-			}
-		}
-		if err != nil {
+		if err := m.install(e, im.version, im.pipe); err != nil {
 			badErr = fmt.Errorf("%w: %s@%d: %w", serving.ErrBadModel, e.name, im.version, err)
 			m.loadErrs.Add(1)
 			continue
 		}
-		done = append(done, im.version)
+		done++
 	}
-	if len(done) == 0 {
+	if done == 0 {
 		return badErr
 	}
 	labels, err := m.repo.Labels(e.name)
@@ -355,16 +365,37 @@ func (m *Manager) doLoad(e *managed, allowEvict bool) error {
 		// serving the model beats refusing the load.
 		_ = m.inner.SetLabel(e.name, label, v)
 	}
-	delta := int64(m.rt.MemBytes() - before)
 
 	m.mu.Lock()
-	e.bytes = delta
 	e.est = est
 	e.versions = e.versions[:0]
 	for _, v := range vs {
 		e.versions = append(e.versions, v.Version)
 	}
 	e.labels = labels
+	m.mu.Unlock()
+	return nil
+}
+
+// install is the one compile→register path: it makes room for one
+// imported version, compiles it against the runtime's stores, registers
+// it (giving the plan's shared references back if that fails) and
+// charges e the residency it added. Caller holds loadMu, which is what
+// makes the MemBytes delta exact.
+func (m *Manager) install(e *managed, version int, p *pipeline.Pipeline) error {
+	m.makeRoom(estimateBytes(p), e, true)
+	before := m.rt.MemBytes()
+	pl, err := oven.Compile(p, m.rt.ObjectStore(), m.comp)
+	if err != nil {
+		return fmt.Errorf("%w: compiling: %v", serving.ErrBadModel, err)
+	}
+	if _, err := m.rt.RegisterVersion(pl, e.name, version); err != nil {
+		oven.ReleasePlan(m.rt.ObjectStore(), m.comp.Plans, pl)
+		return err
+	}
+	delta := int64(m.rt.MemBytes() - before)
+	m.mu.Lock()
+	e.bytes += delta
 	m.mu.Unlock()
 	m.resident.Add(delta)
 	return nil
@@ -412,26 +443,12 @@ func (m *Manager) evictOne(exclude *managed) bool {
 	victim.state = StateEvicting
 	m.mu.Unlock()
 
-	// Credit back the bytes ACTUALLY freed, not the marginal delta
-	// charged at load time: once the first loader of shared parameters
-	// is evicted, the shared bytes stay resident (other warm models
-	// still hold them) and crediting the load-time charge would make
-	// the counter under-report real RAM. loadMu (held by the caller)
-	// makes the MemBytes delta exact.
-	before := m.rt.MemBytes()
-	err := m.rt.UnregisterRelease(victim.name)
-	freed := int64(before - m.rt.MemBytes())
-	m.mu.Lock()
-	if err != nil {
-		victim.state = StateWarm
-	} else {
-		victim.state = StateCold
-		m.resident.Add(-freed)
-		victim.bytes = 0
-		m.evictions.Add(1)
+	if err := m.unregisterLocked(victim, victim.name); err != nil {
+		m.setState(victim, StateWarm)
+		return false
 	}
-	m.mu.Unlock()
-	return err == nil
+	m.evictions.Add(1)
+	return true
 }
 
 // releaseLease returns a predict's in-flight lease and re-asserts the
@@ -463,8 +480,8 @@ func (m *Manager) releaseLease(e *managed) {
 }
 
 // ensureWarm makes sure name is resident, loading it if cold, and
-// takes an in-flight lease on the entry (caller MUST release it with
-// e.inflight.Add(-1) after dispatch). A (nil, nil) return means the
+// takes an in-flight lease on the entry (caller MUST give it back with
+// releaseLease after dispatch). A (nil, nil) return means the
 // name is not repository-managed — the inner engine may still know it,
 // e.g. models registered directly on the runtime.
 func (m *Manager) ensureWarm(name string) (*managed, error) {
@@ -488,71 +505,49 @@ func (m *Manager) ensureWarm(name string) (*managed, error) {
 	// Holding it also excludes eviction, so the lease is race-free.
 	m.loadMu.Lock()
 	defer m.loadMu.Unlock()
-	m.mu.RLock()
-	warm := e.state == StateWarm
-	badErr, badUntil := e.badErr, e.badUntil
-	m.mu.RUnlock()
-	if !warm {
-		if badErr != nil && time.Now().Before(badUntil) {
-			return nil, badErr
-		}
-		if err := m.loadLocked(e, true); err != nil {
-			return nil, err
-		}
+	if err := m.warmLocked(e, true); err != nil {
+		return nil, err
 	}
 	e.inflight.Add(1)
 	m.touch(e)
 	return e, nil
 }
 
-// retriable reports a predict failure worth one reload attempt: the
-// model vanished between the warm check and dispatch (evict race).
-func (m *Manager) retriable(ctx context.Context, name string, err error, attempt int) bool {
-	return err != nil && errors.Is(err, runtime.ErrModelNotFound) &&
-		attempt < 8 && ctx.Err() == nil && m.lookup(name) != nil
+// serve runs one dispatch to the inner engine under an in-flight lease
+// on the model, cold-loading it on a miss, and retries when the model
+// vanished between the warm check and the dispatch (evict race).
+func serve[T any](ctx context.Context, m *Manager, model string, dispatch func() (T, error)) (T, error) {
+	name, _ := runtime.SplitRef(model)
+	for attempt := 0; ; attempt++ {
+		e, err := m.ensureWarm(name)
+		if err != nil {
+			var none T
+			return none, err
+		}
+		out, err := dispatch()
+		if e != nil {
+			m.releaseLease(e)
+		}
+		if errors.Is(err, runtime.ErrModelNotFound) && attempt < 8 && ctx.Err() == nil && m.lookup(name) != nil {
+			continue
+		}
+		return out, err
+	}
 }
 
 // Predict serves one input, cold-loading the model on a miss.
 func (m *Manager) Predict(ctx context.Context, model, input string, opts serving.PredictOptions) ([]float32, error) {
-	name, _ := runtime.SplitRef(model)
-	for attempt := 0; ; attempt++ {
-		e, err := m.ensureWarm(name)
-		if err != nil {
-			return nil, err
-		}
-		out, err := m.inner.Predict(ctx, model, input, opts)
-		if e != nil {
-			m.releaseLease(e)
-		}
-		if m.retriable(ctx, name, err, attempt) {
-			continue
-		}
-		return out, err
-	}
+	return serve(ctx, m, model, func() ([]float32, error) { return m.inner.Predict(ctx, model, input, opts) })
 }
 
 // PredictBatch serves a batch, cold-loading the model on a miss.
 func (m *Manager) PredictBatch(ctx context.Context, model string, inputs []string, opts serving.PredictOptions) ([][]float32, error) {
-	name, _ := runtime.SplitRef(model)
-	for attempt := 0; ; attempt++ {
-		e, err := m.ensureWarm(name)
-		if err != nil {
-			return nil, err
-		}
-		out, err := m.inner.PredictBatch(ctx, model, inputs, opts)
-		if e != nil {
-			m.releaseLease(e)
-		}
-		if m.retriable(ctx, name, err, attempt) {
-			continue
-		}
-		return out, err
-	}
+	return serve(ctx, m, model, func() ([][]float32, error) { return m.inner.PredictBatch(ctx, model, inputs, opts) })
 }
 
-// Resolve resolves a reference WITHOUT loading: cold models answer
-// from the persisted label map (the front end resolves every cached
-// request, so this must stay cheap and side-effect free).
+// Resolve resolves a reference WITHOUT loading: a model that is not
+// resident answers from its disk view (the front end resolves every
+// cached request, so this must stay cheap and side-effect free).
 func (m *Manager) Resolve(ref string) (string, int, error) {
 	name, version, err := m.inner.Resolve(ref)
 	if err == nil || !errors.Is(err, runtime.ErrModelNotFound) {
@@ -565,57 +560,47 @@ func (m *Manager) Resolve(ref string) (string, int, error) {
 	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	v, cerr := coldResolve(e, part)
+	if e.state == StateWarm {
+		return "", 0, err // the runtime's answer stands for a resident model
+	}
+	v, cerr := e.resolve(part)
 	if cerr != nil {
 		return "", 0, cerr
 	}
 	return bare, v, nil
 }
 
-// coldResolve resolves a version part against a cold entry's disk
-// view. Caller holds mu (read suffices).
-func coldResolve(e *managed, part string) (int, error) {
-	if len(e.versions) == 0 {
-		return 0, fmt.Errorf("%w: %q has no published versions", runtime.ErrModelNotFound, e.name)
+// loadLabels is the label map a load of e would produce: the persisted
+// labels, plus "stable" on the lowest version when none is persisted (a
+// load installs versions lowest-first into an empty runtime, which
+// hands "stable" to the first). Caller holds mu (read suffices).
+func (e *managed) loadLabels() map[string]int {
+	view := make(map[string]int, len(e.labels)+1)
+	if len(e.versions) > 0 {
+		view[runtime.LabelStable] = e.versions[0]
 	}
-	switch {
-	case part == "":
-		// Mirror the runtime's bare-name rule: the stable label when
-		// set; otherwise a load would hand stable to the lowest
-		// version, so that is what a bare reference will hit.
-		if v, ok := e.labels[runtime.LabelStable]; ok {
-			return v, nil
-		}
-		return e.versions[0], nil
-	case isNumeric(part):
-		n := 0
-		for _, c := range part {
-			n = n*10 + int(c-'0')
-		}
-		for _, v := range e.versions {
-			if v == n {
-				return v, nil
-			}
-		}
-		return 0, fmt.Errorf("%w: %s@%s", runtime.ErrModelNotFound, e.name, part)
-	default:
-		if v, ok := e.labels[part]; ok {
-			return v, nil
-		}
-		return 0, fmt.Errorf("%w: %s@%s (no such label)", runtime.ErrModelNotFound, e.name, part)
+	for l, v := range e.labels {
+		view[l] = v
 	}
+	return view
 }
 
-func isNumeric(s string) bool {
-	if s == "" {
-		return false
+// resolve picks the published version a ref part selects on e's disk
+// view — the version a request would hit once e is loaded. Caller holds
+// mu (read suffices).
+func (e *managed) resolve(part string) (int, error) {
+	onDisk := make(map[int]struct{}, len(e.versions))
+	for _, v := range e.versions {
+		onDisk[v] = struct{}{}
 	}
-	for _, c := range s {
-		if c < '0' || c > '9' {
-			return false
-		}
-	}
-	return true
+	return runtime.ResolveVersion(e.name, part, e.loadLabels(), onDisk)
+}
+
+// published reports whether version v is on disk. Caller holds mu
+// (read suffices).
+func (e *managed) published(v int) bool {
+	i := sort.SearchInts(e.versions, v)
+	return i < len(e.versions) && e.versions[i] == v
 }
 
 // annotate stamps the lifecycle fields onto a warm model's info.
@@ -634,13 +619,10 @@ func (m *Manager) annotate(mi *runtime.ModelInfo) {
 func coldInfo(e *managed) runtime.ModelInfo {
 	mi := runtime.ModelInfo{
 		Name:     e.name,
-		Labels:   make(map[string]int, len(e.labels)),
+		Labels:   e.loadLabels(),
 		State:    e.state,
 		MemBytes: int(e.est),
 		Pinned:   e.pinned,
-	}
-	for l, v := range e.labels {
-		mi.Labels[l] = v
 	}
 	for _, v := range e.versions {
 		mi.Versions = append(mi.Versions, runtime.VersionInfo{Version: v})
@@ -713,37 +695,23 @@ func (m *Manager) Register(zip []byte, opts serving.RegisterOptions) (serving.Re
 	}
 	e := m.noteVersion(name, ent.Version, ent.Bytes)
 
+	// A resident model gets just the new version installed next to the
+	// others; a cold one is loaded whole. Either way the bytes e gained
+	// are what this upload cost the node.
 	m.mu.RLock()
-	warm := e.state == StateWarm
+	warm, before := e.state == StateWarm, e.bytes
 	m.mu.RUnlock()
-	var newBytes int64
 	if warm {
-		// Register just the new version next to the resident ones.
-		est := estimateBytes(p)
-		m.makeRoom(est, e, true)
-		before := m.rt.MemBytes()
-		pl, err := oven.Compile(p, m.rt.ObjectStore(), m.comp)
-		if err != nil {
-			return serving.RegisterResult{}, fmt.Errorf("%w: compiling: %v", serving.ErrBadModel, err)
-		}
-		if _, err := m.rt.RegisterVersion(pl, name, ent.Version); err != nil {
-			oven.ReleasePlan(m.rt.ObjectStore(), m.comp.Plans, pl)
-			return serving.RegisterResult{}, err
-		}
-		delta := int64(m.rt.MemBytes() - before)
-		m.mu.Lock()
-		e.bytes += delta
-		m.mu.Unlock()
-		m.resident.Add(delta)
-		newBytes = delta
+		err = m.install(e, ent.Version, p)
 	} else {
-		if err := m.loadLocked(e, true); err != nil {
-			return serving.RegisterResult{}, err
-		}
-		m.mu.RLock()
-		newBytes = e.bytes // whole-model marginal footprint measured by the load
-		m.mu.RUnlock()
+		err = m.warmLocked(e, true)
 	}
+	if err != nil {
+		return serving.RegisterResult{}, err
+	}
+	m.mu.RLock()
+	newBytes := e.bytes - before
+	m.mu.RUnlock()
 	m.touch(e)
 
 	if opts.Label != "" {
@@ -780,11 +748,8 @@ func (m *Manager) setLabelLocked(e *managed, label string, version int) error {
 			return err
 		}
 	} else {
-		found := false
 		m.mu.RLock()
-		for _, v := range e.versions {
-			found = found || v == version
-		}
+		found := e.published(version)
 		m.mu.RUnlock()
 		if !found {
 			return fmt.Errorf("%w: %s@%d", runtime.ErrModelNotFound, e.name, version)
@@ -838,7 +803,7 @@ func (m *Manager) Unregister(ref string) error {
 
 	if part == "" {
 		if warm {
-			if err := m.unregisterRelease(e, name); err != nil {
+			if err := m.unregisterLocked(e, name); err != nil {
 				return err
 			}
 		}
@@ -851,35 +816,26 @@ func (m *Manager) Unregister(ref string) error {
 		return nil
 	}
 
-	version := 0
-	if isNumeric(part) {
-		m.mu.RLock()
-		v, err := coldResolve(e, part)
-		m.mu.RUnlock()
-		if err != nil {
-			return err
-		}
-		version = v
-	} else if warm {
-		_, v, err := m.inner.Resolve(ref)
-		if err != nil {
-			return err
-		}
-		version = v
+	// A resident model's labels live in the runtime; an explicit
+	// version is looked up on disk either way, because a version skipped
+	// as corrupt at load time is published but not installed.
+	var version int
+	var err error
+	if _, explicit := runtime.ParseVersion(part); warm && !explicit {
+		_, version, err = m.inner.Resolve(ref)
 	} else {
 		m.mu.RLock()
-		v, err := coldResolve(e, part)
+		version, err = e.resolve(part)
 		m.mu.RUnlock()
-		if err != nil {
-			return err
-		}
-		version = v
+	}
+	if err != nil {
+		return err
 	}
 
 	if warm {
-		// A version skipped as corrupt at load time is on disk but not
-		// in the runtime; its absence must not block deleting it.
-		err := m.unregisterRelease(e, fmt.Sprintf("%s@%d", name, version))
+		// The corrupt-at-load version again: its absence from the
+		// runtime must not block deleting it from disk.
+		err := m.unregisterLocked(e, fmt.Sprintf("%s@%d", name, version))
 		if err != nil && !errors.Is(err, runtime.ErrModelNotFound) {
 			return err
 		}
@@ -916,64 +872,47 @@ func (m *Manager) Unregister(ref string) error {
 	return nil
 }
 
-// unregisterRelease drops ref from the runtime with store release and
-// exact residency accounting. Caller holds loadMu.
-func (m *Manager) unregisterRelease(e *managed, ref string) error {
+// unregisterLocked is the one removal path — eviction and unregister
+// alike: it drops ref (a version of e, or all of e) from the runtime
+// and credits back the bytes ACTUALLY freed, not the marginal delta
+// charged at load time: once the first loader of shared parameters
+// leaves, the shared bytes stay resident (other warm models still hold
+// them) and crediting the load-time charge would make the counter
+// under-report real RAM. Caller holds loadMu, which makes the MemBytes
+// delta exact.
+func (m *Manager) unregisterLocked(e *managed, ref string) error {
 	before := m.rt.MemBytes()
-	if err := m.rt.UnregisterRelease(ref); err != nil {
+	if err := m.rt.Unregister(ref); err != nil {
 		return err
 	}
-	delta := int64(before - m.rt.MemBytes())
+	freed := int64(before - m.rt.MemBytes())
 	m.mu.Lock()
-	e.bytes -= delta
-	if e.bytes < 0 {
-		e.bytes = 0
-	}
-	stillWarm := false
-	if _, err := m.rt.ModelInfo(e.name); err == nil {
-		stillWarm = true
-	}
-	if !stillWarm {
+	e.bytes = max(e.bytes-freed, 0)
+	if _, err := m.rt.ModelInfo(e.name); err != nil { // its last version left
 		e.state = StateCold
 		e.bytes = 0
 	}
 	m.mu.Unlock()
-	m.resident.Add(-delta)
+	m.resident.Add(-freed)
 	return nil
 }
 
 // Warm makes a repository-managed model resident without serving a
-// request: the pre-warm primitive behind POST /models/{name}/warm. A
-// model that is already warm is a cheap no-op (plus an LRU touch, so a
-// freshly pre-warmed model is not the next eviction victim); a cold
-// one takes the same single-flight load path a predict would, with the
-// same negative-cache fast-fail for known-bad models.
+// request: the pre-warm primitive behind POST /models/{name}/warm. It
+// is a predict's cold→warm step with nothing dispatched: a warm model
+// is a cheap no-op (plus an LRU touch, so a freshly pre-warmed model is
+// not the next eviction victim), a cold one takes the same
+// single-flight, negative-cached load.
 func (m *Manager) Warm(name string) error {
-	e := m.lookup(name)
+	e, err := m.ensureWarm(name)
+	if err != nil {
+		return err
+	}
 	if e == nil {
 		return fmt.Errorf("%w: %q is not repository-managed", runtime.ErrModelNotFound, name)
 	}
-	m.mu.RLock()
-	warm := e.state == StateWarm
-	m.mu.RUnlock()
-	if warm {
-		m.touch(e)
-		return nil
-	}
-	m.loadMu.Lock()
-	defer m.loadMu.Unlock()
-	m.mu.RLock()
-	warm = e.state == StateWarm
-	badErr, badUntil := e.badErr, e.badUntil
-	m.mu.RUnlock()
-	if warm {
-		m.touch(e)
-		return nil
-	}
-	if badErr != nil && time.Now().Before(badUntil) {
-		return badErr
-	}
-	return m.loadLocked(e, true)
+	m.releaseLease(e)
+	return nil
 }
 
 // ExportVersion reads one published version's zip bytes back out of
@@ -1000,13 +939,8 @@ func (m *Manager) Pin(name string, pinned bool) error {
 		return fmt.Errorf("%w: %q is not repository-managed", runtime.ErrModelNotFound, name)
 	}
 	if pinned {
-		m.mu.RLock()
-		cold := e.state == StateCold
-		m.mu.RUnlock()
-		if cold {
-			if err := m.loadLocked(e, true); err != nil {
-				return err
-			}
+		if err := m.warmLocked(e, true); err != nil {
+			return err
 		}
 	}
 	m.mu.Lock()
@@ -1021,21 +955,15 @@ func (m *Manager) Pin(name string, pinned bool) error {
 func (m *Manager) onDiscovered(added []repo.Entry) {
 	for _, ent := range added {
 		e := m.noteVersion(ent.Name, ent.Version, ent.Bytes)
+		// Hot model, new version: bring the catalog up to date now
+		// rather than waiting for an eviction cycle. Warmth is checked
+		// under loadMu, which excludes eviction: registering a version
+		// on a model that just went cold would strand a runtime entry
+		// that makes every later cold load fail with "already
+		// registered".
+		m.loadMu.Lock()
 		m.mu.RLock()
 		warm := e.state == StateWarm
-		m.mu.RUnlock()
-		if !warm {
-			continue
-		}
-		// Hot model, new version: bring the catalog up to date now
-		// rather than waiting for an eviction cycle.
-		m.loadMu.Lock()
-		// Re-check under loadMu: an eviction (which holds loadMu) may
-		// have turned the model cold while we waited, and registering a
-		// version on a cold model would strand a runtime entry that
-		// makes every later cold load fail with "already registered".
-		m.mu.RLock()
-		warm = e.state == StateWarm
 		m.mu.RUnlock()
 		if !warm {
 			m.loadMu.Unlock()
@@ -1047,22 +975,7 @@ func (m *Manager) onDiscovered(added []repo.Entry) {
 			p, err = pipeline.ImportBytes(raw)
 		}
 		if err == nil {
-			m.makeRoom(estimateBytes(p), e, true)
-			before := m.rt.MemBytes()
-			pl, cerr := oven.Compile(p, m.rt.ObjectStore(), m.comp)
-			err = cerr
-			if err == nil {
-				if _, err = m.rt.RegisterVersion(pl, ent.Name, ent.Version); err != nil {
-					oven.ReleasePlan(m.rt.ObjectStore(), m.comp.Plans, pl)
-				}
-			}
-			if err == nil {
-				delta := int64(m.rt.MemBytes() - before)
-				m.mu.Lock()
-				e.bytes += delta
-				m.mu.Unlock()
-				m.resident.Add(delta)
-			}
+			err = m.install(e, ent.Version, p)
 		}
 		if err != nil {
 			m.loadErrs.Add(1)
@@ -1071,11 +984,10 @@ func (m *Manager) onDiscovered(added []repo.Entry) {
 	}
 }
 
-// SetKernelFault forwards the chaos hook to the wrapped engine.
-func (m *Manager) SetKernelFault(fn func(model string) error) { m.inner.SetKernelFault(fn) }
-
-// Quarantined forwards the quarantine list from the wrapped engine.
-func (m *Manager) Quarantined() []string { return m.inner.Quarantined() }
+// Unwrap returns the wrapped local engine, so serving.As reaches the
+// capabilities the manager does not intercept (kernel fault hook,
+// quarantine report).
+func (m *Manager) Unwrap() serving.Engine { return m.inner }
 
 // LStats snapshots the lifecycle tier's white-box counters.
 func (m *Manager) LStats() serving.LifecycleStats {

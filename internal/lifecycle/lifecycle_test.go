@@ -145,8 +145,8 @@ func TestLazyColdLoadOnFirstPredict(t *testing.T) {
 // half-written by an offline trainer) must not make the whole model
 // unservable — good versions load and the bad one counts as a load
 // error. A model whose EVERY version is corrupt fails fast on repeat
-// predicts (negative cache) instead of redoing the full disk read +
-// compile on each request.
+// attempts (negative cache) instead of redoing the full disk read +
+// compile on each one — whichever entry point asks for the load.
 func TestCorruptVersionSkipped(t *testing.T) {
 	dir := t.TempDir()
 	r := openRepo(t, dir)
@@ -156,8 +156,10 @@ func TestCorruptVersionSkipped(t *testing.T) {
 	if _, err := r.Put("sa", 2, []byte("not a zip")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Put("bad", 1, []byte("also not a zip")); err != nil {
-		t.Fatal(err)
+	for _, bad := range []string{"bad-predict", "bad-warm", "bad-pin"} {
+		if _, err := r.Put(bad, 1, []byte("also not a zip")); err != nil {
+			t.Fatal(err)
+		}
 	}
 	m := newManager(t, dir, Config{LazyLoad: true})
 
@@ -171,19 +173,29 @@ func TestCorruptVersionSkipped(t *testing.T) {
 		t.Fatal("skipped corrupt version must count as a load error")
 	}
 
-	// Fully corrupt model: the load fails with ErrBadModel...
-	_, err := m.Predict(context.Background(), "bad", "x", serving.PredictOptions{})
-	if !errors.Is(err, serving.ErrBadModel) {
-		t.Fatalf("fully corrupt model: %v", err)
-	}
-	// ...and an immediate retry is answered from the negative cache:
-	// no new load attempt, so loadErrs must not move.
-	errs := m.loadErrs.Load()
-	if _, err := m.Predict(context.Background(), "bad", "x", serving.PredictOptions{}); !errors.Is(err, serving.ErrBadModel) {
-		t.Fatalf("cached failure: %v", err)
-	}
-	if got := m.loadErrs.Load(); got != errs {
-		t.Fatalf("negative cache missed: load retried (%d -> %d load errors)", errs, got)
+	for name, load := range map[string]func(name string) error{
+		"bad-predict": func(name string) error {
+			_, err := m.Predict(context.Background(), name, "x", serving.PredictOptions{})
+			return err
+		},
+		"bad-warm": m.Warm,
+		"bad-pin":  func(name string) error { return m.Pin(name, true) },
+	} {
+		// Fully corrupt model: the load fails with ErrBadModel...
+		first := load(name)
+		if !errors.Is(first, serving.ErrBadModel) {
+			t.Fatalf("%s: fully corrupt model: %v", name, first)
+		}
+		// ...and an immediate retry is answered from the negative cache:
+		// the same error, and no new load attempt, so loadErrs must not
+		// move.
+		errs := m.loadErrs.Load()
+		if again := load(name); again != first {
+			t.Fatalf("%s: cached failure: %v, want %v", name, again, first)
+		}
+		if got := m.loadErrs.Load(); got != errs {
+			t.Fatalf("%s: negative cache missed: load retried (%d -> %d load errors)", name, errs, got)
+		}
 	}
 }
 

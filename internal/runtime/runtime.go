@@ -248,8 +248,7 @@ func (rt *Runtime) ObjectStore() *store.ObjectStore { return rt.objStore }
 // PlanStore returns the runtime's plan store: compiled stages interned
 // by structural signature. Compilers pass it via oven.Options.Plans so
 // structurally identical pipelines share whole physical stages; the
-// runtime's release paths (UnregisterRelease) give stage references
-// back to it.
+// runtime gives stage references back to it on Unregister.
 func (rt *Runtime) PlanStore() *plan.StageStore { return rt.planStore }
 
 // PlanStoreStats returns the plan-store sharing counters.
@@ -297,15 +296,50 @@ func SplitRef(s string) (name, ref string) {
 	return s, ""
 }
 
-// parseVersion interprets a ref as an explicit version number ("2" or
+// ParseVersion interprets a ref as an explicit version number ("2" or
 // "v2"); ok=false means the ref is a label.
-func parseVersion(ref string) (int, bool) {
+func ParseVersion(ref string) (int, bool) {
 	r := strings.TrimPrefix(ref, "v")
 	n, err := strconv.Atoi(r)
 	if err != nil || n <= 0 {
 		return 0, false
 	}
 	return n, true
+}
+
+// ResolveVersion is the model-reference rule, stated once for every
+// engine: which installed version the part after "name@" selects.
+//
+//	""          the "stable" label; without one, the only installed version
+//	"2", "v2"   version 2
+//	other       the label of that name
+//
+// A bare name never falls back to the latest of several versions: that
+// would silently promote an unlabeled canary, and rollout stays opt-in
+// (the operator must move a label). Naming a version that is not in
+// installed — by number or through a label — is ErrModelNotFound.
+func ResolveVersion[V any](name, part string, labels map[string]int, installed map[int]V) (int, error) {
+	var v int
+	var named bool
+	if part == "" {
+		v, named = labels[LabelStable]
+	} else if v, named = ParseVersion(part); !named {
+		v, named = labels[part]
+	}
+	switch {
+	case named:
+	case part != "":
+		return 0, fmt.Errorf("%w: %q has no version or label %q", ErrModelNotFound, name, part)
+	case len(installed) == 1:
+		for v = range installed { // the only one: unambiguous
+		}
+	default:
+		return 0, fmt.Errorf("%w: %q has no %q label; reference an explicit version or label", ErrModelNotFound, name, LabelStable)
+	}
+	if _, ok := installed[v]; !ok {
+		return 0, fmt.Errorf("%w: %q has no version %d", ErrModelNotFound, name, v)
+	}
+	return v, nil
 }
 
 // resolveLocked resolves (name, ref) to an installed version. The
@@ -315,35 +349,11 @@ func (rt *Runtime) resolveLocked(name, ref string) (*Registered, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrModelNotFound, name)
 	}
-	var v int
-	switch {
-	case ref == "":
-		if lv, ok := m.labels[LabelStable]; ok {
-			v = lv
-		} else if len(m.versions) == 1 {
-			// No stable label (it was unregistered with its version)
-			// but only one version exists: unambiguous.
-			v = m.latest()
-		} else {
-			// Never fall back to latest() across multiple versions: it
-			// would silently promote an unlabeled canary. Rollout stays
-			// opt-in — the operator must move a label.
-			return nil, fmt.Errorf("%w: %q has no %q label; reference an explicit version or label", ErrModelNotFound, name, LabelStable)
-		}
-	default:
-		if n, isNum := parseVersion(ref); isNum {
-			v = n
-		} else if lv, ok := m.labels[ref]; ok {
-			v = lv
-		} else {
-			return nil, fmt.Errorf("%w: %q has no version or label %q", ErrModelNotFound, name, ref)
-		}
+	v, err := ResolveVersion(name, ref, m.labels, m.versions)
+	if err != nil {
+		return nil, err
 	}
-	r, ok := m.versions[v]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q has no version %d", ErrModelNotFound, name, v)
-	}
-	return r, nil
+	return m.versions[v], nil
 }
 
 // acquire resolves a model reference and marks one request in flight
@@ -405,7 +415,7 @@ func (rt *Runtime) Register(p *plan.Plan) (uint64, error) {
 	name, ref := SplitRef(p.Name)
 	version := 0
 	if ref != "" {
-		v, ok := parseVersion(ref)
+		v, ok := ParseVersion(ref)
 		if !ok {
 			return 0, fmt.Errorf("%w: %q is not a version (labels are assigned with SetLabel)", ErrInvalidInput, p.Name)
 		}
@@ -486,7 +496,7 @@ func (rt *Runtime) SetLabel(name, label string, version int) error {
 	if label == "" {
 		return fmt.Errorf("%w: empty label", ErrInvalidInput)
 	}
-	if _, isNum := parseVersion(label); isNum {
+	if _, isNum := ParseVersion(label); isNum {
 		return fmt.Errorf("%w: label %q would shadow a version number", ErrInvalidInput, label)
 	}
 	rt.mu.Lock()
@@ -505,48 +515,19 @@ func (rt *Runtime) SetLabel(name, label string, version int) error {
 // Unregister removes a model reference and drains its in-flight work
 // before returning: a bare name removes every version; "name@ref"
 // removes one version (and any labels pointing at it). Unknown names
-// and versions return ErrModelNotFound. Catalog entries are kept (other
-// plans may share them); parameters are released from the Object Store
-// by the caller if desired — or use UnregisterRelease, which does both.
+// and versions return ErrModelNotFound. Removal releases everything the
+// removed plans held: their interned parameters go back to the Object
+// Store and their shared stages to the plan store (each dropped once its
+// last sharer leaves), and system-catalog kernels no remaining plan
+// references are pruned — so unregistering, or evicting a model to
+// disk, actually shrinks the resident set.
 func (rt *Runtime) Unregister(ref string) error {
-	_, err := rt.unregister(ref, false)
-	return err
-}
-
-// UnregisterRelease is Unregister for the lifecycle tier: after the
-// removed versions drain, their plans' interned parameters are released
-// back to the Object Store (dropping the store's accounting — and its
-// canonical references — for parameters no other resident plan shares),
-// their shared stages are released back to the plan store, and
-// system-catalog kernels referenced by no remaining plan are pruned.
-// This is what makes evicting a model to disk actually shrink the
-// resident set; plain Unregister keeps shared state around on the
-// assumption the model is coming back.
-func (rt *Runtime) UnregisterRelease(ref string) error {
-	removed, err := rt.unregister(ref, true)
-	if err != nil {
-		return err
-	}
-	for _, r := range removed {
-		if rt.objStore != nil {
-			for _, p := range r.Plan.Interned {
-				rt.objStore.Release(p)
-			}
-		}
-		for _, s := range r.Plan.Stages {
-			rt.planStore.Release(s)
-		}
-	}
-	return nil
-}
-
-func (rt *Runtime) unregister(ref string, prune bool) ([]*Registered, error) {
 	name, rest := SplitRef(ref)
 	rt.mu.Lock()
 	m, ok := rt.models[name]
 	if !ok {
 		rt.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrModelNotFound, name)
+		return fmt.Errorf("%w: %q", ErrModelNotFound, name)
 	}
 	var drain []*Registered
 	if rest == "" {
@@ -558,7 +539,7 @@ func (rt *Runtime) unregister(ref string, prune bool) ([]*Registered, error) {
 		r, err := rt.resolveLocked(name, rest)
 		if err != nil {
 			rt.mu.Unlock()
-			return nil, err
+			return err
 		}
 		delete(m.versions, r.Version)
 		for l, v := range m.labels {
@@ -571,16 +552,22 @@ func (rt *Runtime) unregister(ref string, prune bool) ([]*Registered, error) {
 		}
 		drain = append(drain, r)
 	}
-	if prune {
-		rt.pruneCatalogLocked(drain)
-	}
+	rt.pruneCatalogLocked(drain)
 	rt.mu.Unlock()
 	// New requests can no longer resolve the removed versions; wait for
-	// the ones that already did.
+	// the ones that already did before giving their state back.
 	for _, r := range drain {
 		r.inflight.Wait()
+		if rt.objStore != nil {
+			for _, p := range r.Plan.Interned {
+				rt.objStore.Release(p)
+			}
+		}
+		for _, s := range r.Plan.Stages {
+			rt.planStore.Release(s)
+		}
 	}
-	return drain, nil
+	return nil
 }
 
 // pruneCatalogLocked drops system-catalog kernels that only the removed

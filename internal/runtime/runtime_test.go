@@ -300,67 +300,82 @@ func TestRegisterInvalidPlan(t *testing.T) {
 	}
 }
 
-// TestUnregisterReleaseFreesStoreAndCatalog is the lifecycle-eviction
-// contract: removing a model with UnregisterRelease must shrink the
-// Object Store by the model's unique parameters (shared ones stay for
-// their surviving users) and prune catalog kernels nothing else
-// references — while plain Unregister keeps both.
-func TestUnregisterReleaseFreesStoreAndCatalog(t *testing.T) {
-	rt, os := newRT(t, Config{Executors: 1})
-	// a and b share dictionaries (same builder sequence) but carry
-	// distinct weights.
-	register(t, rt, os, saPipeline(t, "a", 0), oven.DefaultOptions())
-	withBoth := os.MemBytes()
-	kernelsBoth := rt.CatalogStats().Kernels
-	register(t, rt, os, saPipeline(t, "b", 1), oven.DefaultOptions())
+// resident is the part of both stores' Stats() that describes what is
+// held right now (the hit/miss counters only ever grow).
+func resident(rt *Runtime) [2]any {
+	o, p := rt.ObjectStoreStats(), rt.PlanStoreStats()
+	o.Hits, o.Misses, p.Hits, p.Misses = 0, 0, 0, 0
+	return [2]any{o, p}
+}
 
-	if err := rt.UnregisterRelease("b"); err != nil {
+// TestUnregisterFreesStoresAndCatalog is the removal contract every
+// engine (and lifecycle eviction) relies on: Unregister gives back the
+// removed plan's parameters and shared stages, so both stores return to
+// their pre-register Stats() once the last sharer of each object leaves
+// (shared ones stay for their surviving users), and catalog kernels
+// nothing else references are pruned.
+func TestUnregisterFreesStoresAndCatalog(t *testing.T) {
+	rt, os := newRT(t, Config{Executors: 1})
+	opts := oven.DefaultOptions()
+	opts.Plans = rt.PlanStore()
+	empty := resident(rt)
+	// a and b share dictionaries (same builder sequence) and therefore
+	// their featurizer stages, but carry distinct weights.
+	register(t, rt, os, saPipeline(t, "a", 0), opts)
+	onlyA := resident(rt)
+	kernelsA := rt.CatalogStats().Kernels
+	register(t, rt, os, saPipeline(t, "b", 1), opts)
+	if both := resident(rt); both == onlyA {
+		t.Fatal("b must add its own weights and scorer stage")
+	}
+
+	if err := rt.Unregister("b"); err != nil {
 		t.Fatal(err)
 	}
-	if got := os.MemBytes(); got != withBoth {
-		t.Fatalf("releasing b must return the store to a's footprint: %d != %d", got, withBoth)
+	if got := resident(rt); got != onlyA {
+		t.Fatalf("unregistering b must return the stores to a's footprint:\n got %+v\nwant %+v", got, onlyA)
 	}
-	if got := rt.CatalogStats().Kernels; got != kernelsBoth {
-		t.Fatalf("releasing b must prune its unique kernels: %d != %d", got, kernelsBoth)
+	if got := rt.CatalogStats().Kernels; got != kernelsA {
+		t.Fatalf("unregistering b must prune its unique kernels: %d != %d", got, kernelsA)
 	}
 	in, out := vector.New(0), vector.New(0)
 	in.SetText("nice product")
 	if err := rt.PredictRequest(Request{Model: "a", In: in, Out: out}); err != nil {
-		t.Fatalf("surviving model must keep serving after sibling release: %v", err)
+		t.Fatalf("surviving model must keep serving after its sibling left: %v", err)
 	}
 
-	if err := rt.UnregisterRelease("a"); err != nil {
+	if err := rt.Unregister("a"); err != nil {
 		t.Fatal(err)
 	}
-	if got := os.Count(); got != 0 {
-		t.Fatalf("releasing the last model must empty the store: %d params left", got)
+	if got := resident(rt); got != empty {
+		t.Fatalf("unregistering the last sharer must empty both stores:\n got %+v\nwant %+v", got, empty)
 	}
 	if got := rt.CatalogStats().Kernels; got != 0 {
-		t.Fatalf("releasing the last model must empty the catalog: %d kernels left", got)
+		t.Fatalf("unregistering the last model must empty the catalog: %d kernels left", got)
 	}
 	if err := rt.PredictRequest(Request{Model: "a", In: in, Out: out}); !errors.Is(err, ErrModelNotFound) {
-		t.Fatalf("released model must be gone: %v", err)
+		t.Fatalf("unregistered model must be gone: %v", err)
 	}
 }
 
-// TestUnregisterReleaseOneVersion releases a single version while its
-// sibling version keeps serving with its shared parameters intact.
-func TestUnregisterReleaseOneVersion(t *testing.T) {
+// TestUnregisterOneVersion removes a single version while its sibling
+// version keeps serving with its shared parameters intact.
+func TestUnregisterOneVersion(t *testing.T) {
 	rt, os := newRT(t, Config{Executors: 1})
 	register(t, rt, os, saPipeline(t, "m", 0), oven.DefaultOptions())
 	register(t, rt, os, saPipeline(t, "m@2", 1), oven.DefaultOptions())
-	if err := rt.UnregisterRelease("m@2"); err != nil {
+	if err := rt.Unregister("m@2"); err != nil {
 		t.Fatal(err)
 	}
 	in, out := vector.New(0), vector.New(0)
 	in.SetText("nice product")
 	if err := rt.PredictRequest(Request{Model: "m", In: in, Out: out}); err != nil {
-		t.Fatalf("version 1 must survive version 2's release: %v", err)
+		t.Fatalf("version 1 must survive version 2's removal: %v", err)
 	}
-	if err := rt.UnregisterRelease("m"); err != nil {
+	if err := rt.Unregister("m"); err != nil {
 		t.Fatal(err)
 	}
 	if got := os.Count(); got != 0 {
-		t.Fatalf("store must be empty after full release: %d", got)
+		t.Fatalf("store must be empty after full removal: %d", got)
 	}
 }

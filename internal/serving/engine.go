@@ -1,11 +1,16 @@
 // Package serving defines the transport-agnostic serving seam between
-// the HTTP front end and whatever actually executes predictions. The
-// FrontEnd used to be welded to *runtime.Runtime; every dispatch,
-// catalog and lifecycle operation now goes through the Engine
+// the HTTP front end and whatever actually executes predictions. Every
+// dispatch, catalog and lifecycle operation goes through the Engine
 // interface, so the same front end (result cache, adaptive batcher,
 // management plane) serves equally over a local runtime (Local) or a
 // cluster of remote nodes (cluster.Router) — the seam that turns the
 // single-machine PRETZEL stack into a horizontally sharded fleet.
+//
+// A middleware (chaos.Injector, lifecycle.Manager) embeds or holds the
+// Engine it wraps, implements Unwrap() Engine, and overrides only the
+// methods it intercepts. Capabilities outside the Engine method set
+// (pinning, pre-warming, zip export, cluster membership, the kernel
+// fault hook) are never forwarded by hand: callers find them with As.
 package serving
 
 import (
@@ -267,4 +272,23 @@ type Engine interface {
 	Ready() error
 	// Close releases the engine's resources.
 	Close() error
+}
+
+// As finds the first engine in eng's chain that implements T, walking
+// Unwrap() Engine from the outermost wrapper inwards the way errors.As
+// walks an error chain. It is how optional capabilities are reached
+// through any stack of middlewares.
+func As[T any](eng Engine) (T, bool) {
+	for eng != nil {
+		if t, ok := eng.(T); ok {
+			return t, true
+		}
+		u, ok := eng.(interface{ Unwrap() Engine })
+		if !ok {
+			break
+		}
+		eng = u.Unwrap()
+	}
+	var zero T
+	return zero, false
 }

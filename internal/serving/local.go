@@ -13,9 +13,8 @@ import (
 )
 
 // Local is the in-process Engine: the thin adapter from the seam onto
-// one *runtime.Runtime. It owns the text→vector marshalling that used
-// to live in the front end, plus the import→compile→register upload
-// path of the management plane.
+// one *runtime.Runtime. It owns the text→vector marshalling and the
+// import→compile→register upload path of the management plane.
 type Local struct {
 	rt      *runtime.Runtime
 	compile oven.Options
@@ -173,12 +172,10 @@ func planFootprint(pl *plan.Plan) int {
 	return total
 }
 
-// Unregister removes a model reference, draining in-flight work first.
-// Removal through the serving API is permanent (unlike a lifecycle
-// eviction), so the plan's interned parameters and shared stages are
-// released — the object store and plan store return to their prior
-// footprint once the last sharer of each object leaves.
-func (l *Local) Unregister(ref string) error { return l.rt.UnregisterRelease(ref) }
+// Unregister removes a model reference, draining in-flight work first;
+// the object store and plan store return to their prior footprint once
+// the last sharer of each released object leaves.
+func (l *Local) Unregister(ref string) error { return l.rt.Unregister(ref) }
 
 // SetLabel atomically points a label at an installed version.
 func (l *Local) SetLabel(name, label string, version int) error {

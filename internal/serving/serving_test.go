@@ -152,7 +152,7 @@ func TestRegisterFailureReleasesInterned(t *testing.T) {
 	// The surviving registration owns exactly one reference per
 	// parameter: releasing it must drain the store to empty. A leaked
 	// refcount from the failed register would keep entries alive.
-	if err := rt.UnregisterRelease("m"); err != nil {
+	if err := rt.Unregister("m"); err != nil {
 		t.Fatal(err)
 	}
 	if got := rt.ObjectStore().Stats(); got.Unique != 0 || got.Bytes != 0 {
@@ -211,5 +211,55 @@ func TestLocalReadySaturated(t *testing.T) {
 		if err := eng.Ready(); !errors.Is(err, ErrNotReady) {
 			t.Fatalf("saturated engine ready: %v", err)
 		}
+	}
+}
+
+// wrapper is a minimal middleware: it embeds the engine it wraps and
+// exposes it through Unwrap.
+type wrapper struct{ Engine }
+
+func (w wrapper) Unwrap() Engine { return w.Engine }
+
+// pinWrapper is a middleware that adds a capability of its own.
+type pinWrapper struct {
+	wrapper
+	pinned string
+}
+
+func (p *pinWrapper) Pin(name string, _ bool) error { p.pinned = name; return nil }
+
+// TestAsWalksTheChain: a capability is found on whichever engine of a
+// middleware stack implements it, the outermost implementer wins, and a
+// capability nobody implements is reported absent — embedding alone
+// must not make a wrapper look like it has one.
+func TestAsWalksTheChain(t *testing.T) {
+	rt := runtime.New(store.New(), runtime.Config{Executors: 1})
+	t.Cleanup(rt.Close)
+	local := NewLocal(rt, nil)
+	type pinner interface{ Pin(string, bool) error }
+	type quarantiner interface{ Quarantined() []string }
+
+	inner := &pinWrapper{wrapper: wrapper{local}}
+	outer := &pinWrapper{wrapper: wrapper{wrapper{inner}}}
+	var stack Engine = wrapper{outer}
+
+	if q, ok := As[quarantiner](stack); !ok || q != quarantiner(local) {
+		t.Fatalf("Local's capability through three wrappers: %v %v", q, ok)
+	}
+	p, ok := As[pinner](stack)
+	if !ok || p.Pin("m", true) != nil || outer.pinned != "m" || inner.pinned != "" {
+		t.Fatalf("outermost implementer must win: ok=%v outer=%q inner=%q", ok, outer.pinned, inner.pinned)
+	}
+	if l, ok := As[*Local](stack); !ok || l != local {
+		t.Fatalf("concrete type lookup: %v %v", l, ok)
+	}
+	if _, ok := As[pinner](Engine(wrapper{local})); ok {
+		t.Fatal("a wrapper that only embeds Engine must not gain Pin")
+	}
+	if _, ok := As[interface{ AddMember(string, string) error }](stack); ok {
+		t.Fatal("nobody in the stack administers members")
+	}
+	if _, ok := As[pinner](nil); ok {
+		t.Fatal("nil engine has no capabilities")
 	}
 }

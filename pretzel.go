@@ -50,7 +50,7 @@
 //	// Versioned lifecycle with atomic hot swap:
 //	rt.RegisterVersion(plnV2, "my-model", 2)
 //	rt.SetLabel("my-model", "stable", 2) // traffic moves atomically
-//	rt.Unregister("my-model@1")          // drains in-flight work first
+//	rt.Unregister("my-model@1")          // drains in-flight work, then releases what only v1 held
 package pretzel
 
 import (
