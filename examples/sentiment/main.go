@@ -35,9 +35,10 @@ func main() {
 	defer rt.Close()
 	before := metrics.HeapInUse()
 	for _, p := range set.Pipelines {
-		// Materialization flavor: featurization stages are shared and
-		// cacheable across the similar pipelines.
-		pln, err := pretzel.Compile(p, objStore, oven.Options{AOT: true, Materialization: true})
+		// Materialization flavor: featurization stages are shared through
+		// the runtime's plan store and cacheable across the similar
+		// pipelines.
+		pln, err := pretzel.Compile(p, objStore, oven.Options{AOT: true, Materialization: true, Plans: rt.PlanStore()})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -69,10 +70,10 @@ func main() {
 		input[:min(40, len(input))], lat.Percentile(50), lat.Percentile(99))
 	fmt.Printf("materialization cache: %d hits / %d misses\n", cs.Hits, cs.Misses)
 
-	// Catalog sharing: similar plans share physical stages.
-	cat := rt.CatalogStats()
-	fmt.Printf("catalog: %d plans share %d physical stage kernels (%d hits)\n",
-		cat.Plans, cat.Kernels, cat.Hits)
+	// Stage sharing: similar plans bind the same physical stages.
+	ps := rt.PlanStoreStats()
+	fmt.Printf("plan store: %d plans share %d physical stages (%d hits)\n",
+		rt.CatalogStats().Plans, ps.Unique, ps.Hits)
 }
 
 func min(a, b int) int {

@@ -176,11 +176,14 @@ func cacheResolver(cache *store.OpCache) pipeline.OpResolver {
 
 // loadPretzel imports, compiles and registers a set of model files into
 // a runtime, returning the wall-clock load time. With an Object Store the
-// loader also shares operator instances at the serialized-bytes level.
+// loader also shares operator instances at the serialized-bytes level,
+// and the plans share stages through the runtime's plan store, as on
+// the server.
 func loadPretzel(rt *runtime.Runtime, objStore *store.ObjectStore, files []string, opts oven.Options) (time.Duration, error) {
 	resolve := pipeline.DefaultResolver
 	if objStore != nil {
 		resolve = cacheResolver(store.NewOpCache())
+		opts.Plans = rt.PlanStore()
 	}
 	t0 := time.Now()
 	for _, f := range files {

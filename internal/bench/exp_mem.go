@@ -99,6 +99,10 @@ func memPretzel(files []string, withStore bool) (*memCurve, error) {
 	}
 	rt := runtime.New(objStore, runtime.Config{Executors: 1})
 	defer rt.Close()
+	opts := oven.DefaultOptions()
+	if withStore {
+		opts.Plans = rt.PlanStore()
+	}
 	c := &memCurve{label: label}
 	base := metrics.HeapInUse()
 	every := sampleEvery(len(files))
@@ -113,7 +117,7 @@ func memPretzel(files []string, withStore bool) (*memCurve, error) {
 		if err != nil {
 			return nil, err
 		}
-		pl, err := oven.Compile(p, objStore, oven.DefaultOptions())
+		pl, err := oven.Compile(p, objStore, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -55,7 +55,9 @@ func saRuntime(t testing.TB) *runtime.Runtime {
 	objStore := store.New()
 	rt := runtime.New(objStore, runtime.Config{Executors: 2})
 	t.Cleanup(rt.Close)
-	pl, err := oven.Compile(saPipe(t, "sa", 0), objStore, oven.DefaultOptions())
+	opts := oven.DefaultOptions()
+	opts.Plans = rt.PlanStore()
+	pl, err := oven.Compile(saPipe(t, "sa", 0), objStore, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -232,8 +232,8 @@ func TestStatz(t *testing.T) {
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatalf("statz decode: %v\n%s", err, body)
 	}
-	if st.Catalog.Kernels == 0 || st.Catalog.Models != 1 {
-		t.Fatalf("statz catalog %+v", st.Catalog)
+	if st.PlanStore.Unique == 0 || st.Catalog.Models != 1 {
+		t.Fatalf("statz catalog %+v, plan store %+v", st.Catalog, st.PlanStore)
 	}
 	if st.Sched.Executors != 2 {
 		t.Fatalf("statz sched %+v", st.Sched)

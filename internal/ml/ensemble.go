@@ -39,10 +39,6 @@ func (tf *TreeFeaturizer) Featurize(x []float32, emit func(idx int32, val float3
 	}
 }
 
-// Checksum hashes the underlying forest, salted so a TreeFeaturizer and a
-// plain Forest over the same trees do not collide in the Object Store.
-func (tf *TreeFeaturizer) Checksum() uint64 { return tf.Forest.Checksum() ^ 0x7F_EA_75 }
-
 // MemBytes estimates retained heap bytes.
 func (tf *TreeFeaturizer) MemBytes() int { return tf.Forest.MemBytes() + 4*cap(tf.leafBase) }
 
@@ -110,15 +106,6 @@ func (mc *MultiClassForest) Scores(x []float32, out []float32) []float32 {
 func (mc *MultiClassForest) Predict(x []float32) int {
 	scores := make([]float32, len(mc.Classes))
 	return linalg.ArgMax(mc.Scores(x, scores))
-}
-
-// Checksum hashes all per-class forests.
-func (mc *MultiClassForest) Checksum() uint64 {
-	var acc uint64 = uint64(len(mc.Classes))
-	for i, f := range mc.Classes {
-		acc ^= f.Checksum() + uint64(i)*0x9e3779b97f4a7c15
-	}
-	return acc
 }
 
 // MemBytes estimates retained heap bytes.

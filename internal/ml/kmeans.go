@@ -3,7 +3,6 @@ package ml
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
 	"math/rand"
@@ -150,21 +149,6 @@ func (k *KMeans) Assign(x []float32) int {
 		}
 	}
 	return bc
-}
-
-// Checksum hashes the model parameters.
-func (k *KMeans) Checksum() uint64 {
-	h := fnv.New64a()
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], uint32(k.K))
-	h.Write(b[:])
-	binary.LittleEndian.PutUint32(b[:], uint32(k.Dim))
-	h.Write(b[:])
-	for _, v := range k.Centroids {
-		binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
-		h.Write(b[:])
-	}
-	return h.Sum64()
 }
 
 // MemBytes estimates retained heap bytes.

@@ -9,7 +9,6 @@ package ml
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
 	"math/rand"
@@ -147,21 +146,6 @@ func TrainLinear(samples []Sample, opt LinearOptions) (*LinearModel, error) {
 		}
 	}
 	return m, nil
-}
-
-// Checksum returns a content hash of the model parameters.
-func (m *LinearModel) Checksum() uint64 {
-	h := fnv.New64a()
-	var b [4]byte
-	b[0] = byte(m.Kind)
-	h.Write(b[:1])
-	binary.LittleEndian.PutUint32(b[:], math.Float32bits(m.Bias))
-	h.Write(b[:])
-	for _, w := range m.Weights {
-		binary.LittleEndian.PutUint32(b[:], math.Float32bits(w))
-		h.Write(b[:])
-	}
-	return h.Sum64()
 }
 
 // MemBytes estimates retained heap bytes.

@@ -2,10 +2,22 @@ package ml
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"math/rand"
 	"testing"
 )
+
+// content returns the canonical serialized bytes of a parameter — what
+// the Object Store's content digest, a parameter's identity, hashes.
+func content(t *testing.T, p interface{ WriteContent(io.Writer) error }) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := p.WriteContent(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
 
 // --- linear models ---
 
@@ -138,8 +150,8 @@ func TestLinearRoundTrip(t *testing.T) {
 	if got.Kind != m.Kind || got.Bias != m.Bias || len(got.Weights) != 3 || got.Weights[2] != 3.5 {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
-	if got.Checksum() != m.Checksum() {
-		t.Fatal("checksum changed")
+	if !bytes.Equal(content(t, got), content(t, m)) {
+		t.Fatal("content changed over round trip")
 	}
 	if _, err := ReadLinearModel(bytes.NewReader([]byte{9, 0, 0, 0, 0, 0, 0, 0, 0})); err == nil {
 		t.Fatal("bad kind must error")
@@ -152,12 +164,12 @@ func TestLinearRoundTrip(t *testing.T) {
 func TestLinearChecksumSensitivity(t *testing.T) {
 	a := &LinearModel{Weights: []float32{1, 2}}
 	b := &LinearModel{Weights: []float32{1, 2.0001}}
-	if a.Checksum() == b.Checksum() {
-		t.Fatal("checksum insensitive to weights")
+	if bytes.Equal(content(t, a), content(t, b)) {
+		t.Fatal("content insensitive to weights")
 	}
 	c := &LinearModel{Weights: []float32{1, 2}, Kind: LogisticRegression}
-	if a.Checksum() == c.Checksum() {
-		t.Fatal("checksum insensitive to kind")
+	if bytes.Equal(content(t, a), content(t, c)) {
+		t.Fatal("content insensitive to kind")
 	}
 	if a.MemBytes() <= 0 {
 		t.Fatal("membytes")
@@ -291,8 +303,8 @@ func TestForestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Checksum() != forest.Checksum() {
-		t.Fatal("checksum changed over round trip")
+	if !bytes.Equal(content(t, got), content(t, forest)) {
+		t.Fatal("content changed over round trip")
 	}
 	for i := 0; i < 20; i++ {
 		if got.Predict(xs[i]) != forest.Predict(xs[i]) {
@@ -383,8 +395,8 @@ func TestKMeansRoundTripAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Checksum() != km.Checksum() {
-		t.Fatal("checksum round trip")
+	if !bytes.Equal(content(t, got), content(t, km)) {
+		t.Fatal("content round trip")
 	}
 	if _, err := TrainKMeans(nil, KMeansOptions{}); err == nil {
 		t.Fatal("empty must error")
@@ -456,8 +468,8 @@ func TestPCARoundTripAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Checksum() != p.Checksum() {
-		t.Fatal("checksum round trip")
+	if !bytes.Equal(content(t, got), content(t, p)) {
+		t.Fatal("content round trip")
 	}
 	out1 := make([]float32, 2)
 	out2 := make([]float32, 2)
@@ -506,9 +518,6 @@ func TestTreeFeaturizer(t *testing.T) {
 	}
 	if int(idx[len(idx)-1]) >= tf.Dim() {
 		t.Fatal("leaf index out of range")
-	}
-	if tf.Checksum() == forest.Checksum() {
-		t.Fatal("featurizer checksum must differ from raw forest")
 	}
 	if tf.MemBytes() <= forest.MemBytes() {
 		t.Fatal("membytes")
@@ -569,8 +578,8 @@ func TestMultiClassRoundTripAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Checksum() != mc.Checksum() {
-		t.Fatal("checksum round trip")
+	if !bytes.Equal(content(t, got), content(t, mc)) {
+		t.Fatal("content round trip")
 	}
 	if _, err := TrainMultiClassForest(xs, ys, MultiClassOptions{NumClasses: 1}); err == nil {
 		t.Fatal("1 class must error")

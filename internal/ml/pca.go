@@ -3,7 +3,6 @@ package ml
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
 	"math/rand"
@@ -111,23 +110,6 @@ func (p *PCA) Project(x []float32, out []float32) []float32 {
 		out[c] = linalg.Dot(x, row) - linalg.Dot(p.Mean, row)
 	}
 	return out
-}
-
-// Checksum hashes the model parameters.
-func (p *PCA) Checksum() uint64 {
-	h := fnv.New64a()
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], uint32(p.K))
-	h.Write(b[:])
-	for _, v := range p.Mean {
-		binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
-		h.Write(b[:])
-	}
-	for _, v := range p.Components {
-		binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
-		h.Write(b[:])
-	}
-	return h.Sum64()
 }
 
 // MemBytes estimates retained heap bytes.

@@ -3,7 +3,6 @@ package ml
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
 	"math/rand"
@@ -270,22 +269,6 @@ func (f *Forest) TotalLeaves() int {
 		n += int(t.Leaves)
 	}
 	return n
-}
-
-// Checksum hashes the forest parameters.
-func (f *Forest) Checksum() uint64 {
-	h := fnv.New64a()
-	var b [16]byte
-	for _, t := range f.Trees {
-		for _, n := range t.Nodes {
-			binary.LittleEndian.PutUint32(b[0:], uint32(n.Feature))
-			binary.LittleEndian.PutUint32(b[4:], math.Float32bits(n.Threshold))
-			binary.LittleEndian.PutUint32(b[8:], uint32(n.Left)^uint32(n.Right)<<1)
-			binary.LittleEndian.PutUint32(b[12:], math.Float32bits(n.Value))
-			h.Write(b[:])
-		}
-	}
-	return h.Sum64()
 }
 
 // MemBytes estimates retained heap bytes of the forest.

@@ -14,7 +14,6 @@
 package ops
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -22,15 +21,12 @@ import (
 	"pretzel/internal/vector"
 )
 
-// Param is a shareable parameter object. The Object Store identifies
-// parameter objects by a collision-safe content address: the 64-bit
-// Checksum is the fast-path fingerprint, and WriteContent provides the
-// canonical serialized bytes the store's SHA-256 digest — the actual
-// identity — is computed over. Two parameters are interchangeable iff
-// their content bytes are equal; a Checksum collision alone must never
-// intern one model onto another model's weights.
+// Param is a shareable parameter object. Its one identity is the Object
+// Store's SHA-256 content digest over the dynamic type and the canonical
+// bytes WriteContent produces (§4.1.3: "the checksum of the serialized
+// version of the objects"): two parameters are interchangeable iff their
+// content bytes are equal.
 type Param interface {
-	Checksum() uint64
 	MemBytes() int
 	// WriteContent writes the canonical serialized form of the
 	// parameter. Implementations must be deterministic (equal content
@@ -82,38 +78,6 @@ func MemBytes(op Op) int {
 		n += p.MemBytes()
 	}
 	return n
-}
-
-// Checksum combines the operator kind, its configuration (the exported
-// struct fields; parameter objects carry `json:"-"` tags) and the
-// parameter checksums into a stage-identity hash. Configuration must be
-// included: two Concat operators with different Dims are different
-// stages even though neither has parameters.
-func Checksum(op Op) uint64 {
-	acc := hashString(op.Info().Kind)
-	if b, err := json.Marshal(op); err == nil {
-		acc = acc*0x100000001b3 ^ hashBytes(b)
-	}
-	for _, p := range op.Params() {
-		acc = acc*0x100000001b3 ^ p.Checksum()
-	}
-	return acc
-}
-
-func hashBytes(b []byte) uint64 {
-	var h uint64 = 0xcbf29ce484222325
-	for _, c := range b {
-		h = (h ^ uint64(c)) * 0x100000001b3
-	}
-	return h
-}
-
-func hashString(s string) uint64 {
-	var h uint64 = 0xcbf29ce484222325
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * 0x100000001b3
-	}
-	return h
 }
 
 // --- serialization registry ---

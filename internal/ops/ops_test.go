@@ -2,6 +2,7 @@ package ops
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -30,6 +31,24 @@ func denseVec(vals ...float32) *vector.Vector {
 	return v
 }
 
+// identity returns what the oven's operator digest hashes: the kind,
+// the JSON configuration and every parameter's canonical content bytes.
+func identity(t *testing.T, op Op) string {
+	t.Helper()
+	var b bytes.Buffer
+	b.WriteString(op.Info().Kind + "\x00")
+	if cfg, err := json.Marshal(op); err == nil {
+		b.Write(cfg)
+	}
+	for _, p := range op.Params() {
+		b.WriteByte(0)
+		if err := p.WriteContent(&b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b.String()
+}
+
 // roundTrip serializes an op and reads it back through the registry.
 func roundTrip(t *testing.T, op Op) Op {
 	t.Helper()
@@ -41,8 +60,8 @@ func roundTrip(t *testing.T, op Op) Op {
 	if err != nil {
 		t.Fatalf("Read(%s): %v", op.Info().Kind, err)
 	}
-	if Checksum(got) != Checksum(op) {
-		t.Fatalf("%s: checksum changed over round trip", op.Info().Kind)
+	if identity(t, got) != identity(t, op) {
+		t.Fatalf("%s: identity changed over round trip", op.Info().Kind)
 	}
 	return got
 }
@@ -429,12 +448,12 @@ func TestParamSharing(t *testing.T) {
 	d := buildCharDict([]string{"shared"}, 2, 2)
 	a := &CharNgram{MinN: 2, MaxN: 2, Dict: d}
 	b := &CharNgram{MinN: 2, MaxN: 2, Dict: d}
-	if Checksum(a) != Checksum(b) {
-		t.Fatal("identical ops must share checksum")
+	if identity(t, a) != identity(t, b) {
+		t.Fatal("identical ops must share identity")
 	}
-	// Same dict content, different op kind -> different checksum.
+	// Same dict content, different op kind -> different identity.
 	w := &WordNgram{MaxN: 1, Dict: d}
-	if Checksum(a) == Checksum(w) {
+	if identity(t, a) == identity(t, w) {
 		t.Fatal("different op kinds must not collide")
 	}
 	// SetParams swaps the shared instance in.
@@ -502,33 +521,33 @@ func TestMemBytes(t *testing.T) {
 
 func TestChecksumIncludesConfig(t *testing.T) {
 	// Regression: parameter-less operators with different configurations
-	// must have different checksums, or the runtime catalog would share
-	// kernels across incompatible stages.
+	// must have different identities, or the plan store would share
+	// stages across incompatible operators.
 	a := &Concat{Dims: []int{4}}
 	b := &Concat{Dims: []int{3, 5}}
-	if Checksum(a) == Checksum(b) {
-		t.Fatal("Concat checksums must depend on Dims")
+	if identity(t, a) == identity(t, b) {
+		t.Fatal("Concat identity must depend on Dims")
 	}
 	c1 := &Clip{Lo: 0, Hi: 1}
 	c2 := &Clip{Lo: 0, Hi: 2}
-	if Checksum(c1) == Checksum(c2) {
-		t.Fatal("Clip checksums must depend on bounds")
+	if identity(t, c1) == identity(t, c2) {
+		t.Fatal("Clip identity must depend on bounds")
 	}
 	h1 := &HashNgram{Bits: 8, Word: true}
 	h2 := &HashNgram{Bits: 9, Word: true}
-	if Checksum(h1) == Checksum(h2) {
-		t.Fatal("HashNgram checksums must depend on Bits")
+	if identity(t, h1) == identity(t, h2) {
+		t.Fatal("HashNgram identity must depend on Bits")
 	}
 }
 
 func TestFloatsParam(t *testing.T) {
 	a := &Floats{V: []float32{1, 2, 3}}
 	b := &Floats{V: []float32{1, 2, 3}}
-	if a.Checksum() != b.Checksum() {
-		t.Fatal("equal floats must share checksum")
+	if identity(t, &Imputer{Fill: a}) != identity(t, &Imputer{Fill: b}) {
+		t.Fatal("equal floats must share content")
 	}
 	c := &Floats{V: []float32{1, 2, 4}}
-	if a.Checksum() == c.Checksum() {
+	if identity(t, &Imputer{Fill: a}) == identity(t, &Imputer{Fill: c}) {
 		t.Fatal("different floats must differ")
 	}
 	if a.MemBytes() < 12 {

@@ -3,7 +3,6 @@ package ops
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
 	"strconv"
@@ -16,17 +15,6 @@ import (
 // Floats is a shareable []float32 parameter (scaler offsets, imputation
 // values, bucket boundaries, ...).
 type Floats struct{ V []float32 }
-
-// Checksum implements Param.
-func (f *Floats) Checksum() uint64 {
-	h := fnv.New64a()
-	var b [4]byte
-	for _, v := range f.V {
-		binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
-		h.Write(b[:])
-	}
-	return h.Sum64()
-}
 
 // MemBytes implements Param.
 func (f *Floats) MemBytes() int { return 24 + 4*cap(f.V) }

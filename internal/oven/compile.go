@@ -3,10 +3,7 @@ package oven
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"math"
 
 	"pretzel/internal/ops"
@@ -75,8 +72,8 @@ func Compile(p *pipeline.Pipeline, objStore *store.ObjectStore, opts Options) (*
 				shared[k] = objStore.Intern(q)
 			}
 			// Track before SetParams: a failure there still leaves the
-			// refcounts incremented, and Release keys by checksum, so
-			// releasing the canonical instances undoes them exactly.
+			// refcounts incremented, and Release finds a canonical
+			// instance by identity, so releasing them undoes it exactly.
 			interned = append(interned, shared...)
 			if err := n.Op.SetParams(shared); err != nil {
 				return nil, fmt.Errorf("oven: interning node %d: %w", i, err)
@@ -84,11 +81,11 @@ func Compile(p *pipeline.Pipeline, objStore *store.ObjectStore, opts Options) (*
 		}
 	}
 
-	g := &graphIR{opts: opts, stats: planStats{
+	g := &graphIR{opts: opts, objStore: objStore, stats: planStats{
 		maxVecSize: p.Stats.MaxVectorSize,
 		avgTokens:  p.Stats.AvgTokens,
 		sparse:     p.Stats.SparseOutput,
-	}}
+	}, opDigests: make(map[ops.Op][sha256.Size]byte)}
 
 	// Steps 2–4.
 	if err := buildStep(p).run(g); err != nil {
@@ -103,7 +100,7 @@ func Compile(p *pipeline.Pipeline, objStore *store.ObjectStore, opts Options) (*
 
 	// Model Plan Compiler: map logical stages to physical kernels and
 	// assemble the plan.
-	pl, err := assemble(p, g, objStore, opts)
+	pl, err := assemble(p, g)
 	if err != nil {
 		return nil, err
 	}
@@ -145,28 +142,22 @@ func ReleasePlan(objStore *store.ObjectStore, plans *plan.StageStore, pl *plan.P
 	}
 }
 
-// stageSignature computes the structural content signature a compiled
-// stage is interned under in the plan store. It captures everything
-// that makes two compiled stages interchangeable: the physical kernel
-// kind, compile options that shape kernel construction, the fused
-// operator configs, the content of every parameter (via the Object
-// Store's collision-safe digests — canonical instances resolve by
-// identity, without re-serializing megabyte dictionaries), the pushed-
-// through weight block, and the stage's wiring inside the plan.
-func stageSignature(n *snode, inputs []int, objStore *store.ObjectStore, opts Options) plan.Sig {
+// stageSignature computes a stage's identity: the structural content
+// signature it is interned under in the plan store. It captures
+// everything that makes two compiled stages interchangeable: the
+// physical kernel kind, compile options that shape kernel construction,
+// the digests of the fused operators (kind, config, parameter content),
+// the pushed-through weight block, and the stage's wiring inside the
+// plan.
+func (g *graphIR) stageSignature(n *snode, inputs []int) plan.Sig {
 	h := sha256.New()
 	var b8 [8]byte
-	writeStr := func(s string) {
-		binary.LittleEndian.PutUint64(b8[:], uint64(len(s)))
-		h.Write(b8[:])
-		io.WriteString(h, s)
-	}
-	writeStr(kernelKindOf(n))
+	writeStr(h, kernelKindOf(n))
 	flags := byte(0)
-	if opts.AOT {
+	if g.opts.AOT {
 		flags |= 1
 	}
-	if opts.Materialization {
+	if g.opts.Materialization {
 		flags |= 2
 	}
 	if n.materializable {
@@ -182,23 +173,8 @@ func stageSignature(n *snode, inputs []int, objStore *store.ObjectStore, opts Op
 	binary.LittleEndian.PutUint64(b8[:], uint64(len(n.ops)))
 	h.Write(b8[:])
 	for _, op := range n.ops {
-		writeStr(op.Info().Kind)
-		if cfg, err := json.Marshal(op); err == nil {
-			binary.LittleEndian.PutUint64(b8[:], uint64(len(cfg)))
-			h.Write(b8[:])
-			h.Write(cfg)
-		}
-		for _, p := range op.Params() {
-			var d store.Digest
-			ok := false
-			if objStore != nil {
-				d, ok = objStore.CanonicalDigest(p)
-			}
-			if !ok {
-				d = store.DigestOf(p)
-			}
-			h.Write(d[:])
-		}
+		d := g.opDigest(op)
+		h.Write(d[:])
 	}
 	if n.pushed {
 		var b4 [4]byte
@@ -223,7 +199,7 @@ func stageSignature(n *snode, inputs []int, objStore *store.ObjectStore, opts Op
 	return sig
 }
 
-// --- Step 4: OutputGraphValidatorStep (6 rules) ---
+// --- Step 4: OutputGraphValidatorStep (5 rules) ---
 
 func outputStep() step {
 	done := false
@@ -277,15 +253,6 @@ func outputStep() step {
 			}
 			for _, n := range g.nodes {
 				n.outCap = outCapOf(n)
-			}
-			return false, nil
-		}},
-		{name: "AssignStageIDs", apply: func(g *graphIR) (bool, error) {
-			if done {
-				return false, nil
-			}
-			for _, n := range g.nodes {
-				n.id = stageIdentity(n)
 			}
 			return false, nil
 		}},
@@ -409,27 +376,6 @@ func outCapOf(n *snode) int {
 	}
 }
 
-// stageIdentity hashes the stage contents, including pushdown parameters
-// (two stages sharing dictionaries but carrying different pushed weights
-// must not share a kernel).
-func stageIdentity(n *snode) uint64 {
-	id := plan.StageID(kernelKindOf(n), n.ops)
-	if n.pushed {
-		h := fnv.New64a()
-		var b [4]byte
-		for _, w := range n.pushW {
-			binary.LittleEndian.PutUint32(b[:], math.Float32bits(w))
-			h.Write(b[:])
-		}
-		binary.LittleEndian.PutUint32(b[:], math.Float32bits(n.pushBias))
-		h.Write(b[:])
-		b[0] = byte(n.pushLink)
-		h.Write(b[:1])
-		id = id*0x100000001b3 ^ h.Sum64()
-	}
-	return id
-}
-
 // kernelKindOf names the physical implementation a stage maps to.
 func kernelKindOf(n *snode) string {
 	switch {
@@ -524,11 +470,13 @@ func buildKernel(n *snode) (plan.Kernel, error) {
 }
 
 // assemble produces the final plan from the optimized stage graph.
-// With a plan store configured (opts.Plans), each stage is interned by
-// structural signature: a structurally identical stage compiled before
-// is reused — its kernel, metrics and materialization identity — and
-// only genuinely new stages are built.
-func assemble(p *pipeline.Pipeline, g *graphIR, objStore *store.ObjectStore, opts Options) (*plan.Plan, error) {
+// Every stage is identified by its structural signature. With a plan
+// store configured (opts.Plans), each stage is interned under it: a
+// structurally identical stage compiled before is reused — its kernel,
+// metrics and materialization identity — and only genuinely new stages
+// are built.
+func assemble(p *pipeline.Pipeline, g *graphIR) (*plan.Plan, error) {
+	opts := g.opts
 	order, err := g.topo()
 	if err != nil {
 		return nil, err
@@ -550,10 +498,9 @@ func assemble(p *pipeline.Pipeline, g *graphIR, objStore *store.ObjectStore, opt
 	}
 	// On any failure the stage references interned so far must go back
 	// to the plan store, or they leak refcounts no plan owns.
-	var internedStages []*plan.Stage
 	fail := func(err error) (*plan.Plan, error) {
 		if opts.Plans != nil {
-			for _, s := range internedStages {
+			for _, s := range pl.Stages {
 				opts.Plans.Release(s)
 			}
 		}
@@ -574,9 +521,11 @@ func assemble(p *pipeline.Pipeline, g *graphIR, objStore *store.ObjectStore, opt
 			}
 		}
 		node := n
+		sig := g.stageSignature(node, inputs)
 		build := func() (*plan.Stage, error) {
 			st := &plan.Stage{
-				ID:             node.id,
+				ID:             binary.LittleEndian.Uint64(sig[:8]),
+				Sig:            sig,
 				Ops:            node.ops,
 				Inputs:         inputs,
 				OutCap:         node.outCap,
@@ -602,17 +551,12 @@ func assemble(p *pipeline.Pipeline, g *graphIR, objStore *store.ObjectStore, opt
 		}
 		var st *plan.Stage
 		if opts.Plans != nil {
-			shared, _, err := opts.Plans.Intern(stageSignature(node, inputs, objStore, opts), build)
-			if err != nil {
-				return fail(err)
-			}
-			internedStages = append(internedStages, shared)
-			st = shared
+			st, _, err = opts.Plans.Intern(sig, build)
 		} else {
 			st, err = build()
-			if err != nil {
-				return nil, err
-			}
+		}
+		if err != nil {
+			return fail(err)
 		}
 		pl.Stages = append(pl.Stages, st)
 	}

@@ -10,17 +10,21 @@
 //	                                     memory-bound chains
 //	StageGraphOptimizerStep   (9 rules)  CSE, inlining, linear-model
 //	                                     pushdown through Concat, ...
-//	OutputGraphValidatorStep  (6 rules)  stage schemas, sparsity and
-//	                                     vectorization labels, stage IDs
+//	OutputGraphValidatorStep  (5 rules)  stage schemas, sparsity and
+//	                                     vectorization labels, out caps
 package oven
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"io"
 
 	"pretzel/internal/ml"
 	"pretzel/internal/ops"
-	"pretzel/internal/plan"
 	"pretzel/internal/schema"
+	"pretzel/internal/store"
 )
 
 // snode is one stage under construction.
@@ -40,35 +44,63 @@ type snode struct {
 	sparse       bool
 	vectorizable bool
 	outCap       int
-	id           uint64
 
 	materializable bool
-	kern           plan.Kernel
 }
 
 // graphIR is the mutable optimizer state.
 type graphIR struct {
-	nodes  []*snode // insertion order; topo recomputed on demand
-	output *snode
-	opts   Options
-	stats  planStats
+	nodes    []*snode // insertion order; topo recomputed on demand
+	output   *snode
+	opts     Options
+	stats    planStats
+	objStore *store.ObjectStore // may be nil
 
-	// opSum memoizes operator checksums for the duration of one compile
-	// (rules ask repeatedly; hashing big dictionaries is expensive).
-	opSum map[ops.Op]uint64
+	// opDigests memoizes operator digests for the duration of one
+	// compile: CSE and every stage signature ask for them.
+	opDigests map[ops.Op][sha256.Size]byte
 }
 
-// checksum returns the memoized checksum of op.
-func (g *graphIR) checksum(op ops.Op) uint64 {
-	if g.opSum == nil {
-		g.opSum = make(map[ops.Op]uint64)
+// opDigest returns the memoized content digest of op: SHA-256 over its
+// kind, its configuration (the exported struct fields; parameter objects
+// carry `json:"-"` tags) and its parameters' content digests.
+// Configuration must be included: two Concat operators with different
+// Dims are different operators even though neither has parameters.
+func (g *graphIR) opDigest(op ops.Op) [sha256.Size]byte {
+	if d, ok := g.opDigests[op]; ok {
+		return d
 	}
-	if s, ok := g.opSum[op]; ok {
-		return s
+	h := sha256.New()
+	writeStr(h, op.Info().Kind)
+	if cfg, err := json.Marshal(op); err == nil {
+		writeStr(h, string(cfg))
 	}
-	s := ops.Checksum(op)
-	g.opSum[op] = s
-	return s
+	for _, p := range op.Params() {
+		var d store.Digest
+		ok := false
+		if g.objStore != nil {
+			// Canonical instances resolve by identity, without
+			// re-serializing megabyte dictionaries.
+			d, ok = g.objStore.CanonicalDigest(p)
+		}
+		if !ok {
+			d = store.DigestOf(p)
+		}
+		h.Write(d[:])
+	}
+	var d [sha256.Size]byte
+	h.Sum(d[:0])
+	g.opDigests[op] = d
+	return d
+}
+
+// writeStr writes s length-prefixed, so adjacent fields cannot run
+// into each other.
+func writeStr(w io.Writer, s string) {
+	var b8 [8]byte
+	binary.LittleEndian.PutUint64(b8[:], uint64(len(s)))
+	w.Write(b8[:])
+	io.WriteString(w, s)
 }
 
 // planStats carries training statistics into compilation.

@@ -178,7 +178,7 @@ func ruleMergeEqualStages(g *graphIR) (bool, error) {
 			}
 			same := true
 			for k := range a.ops {
-				if g.checksum(a.ops[k]) != g.checksum(b.ops[k]) {
+				if g.opDigest(a.ops[k]) != g.opDigest(b.ops[k]) {
 					same = false
 					break
 				}

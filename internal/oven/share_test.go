@@ -1,8 +1,10 @@
 package oven
 
 import (
+	"encoding/binary"
 	"testing"
 
+	"pretzel/internal/pipeline"
 	"pretzel/internal/plan"
 	"pretzel/internal/store"
 	"pretzel/internal/vector"
@@ -123,5 +125,35 @@ func TestCompileSharesFeaturizationAcrossVariants(t *testing.T) {
 	ReleasePlan(objStore, plans, plB)
 	if plans.Count() != 0 || objStore.Count() != 0 {
 		t.Fatalf("stores not drained: plans=%d params=%d", plans.Count(), objStore.Count())
+	}
+}
+
+// TestStageIDIsDerivedFromSig: a stage has one identity, its signature;
+// Stage.ID is only its first 8 bytes, whatever the compile path.
+func TestStageIDIsDerivedFromSig(t *testing.T) {
+	for _, withStore := range []bool{false, true} {
+		for _, withPlans := range []bool{false, true} {
+			for _, opts := range []Options{DefaultOptions(), {AOT: true, Materialization: true}, {AOT: false}} {
+				var objStore *store.ObjectStore
+				if withStore {
+					objStore = store.New()
+				}
+				if withPlans {
+					opts.Plans = plan.NewStageStore()
+				}
+				for _, p := range []*pipeline.Pipeline{buildSA(t, "sa", 0), buildAC(t, "ac")} {
+					pl, err := Compile(p, objStore, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, s := range pl.Stages {
+						if s.Sig == (plan.Sig{}) || s.ID != binary.LittleEndian.Uint64(s.Sig[:8]) {
+							t.Fatalf("%s store=%v plans=%v %+v stage %d: ID %x, Sig %x",
+								p.Name, withStore, withPlans, opts, i, s.ID, s.Sig)
+						}
+					}
+				}
+			}
+		}
 	}
 }

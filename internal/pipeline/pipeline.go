@@ -125,15 +125,6 @@ func (p *Pipeline) MemBytes() int {
 	return n
 }
 
-// Checksum combines all operator checksums into a pipeline identity.
-func (p *Pipeline) Checksum() uint64 {
-	var acc uint64 = uint64(len(p.Nodes))
-	for i, n := range p.Nodes {
-		acc = acc*0x100000001b3 ^ ops.Checksum(n.Op) ^ uint64(i)
-	}
-	return acc
-}
-
 // --- export / import ---
 
 // manifest is the JSON descriptor stored at the root of a model file.

@@ -144,6 +144,22 @@ func TestRunErrorPropagates(t *testing.T) {
 	}
 }
 
+// content concatenates every node's kind and its parameters' canonical
+// content bytes — what the Object Store's digests identify.
+func content(t *testing.T, p *Pipeline) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	for _, n := range p.Nodes {
+		b.WriteString(n.Op.Info().Kind + "\x00")
+		for _, q := range n.Op.Params() {
+			if err := q.WriteContent(&b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return b.Bytes()
+}
+
 func TestExportImportRoundTrip(t *testing.T) {
 	p := buildSA(t)
 	b, err := p.ExportBytes()
@@ -157,8 +173,8 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if got.Name != p.Name || len(got.Nodes) != len(p.Nodes) {
 		t.Fatalf("structure lost: %s %d nodes", got.Name, len(got.Nodes))
 	}
-	if got.Checksum() != p.Checksum() {
-		t.Fatal("checksum changed over export/import")
+	if !bytes.Equal(content(t, got), content(t, p)) {
+		t.Fatal("content changed over export/import")
 	}
 	if got.Stats != p.Stats {
 		t.Fatalf("stats lost: %+v", got.Stats)
@@ -193,17 +209,17 @@ func TestImportErrors(t *testing.T) {
 	}
 }
 
-func TestMemBytesAndChecksum(t *testing.T) {
+func TestMemBytesAndContent(t *testing.T) {
 	p := buildSA(t)
 	if p.MemBytes() < 1000 {
 		t.Fatalf("membytes too small: %d", p.MemBytes())
 	}
 	q := buildSA(t)
-	if p.Checksum() != q.Checksum() {
-		t.Fatal("identical pipelines must share checksum")
+	if !bytes.Equal(content(t, p), content(t, q)) {
+		t.Fatal("identical pipelines must share content")
 	}
 	q.Nodes = q.Nodes[:len(q.Nodes)-1]
-	if p.Checksum() == q.Checksum() {
+	if bytes.Equal(content(t, p), content(t, q)) {
 		t.Fatal("truncated pipeline must differ")
 	}
 }

@@ -9,7 +9,6 @@ package plan
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -171,9 +170,9 @@ type Kernel interface {
 
 // Stage is one node of the compiled plan DAG.
 type Stage struct {
-	// ID identifies the stage contents: kernel kind + parameter
-	// checksums. Stages with equal IDs across plans share the physical
-	// kernel instance (runtime catalog) and the materialization cache.
+	// ID is the first 8 bytes of Sig (little-endian): the compact key the
+	// materialization cache and PanicError use. It is derived from Sig,
+	// never an identity of its own.
 	ID uint64
 
 	// Ops is the logical view: the fused operator sequence.
@@ -182,9 +181,9 @@ type Stage struct {
 	// Inputs lists producer stage indices (InputID = plan input).
 	Inputs []int
 
-	// Sig is the structural content signature under which the stage is
-	// interned in the plan store; the zero Sig marks stages compiled
-	// without stage sharing.
+	// Sig is the stage's identity: its structural content signature,
+	// set on every compiled stage. Stages with equal Sigs are
+	// interchangeable, and the plan store shares one instance of them.
 	Sig Sig
 
 	// shared marks stages owned by a StageStore (see Shared).
@@ -266,9 +265,11 @@ func (s *Stage) OpKinds() []string {
 }
 
 // Kernel returns the stage's physical implementation, binding it on first
-// use when AOT compilation was disabled.
+// use when AOT compilation was disabled. A lazily bound Kern is written
+// inside bindOnce, so concurrent first requests read it only through
+// here.
 func (s *Stage) Kernel() Kernel {
-	if s.Kern == nil && s.Bind != nil {
+	if s.Bind != nil {
 		s.bindOnce.Do(func() { s.Kern = s.Bind() })
 	}
 	return s.Kern
@@ -331,18 +332,6 @@ func (p *Plan) Validate() error {
 		}
 	}
 	return nil
-}
-
-// StageID computes the identity hash of a fused operator sequence under a
-// physical kernel kind.
-func StageID(kernelKind string, fused []ops.Op) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(kernelKind))
-	var acc uint64 = h.Sum64()
-	for _, op := range fused {
-		acc = acc*0x100000001b3 ^ ops.Checksum(op)
-	}
-	return acc
 }
 
 // FNV-1a constants (hash/fnv, inlined so the hot path never pays an

@@ -9,11 +9,8 @@ import (
 // pushed-through weights and the stage wiring (input slots, output
 // capacity, flags). Two stages with equal signatures are functionally
 // interchangeable, so the plan store shares one compiled instance
-// between them. The zero Sig marks stages compiled without interning.
+// between them.
 type Sig [32]byte
-
-// zeroSig is the sentinel for non-interned stages.
-var zeroSig Sig
 
 // MemEstimate approximates the stage's own retained bytes outside the
 // Object Store: struct, kernel and metrics overhead. Weight blocks the
@@ -76,10 +73,10 @@ func (ss *StageStore) Intern(sig Sig, build func() (*Stage, error)) (st *Stage, 
 
 // Release gives back one reference on a stage obtained from Intern,
 // deleting the entry when the last reference drops. Stages that were
-// never interned (zero Sig / foreign instances) are ignored, so release
+// never interned (or belong to another store) are ignored, so release
 // paths may hand over every stage of a plan unconditionally.
 func (ss *StageStore) Release(st *Stage) {
-	if st == nil || !st.shared || st.Sig == zeroSig {
+	if st == nil || !st.shared {
 		return
 	}
 	ss.mu.Lock()

@@ -1,6 +1,6 @@
 // Package runtime implements the PRETZEL Runtime (§4.2.1): the system
-// catalog of registered model plans with physical-stage sharing, the
-// pooled execution resources, and the two serving engines —
+// catalog of registered model plans, the pooled execution resources and
+// the two serving engines —
 //
 //   - the request-response engine, which inlines a whole plan's execution
 //     into the calling goroutine (lowest latency, no scheduling overhead);
@@ -13,6 +13,11 @@
 // moves are atomic — in-flight requests finish on the version they
 // resolved, new requests see the new version — and Unregister drains
 // in-flight work before returning.
+//
+// Physical stages are shared in one place, the plan store the runtime
+// owns (PlanStore): plans compiled through it bind the same *plan.Stage
+// for structurally identical stages, so registration only links a plan
+// and never touches a stage's kernel.
 package runtime
 
 import (
@@ -169,13 +174,9 @@ type Runtime struct {
 	matCache  *store.MatCache
 	sched     *sched.Scheduler
 
-	mu      sync.RWMutex
-	models  map[string]*model
-	nextID  uint64
-	catalog map[uint64]plan.Kernel
-
-	catalogHits   uint64
-	catalogMisses uint64
+	mu     sync.RWMutex
+	models map[string]*model
+	nextID uint64
 
 	// Global admission state: requests currently admitted (both
 	// engines) and requests shed at admission with ErrOverloaded.
@@ -212,7 +213,6 @@ func New(objStore *store.ObjectStore, cfg Config) *Runtime {
 		objStore:  objStore,
 		planStore: plan.NewStageStore(),
 		models:    make(map[string]*model),
-		catalog:   make(map[uint64]plan.Kernel),
 	}
 	if cfg.MatCacheBytes > 0 {
 		rt.matCache = store.NewMatCache(cfg.MatCacheBytes)
@@ -407,10 +407,8 @@ func (rt *Runtime) LookupPlan(ref string) (*plan.Plan, error) {
 // Register installs a compiled plan. The plan name may carry an
 // explicit version ("sa@2"); a bare name installs version 1 and refuses
 // duplicates (use RegisterVersion or "name@version" to add versions).
-// Physical stages already present in the system catalog (same stage ID)
-// are shared — the plan's stage is rewired to the canonical kernel
-// instance, so similar plans share both parameters (via the Object
-// Store) and code (via the catalog).
+// Similar plans share parameters through the Object Store and whole
+// physical stages through the plan store, both at compile time.
 func (rt *Runtime) Register(p *plan.Plan) (uint64, error) {
 	name, ref := SplitRef(p.Name)
 	version := 0
@@ -458,26 +456,6 @@ func (rt *Runtime) register(p *plan.Plan, name string, version int, requireNewMo
 	if _, dup := m.versions[version]; dup {
 		return nil, fmt.Errorf("runtime: model %s@%d already registered", name, version)
 	}
-	for _, s := range p.Stages {
-		if k, ok := rt.catalog[s.ID]; ok {
-			// Rewire only when the stage actually carries a different
-			// kernel: a plan-store-shared stage is already bound to the
-			// canonical kernel and may be executing for other plans
-			// right now — rewriting it would race those readers. A
-			// fresh (unshared) stage is not published yet, so the write
-			// is safe.
-			if s.Kern != k {
-				s.Kern = k
-				s.Bind = nil
-			}
-			rt.catalogHits++
-			continue
-		}
-		if kern := s.Kernel(); kern != nil {
-			rt.catalog[s.ID] = kern
-		}
-		rt.catalogMisses++
-	}
 	rt.nextID++
 	r := &Registered{ID: rt.nextID, Name: name, Version: version, Plan: p, stats: m.stats}
 	m.versions[version] = r
@@ -518,9 +496,8 @@ func (rt *Runtime) SetLabel(name, label string, version int) error {
 // and versions return ErrModelNotFound. Removal releases everything the
 // removed plans held: their interned parameters go back to the Object
 // Store and their shared stages to the plan store (each dropped once its
-// last sharer leaves), and system-catalog kernels no remaining plan
-// references are pruned — so unregistering, or evicting a model to
-// disk, actually shrinks the resident set.
+// last sharer leaves) — so unregistering, or evicting a model to disk,
+// actually shrinks the resident set.
 func (rt *Runtime) Unregister(ref string) error {
 	name, rest := SplitRef(ref)
 	rt.mu.Lock()
@@ -552,7 +529,6 @@ func (rt *Runtime) Unregister(ref string) error {
 		}
 		drain = append(drain, r)
 	}
-	rt.pruneCatalogLocked(drain)
 	rt.mu.Unlock()
 	// New requests can no longer resolve the removed versions; wait for
 	// the ones that already did before giving their state back.
@@ -570,27 +546,6 @@ func (rt *Runtime) Unregister(ref string) error {
 	return nil
 }
 
-// pruneCatalogLocked drops system-catalog kernels that only the removed
-// plans referenced, so evicted models release their code as well as
-// their parameters. The caller holds rt.mu.
-func (rt *Runtime) pruneCatalogLocked(removed []*Registered) {
-	live := make(map[uint64]bool)
-	for _, m := range rt.models {
-		for _, r := range m.versions {
-			for _, s := range r.Plan.Stages {
-				live[s.ID] = true
-			}
-		}
-	}
-	for _, r := range removed {
-		for _, s := range r.Plan.Stages {
-			if !live[s.ID] {
-				delete(rt.catalog, s.ID)
-			}
-		}
-	}
-}
-
 // Names lists registered model names (bare, without versions), sorted.
 func (rt *Runtime) Names() []string {
 	rt.mu.RLock()
@@ -603,15 +558,14 @@ func (rt *Runtime) Names() []string {
 	return out
 }
 
-// CatalogStats reports physical-stage sharing counters.
+// CatalogStats counts the registered plans. Stage sharing is reported
+// by the plan store (PlanStoreStats).
 type CatalogStats struct {
-	Hits, Misses uint64
-	Kernels      int
-	Plans        int // installed versions across all models
-	Models       int // distinct model names
+	Plans  int // installed versions across all models
+	Models int // distinct model names
 }
 
-// CatalogStats returns a snapshot of catalog counters.
+// CatalogStats returns a snapshot of the catalog counts.
 func (rt *Runtime) CatalogStats() CatalogStats {
 	rt.mu.RLock()
 	defer rt.mu.RUnlock()
@@ -619,13 +573,7 @@ func (rt *Runtime) CatalogStats() CatalogStats {
 	for _, m := range rt.models {
 		plans += len(m.versions)
 	}
-	return CatalogStats{
-		Hits:    rt.catalogHits,
-		Misses:  rt.catalogMisses,
-		Kernels: len(rt.catalog),
-		Plans:   plans,
-		Models:  len(rt.models),
-	}
+	return CatalogStats{Plans: plans, Models: len(rt.models)}
 }
 
 // --- white-box model introspection ---
@@ -703,8 +651,8 @@ func stageInfos(p *plan.Plan) []StageInfo {
 	out := make([]StageInfo, len(p.Stages))
 	for i, s := range p.Stages {
 		kind := ""
-		if s.Kern != nil {
-			kind = s.Kern.Kind()
+		if k := s.Kernel(); k != nil {
+			kind = k.Kind()
 		}
 		st := s.Stats()
 		out[i] = StageInfo{

@@ -131,45 +131,103 @@ func TestEnginesAgree(t *testing.T) {
 	}
 }
 
+// TestCatalogSharing: the plan store is the §4.2.1 catalog. Plans
+// compiled through it bind the same *plan.Stage wherever their stages
+// are identical, and only there.
 func TestCatalogSharing(t *testing.T) {
 	rt, os := newRT(t, Config{Executors: 1})
-	// Identical pipelines: every stage shared.
-	register(t, rt, os, saPipeline(t, "a", 0), oven.DefaultOptions())
-	register(t, rt, os, saPipeline(t, "b", 0), oven.DefaultOptions())
-	st := rt.CatalogStats()
-	if st.Hits != 2 {
-		t.Fatalf("identical plans must share both stages: %+v", st)
+	opts := oven.DefaultOptions()
+	opts.Plans = rt.PlanStore()
+	a := register(t, rt, os, saPipeline(t, "a", 0), opts)
+	b := register(t, rt, os, saPipeline(t, "b", 0), opts)
+	for i := range a.Stages {
+		if a.Stages[i] != b.Stages[i] {
+			t.Fatalf("identical plans must bind the same stage %d", i)
+		}
 	}
-	if st.Kernels != 2 {
-		t.Fatalf("catalog should hold 2 kernels: %+v", st)
+	if st := rt.PlanStoreStats(); st.Unique != 2 || st.Hits != 2 {
+		t.Fatalf("identical plans must share both stages: %+v", st)
 	}
 	// Same dicts, different word-block weights: the head stage (identical
 	// char block) still shares; the tail stage must not.
-	register(t, rt, os, saPipeline(t, "c", 1), oven.DefaultOptions())
-	st2 := rt.CatalogStats()
-	if st2.Hits != st.Hits+1 {
-		t.Fatalf("head should share, tail should not: %+v", st2)
+	c := register(t, rt, os, saPipeline(t, "c", 1), opts)
+	if c.Stages[0] != a.Stages[0] {
+		t.Fatal("head stage must be shared")
 	}
-	cPlan, err := rt.LookupPlan("c")
+	if c.Stages[1] == a.Stages[1] || c.Stages[1].Kern == a.Stages[1].Kern {
+		t.Fatal("tail stages with different weights must not be shared")
+	}
+	if st := rt.PlanStoreStats(); st.Unique != 3 || st.Refs != 6 {
+		t.Fatalf("plan store after the near-twin: %+v", st)
+	}
+}
+
+// TestRegisterKeepsEachPlansKernels: registration links a plan and never
+// rebinds its stages, even when another plan's stage carries the same
+// 64-bit ID. (The runtime once rebound stages by ID, so a plan whose IDs
+// collided with an earlier one answered with the earlier weights.)
+func TestRegisterKeepsEachPlansKernels(t *testing.T) {
+	rt, os := newRT(t, Config{Executors: 1})
+	a, err := oven.Compile(saPipeline(t, "a", 0), os, oven.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	aPlan, err := rt.LookupPlan("a")
+	b, err := oven.Compile(saPipeline(t, "b", 5), os, oven.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cPlan.Stages[1].Kern == aPlan.Stages[1].Kern {
-		t.Fatal("tail kernels with different weights must not be shared")
+	for i := range b.Stages {
+		b.Stages[i].ID = a.Stages[i].ID
 	}
-	// Shared kernel instances must actually be the same object.
-	a := aPlan
-	b, err := rt.LookupPlan("b")
-	if err != nil {
+	tailB := b.Stages[len(b.Stages)-1].Kern
+	for _, pl := range []*plan.Plan{a, b} {
+		if _, err := rt.Register(pl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if b.Stages[len(b.Stages)-1].Kern != tailB {
+		t.Fatal("registration rebound b's tail kernel")
+	}
+	in, outA, outB := vector.New(0), vector.New(0), vector.New(0)
+	in.SetText("a nice product")
+	if err := rt.PredictRequest(Request{Model: "a", In: in, Out: outA}); err != nil {
 		t.Fatal(err)
 	}
-	for i := range a.Stages {
-		if a.Stages[i].Kern != b.Stages[i].Kern {
-			t.Fatalf("stage %d kernel not shared", i)
+	if err := rt.PredictRequest(Request{Model: "b", In: in, Out: outB}); err != nil {
+		t.Fatal(err)
+	}
+	if outA.Dense[0] == outB.Dense[0] {
+		t.Fatalf("b answered with a's weights: %v", outB.Dense[0])
+	}
+}
+
+// TestAOTOffBindsAtFirstRequest: with AOT off (the §5.2.1 ablation) a
+// registered plan's kernels stay unbound until the first request, and
+// concurrent first requests bind them safely.
+func TestAOTOffBindsAtFirstRequest(t *testing.T) {
+	rt, os := newRT(t, Config{Executors: 1})
+	pl := register(t, rt, os, saPipeline(t, "sa", 0), oven.Options{AOT: false})
+	for i, s := range pl.Stages {
+		if s.Kern != nil {
+			t.Fatalf("stage %d bound at registration", i)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			in, out := vector.New(0), vector.New(0)
+			in.SetText("a nice product")
+			if err := rt.PredictRequest(Request{Model: "sa", In: in, Out: out}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, s := range pl.Stages {
+		if s.Kern == nil {
+			t.Fatalf("stage %d unbound after the first request", i)
 		}
 	}
 }
@@ -312,8 +370,8 @@ func resident(rt *Runtime) [2]any {
 // engine (and lifecycle eviction) relies on: Unregister gives back the
 // removed plan's parameters and shared stages, so both stores return to
 // their pre-register Stats() once the last sharer of each object leaves
-// (shared ones stay for their surviving users), and catalog kernels
-// nothing else references are pruned.
+// (shared ones stay for their surviving users) and the plan store ends
+// empty.
 func TestUnregisterFreesStoresAndCatalog(t *testing.T) {
 	rt, os := newRT(t, Config{Executors: 1})
 	opts := oven.DefaultOptions()
@@ -323,7 +381,7 @@ func TestUnregisterFreesStoresAndCatalog(t *testing.T) {
 	// their featurizer stages, but carry distinct weights.
 	register(t, rt, os, saPipeline(t, "a", 0), opts)
 	onlyA := resident(rt)
-	kernelsA := rt.CatalogStats().Kernels
+	stagesA := rt.PlanStore().Count()
 	register(t, rt, os, saPipeline(t, "b", 1), opts)
 	if both := resident(rt); both == onlyA {
 		t.Fatal("b must add its own weights and scorer stage")
@@ -335,8 +393,8 @@ func TestUnregisterFreesStoresAndCatalog(t *testing.T) {
 	if got := resident(rt); got != onlyA {
 		t.Fatalf("unregistering b must return the stores to a's footprint:\n got %+v\nwant %+v", got, onlyA)
 	}
-	if got := rt.CatalogStats().Kernels; got != kernelsA {
-		t.Fatalf("unregistering b must prune its unique kernels: %d != %d", got, kernelsA)
+	if got := rt.PlanStore().Count(); got != stagesA {
+		t.Fatalf("unregistering b must drop its unique stages: %d != %d", got, stagesA)
 	}
 	in, out := vector.New(0), vector.New(0)
 	in.SetText("nice product")
@@ -350,8 +408,8 @@ func TestUnregisterFreesStoresAndCatalog(t *testing.T) {
 	if got := resident(rt); got != empty {
 		t.Fatalf("unregistering the last sharer must empty both stores:\n got %+v\nwant %+v", got, empty)
 	}
-	if got := rt.CatalogStats().Kernels; got != 0 {
-		t.Fatalf("unregistering the last model must empty the catalog: %d kernels left", got)
+	if got := rt.PlanStore().Count(); got != 0 {
+		t.Fatalf("unregistering the last model must empty the plan store: %d stages left", got)
 	}
 	if err := rt.PredictRequest(Request{Model: "a", In: in, Out: out}); !errors.Is(err, ErrModelNotFound) {
 		t.Fatalf("unregistered model must be gone: %v", err)

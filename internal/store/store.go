@@ -1,13 +1,15 @@
 // Package store implements the PRETZEL Object Store (§4.1.3): a
-// checksum-keyed registry that deduplicates operator parameters across
-// model plans, plus the LRU cache backing sub-plan materialization (§4.3).
+// content-addressed registry that deduplicates operator parameters
+// across model plans, plus the LRU cache backing sub-plan
+// materialization (§4.3).
 //
 // "The Object Store is populated off-line by the Model Plan Compiler:
 // when a Flour program is submitted for planning, new parameters are kept
 // in the Object Store, while parameters that already exist are ignored
 // and the stage information is rewritten to reuse the previously loaded
 // one. Parameters equality is computed by looking at the checksum of the
-// serialized version of the objects."
+// serialized version of the objects." That checksum is the SHA-256
+// Digest, the only identity a parameter has.
 package store
 
 import (
@@ -21,24 +23,13 @@ import (
 	"pretzel/internal/vector"
 )
 
-// Key is the fast-path fingerprint of a parameter object: dynamic type
-// plus 64-bit content checksum. It is a bucket index, NOT an identity —
-// at 10k-model scale a bare 64-bit fingerprint would eventually intern
-// one model onto another model's weights. Identity is the Digest: the
-// SHA-256 content address verified on every checksum hit.
-type Key struct {
-	Kind string
-	Sum  uint64
-}
-
 // Digest is the collision-safe content address of a parameter: SHA-256
 // over the dynamic type name and the canonical serialized bytes
 // (ops.Param.WriteContent).
 type Digest [sha256.Size]byte
 
 // entry is one interned parameter with its content address and
-// reference count. Entries sharing a Key (a 64-bit collision) chain in
-// the bucket; the digest tells them apart.
+// reference count.
 type entry struct {
 	val    ops.Param
 	digest Digest
@@ -47,104 +38,72 @@ type entry struct {
 
 // ObjectStore interns parameter objects.
 type ObjectStore struct {
-	mu     sync.Mutex
-	params map[Key][]*entry
+	mu       sync.Mutex
+	byDigest map[Digest]*entry
+	// byInstance indexes the same entries by their canonical instance:
+	// a canonical parameter is its own proof of content equality, so
+	// re-interning, releasing or signing it never re-serializes it.
+	byInstance map[ops.Param]*entry
 
-	hits       uint64
-	misses     uint64
-	collisions uint64 // checksum hits whose content digest did NOT match
+	hits   uint64
+	misses uint64
 }
 
 // New returns an empty Object Store.
 func New() *ObjectStore {
-	return &ObjectStore{params: make(map[Key][]*entry)}
-}
-
-// KeyOf computes the fast-path bucket key of a parameter.
-func KeyOf(p ops.Param) Key {
-	return Key{Kind: fmt.Sprintf("%T", p), Sum: p.Checksum()}
+	return &ObjectStore{byDigest: make(map[Digest]*entry), byInstance: make(map[ops.Param]*entry)}
 }
 
 // DigestOf computes the collision-safe content address of a parameter.
 // A parameter whose WriteContent fails (a malformed object that cannot
 // serialize) gets an address derived from the error and its own
-// checksum under a distinguishing tag, so it never silently aliases a
-// well-formed parameter — worst case it fails to dedup.
+// instance address under a distinguishing tag, so it never aliases
+// another parameter — worst case it fails to dedup.
 func DigestOf(p ops.Param) Digest {
 	h := sha256.New()
 	io.WriteString(h, fmt.Sprintf("%T\x00", p))
 	if err := p.WriteContent(h); err != nil {
-		io.WriteString(h, fmt.Sprintf("\x00!unserializable:%v:%x", err, p.Checksum()))
+		io.WriteString(h, fmt.Sprintf("\x00!unserializable:%v:%p", err, p))
 	}
 	var d Digest
 	h.Sum(d[:0])
 	return d
 }
 
-// lookupLocked finds p's canonical entry: first by instance identity
-// (a canonical parameter is its own proof of content equality), then by
-// content digest. The caller holds s.mu; digest computation is the
-// caller's job when identity misses (it serializes the parameter and
-// must not run under the lock for no reason on the identity fast path).
-func (s *ObjectStore) lookupByIdentityLocked(k Key, p ops.Param) *entry {
-	for _, e := range s.params[k] {
-		if e.val == p {
-			return e
-		}
+// lookup finds p's canonical entry — by instance identity first, by
+// content digest second — and returns it (nil when absent) with p's
+// digest and s.mu held; the caller unlocks. The digest is computed
+// outside the lock: serializing a large dictionary is the expensive part
+// of interning, and concurrent registrations of different models must
+// not serialize on one mutex for it.
+func (s *ObjectStore) lookup(p ops.Param) (*entry, Digest) {
+	s.mu.Lock()
+	if e := s.byInstance[p]; e != nil {
+		return e, e.digest
 	}
-	return nil
-}
-
-func (s *ObjectStore) lookupByDigestLocked(k Key, d Digest) *entry {
-	for _, e := range s.params[k] {
-		if e.digest == d {
-			return e
-		}
-	}
-	return nil
+	s.mu.Unlock()
+	d := DigestOf(p)
+	s.mu.Lock()
+	return s.byDigest[d], d
 }
 
 // Intern returns the canonical instance for p: if a parameter with
 // byte-equal content is already stored that instance is returned (and p
 // becomes garbage), otherwise p itself is stored and returned. The
 // reference count of the canonical instance is incremented either way.
-//
-// A checksum hit alone is never trusted: the candidate's SHA-256
-// content digest must match the stored entry's, otherwise the
-// parameters merely collide in 64 bits and both are kept (chained in
-// the bucket, counted in Stats.Collisions). Interning the canonical
-// instance itself takes the identity fast path and skips serialization.
 func (s *ObjectStore) Intern(p ops.Param) ops.Param {
-	k := KeyOf(p)
-	s.mu.Lock()
-	if e := s.lookupByIdentityLocked(k, p); e != nil {
-		e.refs++
-		s.hits++
-		s.mu.Unlock()
-		return e.val
-	}
-	s.mu.Unlock()
-
-	// Serialize outside the lock: content digests of large dictionaries
-	// are the expensive part of interning, and concurrent registrations
-	// of different models must not serialize on one mutex for it.
-	d := DigestOf(p)
-
-	s.mu.Lock()
+	e, d := s.lookup(p)
 	defer s.mu.Unlock()
-	if e := s.lookupByDigestLocked(k, d); e != nil {
-		e.refs++
+	if e == nil {
+		e = &entry{val: p, digest: d}
+		s.byDigest[d] = e
+		s.byInstance[p] = e
+		s.misses++
+	} else {
 		s.hits++
-		return e.val
 	}
-	if len(s.params[k]) > 0 {
-		// Same 64-bit checksum, different content: the collision the
-		// digest verification exists to catch.
-		s.collisions++
-	}
-	s.params[k] = append(s.params[k], &entry{val: p, digest: d, refs: 1})
-	s.misses++
-	return p
+	e.refs++
+	return e.val
 }
 
 // CanonicalDigest returns the stored content address of a canonical
@@ -153,76 +112,37 @@ func (s *ObjectStore) Intern(p ops.Param) ops.Param {
 // then fall back to DigestOf. The oven builds stage signatures from
 // these digests, so signing a plan costs O(stages), not O(param bytes).
 func (s *ObjectStore) CanonicalDigest(p ops.Param) (Digest, bool) {
-	k := KeyOf(p)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e := s.lookupByIdentityLocked(k, p); e != nil {
+	if e := s.byInstance[p]; e != nil {
 		return e.digest, true
 	}
 	return Digest{}, false
 }
 
 // Refs returns the current reference count of p's canonical entry
-// (0 when p is not interned). Identity-first like Release.
+// (0 when p is not interned).
 func (s *ObjectStore) Refs(p ops.Param) int {
-	k := KeyOf(p)
-	s.mu.Lock()
-	if e := s.lookupByIdentityLocked(k, p); e != nil {
-		refs := e.refs
-		s.mu.Unlock()
-		return refs
-	}
-	s.mu.Unlock()
-	d := DigestOf(p)
-	s.mu.Lock()
+	e, _ := s.lookup(p)
 	defer s.mu.Unlock()
-	if e := s.lookupByDigestLocked(k, d); e != nil {
-		return e.refs
+	if e == nil {
+		return 0
 	}
-	return 0
+	return e.refs
 }
 
 // Release decrements the reference count of p's canonical instance,
-// removing it from the store when it drops to zero. Like Intern it
-// matches by identity first and content digest second — never by bare
-// checksum, which could release a colliding stranger's entry.
+// removing it from the store when it drops to zero.
 func (s *ObjectStore) Release(p ops.Param) {
-	k := KeyOf(p)
-	s.mu.Lock()
-	if s.releaseLocked(k, s.lookupByIdentityLocked(k, p)) {
-		s.mu.Unlock()
+	e, _ := s.lookup(p)
+	defer s.mu.Unlock()
+	if e == nil {
 		return
 	}
-	s.mu.Unlock()
-	d := DigestOf(p)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.releaseLocked(k, s.lookupByDigestLocked(k, d))
-}
-
-// releaseLocked decrements e (when found) and prunes empty entries and
-// buckets. Reports whether an entry was found. Caller holds s.mu.
-func (s *ObjectStore) releaseLocked(k Key, e *entry) bool {
-	if e == nil {
-		return false
+	if e.refs--; e.refs <= 0 {
+		delete(s.byDigest, e.digest)
+		delete(s.byInstance, e.val)
 	}
-	e.refs--
-	if e.refs <= 0 {
-		bucket := s.params[k]
-		for i, be := range bucket {
-			if be == e {
-				bucket[i] = bucket[len(bucket)-1]
-				bucket = bucket[:len(bucket)-1]
-				break
-			}
-		}
-		if len(bucket) == 0 {
-			delete(s.params, k)
-		} else {
-			s.params[k] = bucket
-		}
-	}
-	return true
 }
 
 // InternOp interns all parameters of an operator in place, rewiring the
@@ -243,30 +163,18 @@ func (s *ObjectStore) InternOp(op ops.Op) error {
 func (s *ObjectStore) Count() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for _, bucket := range s.params {
-		n += len(bucket)
-	}
-	return n
-}
-
-// memBytesLocked sums the stored parameters' footprint; the caller
-// holds s.mu.
-func (s *ObjectStore) memBytesLocked() int {
-	n := 0
-	for _, bucket := range s.params {
-		for _, e := range bucket {
-			n += e.val.MemBytes()
-		}
-	}
-	return n
+	return len(s.byDigest)
 }
 
 // MemBytes sums the footprint of the unique stored parameters.
 func (s *ObjectStore) MemBytes() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.memBytesLocked()
+	n := 0
+	for _, e := range s.byDigest {
+		n += e.val.MemBytes()
+	}
+	return n
 }
 
 // Stats is a snapshot of intern hit/miss counters, the footprint of the
@@ -284,26 +192,19 @@ type Stats struct {
 	// BytesSaved is Σ (refs-1) × bytes per unique parameter: the RAM a
 	// copy-per-reference (black-box) runtime would additionally hold.
 	BytesSaved int64 `json:"bytes_saved"`
-	// Collisions counts interns whose 64-bit checksum matched a stored
-	// parameter but whose content digest did not — the silently-wrong-
-	// weights case the content address exists to catch.
-	Collisions uint64 `json:"collisions,omitempty"`
 }
 
 // Stats returns a snapshot of the store counters.
 func (s *ObjectStore) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := Stats{Hits: s.hits, Misses: s.misses, Collisions: s.collisions}
-	for _, bucket := range s.params {
-		for _, e := range bucket {
-			st.Unique++
-			b := e.val.MemBytes()
-			st.Bytes += b
-			st.Refs += uint64(e.refs)
-			if e.refs > 1 {
-				st.BytesSaved += int64(e.refs-1) * int64(b)
-			}
+	st := Stats{Hits: s.hits, Misses: s.misses, Unique: len(s.byDigest)}
+	for _, e := range s.byDigest {
+		b := e.val.MemBytes()
+		st.Bytes += b
+		st.Refs += uint64(e.refs)
+		if e.refs > 1 {
+			st.BytesSaved += int64(e.refs-1) * int64(b)
 		}
 	}
 	return st

@@ -1,10 +1,12 @@
 package store
 
 import (
+	"errors"
 	"io"
 	"sync"
 	"testing"
 
+	"pretzel/internal/ml"
 	"pretzel/internal/ops"
 	"pretzel/internal/text"
 	"pretzel/internal/vector"
@@ -48,7 +50,13 @@ func TestInternTypeDiscrimination(t *testing.T) {
 	s.Intern(f1)
 	s.Intern(d1)
 	if s.Count() != 2 {
-		t.Fatal("different types must never collide, even with equal checksums")
+		t.Fatal("different types must never collide")
+	}
+	// A tree featurizer serializes exactly its forest's bytes; the digest
+	// is type-qualified, so the two stay apart.
+	forest := &ml.Forest{Trees: []*ml.Tree{{Nodes: []ml.TreeNode{{Feature: -1, Value: 1}}, Leaves: 1}}}
+	if s.Intern(forest) == ops.Param(s.Intern(ml.NewTreeFeaturizer(forest))) || s.Count() != 4 {
+		t.Fatalf("a tree featurizer must not alias its forest (count=%d)", s.Count())
 	}
 }
 
@@ -279,49 +287,54 @@ func TestMatCacheConcurrent(t *testing.T) {
 	}
 }
 
-// forgedParam lets tests pin the 64-bit checksum independently of the
-// content bytes — simulating a fingerprint collision between two
-// different models' parameters.
-type forgedParam struct {
-	sum     uint64
+// contentParam is a parameter whose serialized content the test picks.
+// With err set it is malformed: WriteContent writes the content and
+// then fails.
+type contentParam struct {
 	content string
+	err     error
 }
 
-func (f *forgedParam) Checksum() uint64 { return f.sum }
-func (f *forgedParam) MemBytes() int    { return len(f.content) }
-func (f *forgedParam) WriteContent(w io.Writer) error {
-	_, err := io.WriteString(w, f.content)
-	return err
+func (p *contentParam) MemBytes() int { return len(p.content) }
+func (p *contentParam) WriteContent(w io.Writer) error {
+	if _, err := io.WriteString(w, p.content); err != nil {
+		return err
+	}
+	return p.err
 }
 
+// TestInternChecksumCollision: the content digest — §4.1.3's "checksum
+// of the serialized version" — is a parameter's only identity, so
+// distinct content never aliases, equal content dedups, and a parameter
+// that cannot serialize aliases nothing.
 func TestInternChecksumCollision(t *testing.T) {
 	s := New()
-	a := &forgedParam{sum: 42, content: "model-A weights"}
-	b := &forgedParam{sum: 42, content: "model-B weights"}
-	ca := s.Intern(a)
-	cb := s.Intern(b)
-	if ca == cb {
-		t.Fatal("checksum collision must not intern one model onto another's weights")
+	a := &contentParam{content: "model-A weights"}
+	b := &contentParam{content: "model-B weights"}
+	ca, cb := s.Intern(a), s.Intern(b)
+	if ca == cb || s.Count() != 2 {
+		t.Fatalf("distinct content must give two entries (count=%d)", s.Count())
 	}
-	if s.Count() != 2 {
-		t.Fatalf("count=%d, want both collided params stored", s.Count())
+	if s.Intern(&contentParam{content: "model-B weights"}) != cb {
+		t.Fatal("equal content must dedup")
 	}
-	if st := s.Stats(); st.Collisions != 1 {
-		t.Fatalf("collisions=%d, want 1", st.Collisions)
+	truncated := errors.New("truncated")
+	x := &contentParam{content: "model-A weights", err: truncated}
+	y := &contentParam{content: "model-A weights", err: truncated}
+	if s.Intern(x) != x || s.Intern(y) != y {
+		t.Fatal("an unserializable parameter must alias neither a well-formed one nor another unserializable one")
 	}
-	// Equal content still dedups inside a collided bucket.
-	c := &forgedParam{sum: 42, content: "model-B weights"}
-	if s.Intern(c) != cb {
-		t.Fatal("equal content in a collided bucket must still dedup")
+	if s.Count() != 4 {
+		t.Fatalf("count=%d, want 4", s.Count())
 	}
-	if s.Refs(a) != 1 || s.Refs(b) != 2 {
-		t.Fatalf("refs a=%d b=%d", s.Refs(a), s.Refs(b))
+	if s.Refs(a) != 1 || s.Refs(b) != 2 || s.Refs(x) != 1 || s.Refs(y) != 1 {
+		t.Fatalf("refs a=%d b=%d x=%d y=%d", s.Refs(a), s.Refs(b), s.Refs(x), s.Refs(y))
 	}
-	s.Release(a)
-	s.Release(b)
-	s.Release(cb)
-	if s.Count() != 0 {
-		t.Fatalf("count=%d after releasing all", s.Count())
+	for _, p := range []ops.Param{a, b, cb, x, y} {
+		s.Release(p)
+	}
+	if st := s.Stats(); s.Count() != 0 || st.Unique != 0 || st.Refs != 0 || st.Bytes != 0 {
+		t.Fatalf("count=%d stats=%+v after releasing all", s.Count(), st)
 	}
 }
 
@@ -336,17 +349,5 @@ func TestStatsSharingView(t *testing.T) {
 	}
 	if want := int64(2) * int64(a.MemBytes()); st.BytesSaved != want {
 		t.Fatalf("bytes_saved=%d want %d", st.BytesSaved, want)
-	}
-}
-
-func TestKeyOf(t *testing.T) {
-	a := KeyOf(dict("q"))
-	b := KeyOf(dict("q"))
-	if a != b {
-		t.Fatal("equal params must share key")
-	}
-	c := KeyOf(&ops.Floats{V: []float32{}})
-	if a.Kind == c.Kind {
-		t.Fatal("kinds must differ across types")
 	}
 }

@@ -4,10 +4,8 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"sort"
-	"sync/atomic"
 )
 
 // Dict maps n-gram terms to feature indices. Dictionaries are the large
@@ -16,13 +14,6 @@ import (
 // between pipelines.
 type Dict struct {
 	Terms map[string]int32
-
-	// Checksum cache: computing the content hash of a large dictionary
-	// is expensive and the optimizer asks for it repeatedly. sumValid is
-	// set after sum (ordering matters for concurrent readers); Add
-	// invalidates.
-	sum      atomic.Uint64
-	sumValid atomic.Bool
 }
 
 // NewDict returns an empty dictionary.
@@ -36,7 +27,6 @@ func (d *Dict) Add(term string) int32 {
 	if ix, ok := d.Terms[term]; ok {
 		return ix
 	}
-	d.sumValid.Store(false)
 	ix := int32(len(d.Terms))
 	d.Terms[term] = ix
 	return ix
@@ -67,30 +57,6 @@ func (d *Dict) MemBytes() int {
 		n += len(t) + 16 + 32 // string bytes + header + bucket share
 	}
 	return n
-}
-
-// Checksum returns a content hash identifying the dictionary, independent
-// of map iteration order. The Object Store keys parameters by this value.
-// The hash is cached: mutating the dictionary after the first Checksum
-// call (via Add) invalidates it.
-func (d *Dict) Checksum() uint64 {
-	if d.sumValid.Load() {
-		return d.sum.Load()
-	}
-	// XOR of per-entry hashes is order-independent.
-	var acc uint64
-	var buf [4]byte
-	for t, ix := range d.Terms {
-		h := fnv.New64a()
-		io.WriteString(h, t)
-		binary.LittleEndian.PutUint32(buf[:], uint32(ix))
-		h.Write(buf[:])
-		acc ^= h.Sum64()
-	}
-	acc ^= uint64(len(d.Terms)) << 32
-	d.sum.Store(acc)
-	d.sumValid.Store(true)
-	return acc
 }
 
 // WriteContent implements ops.Param: the canonical serialized bytes the

@@ -81,6 +81,19 @@ func TestDictBasics(t *testing.T) {
 	}
 }
 
+// content returns the dictionary's canonical serialized bytes — what
+// the Object Store's content digest, its identity, hashes.
+func content(t *testing.T, d *Dict) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := d.WriteContent(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// TestDictChecksumOrderIndependent: the content bytes identify a
+// dictionary independently of map iteration order.
 func TestDictChecksumOrderIndependent(t *testing.T) {
 	a := NewDict()
 	a.Add("x")
@@ -90,19 +103,18 @@ func TestDictChecksumOrderIndependent(t *testing.T) {
 	b.Add("x")
 	b.Add("y")
 	b.Add("z")
-	if a.Checksum() != b.Checksum() {
-		t.Fatal("identical dicts must have same checksum")
+	if !bytes.Equal(content(t, a), content(t, b)) {
+		t.Fatal("identical dicts must have the same content")
 	}
 	c := NewDict()
 	c.Add("x")
 	c.Add("z") // different index assignment
 	c.Add("y")
-	if a.Checksum() == c.Checksum() {
-		t.Fatal("different index assignment should change checksum")
+	if bytes.Equal(content(t, a), content(t, c)) {
+		t.Fatal("different index assignment should change the content")
 	}
-	e := NewDict()
-	if e.Checksum() == a.Checksum() {
-		t.Fatal("empty vs nonempty checksum collision")
+	if bytes.Equal(content(t, NewDict()), content(t, a)) {
+		t.Fatal("empty vs nonempty content collision")
 	}
 }
 
@@ -127,8 +139,8 @@ func TestDictRoundTrip(t *testing.T) {
 			t.Fatalf("term %q: %d != %d", term, got.Lookup(term), ix)
 		}
 	}
-	if got.Checksum() != d.Checksum() {
-		t.Fatal("checksum changed over round trip")
+	if !bytes.Equal(content(t, got), content(t, d)) {
+		t.Fatal("content changed over round trip")
 	}
 }
 
@@ -180,7 +192,7 @@ func TestDictBuilderDeterministicTies(t *testing.T) {
 	}
 	d1 := build([]string{"b", "a", "c"})
 	d2 := build([]string{"c", "b", "a"})
-	if d1.Checksum() != d2.Checksum() {
+	if !bytes.Equal(content(t, d1), content(t, d2)) {
 		t.Fatal("tie-broken builds must be deterministic")
 	}
 }

@@ -14,8 +14,8 @@
 //	store   — Object Store (parameter dedup) + materialization cache
 //	flour   — the language-integrated pipeline-authoring API
 //	oven    — optimizer (4 rule-based rewrite steps) + plan compiler
-//	plan    — compiled model plans and physical stage kernels
-//	runtime — system catalog, executors, request-response/batch engines
+//	plan    — compiled model plans, physical stage kernels, plan store
+//	runtime — registered plans, executors, request-response/batch engines
 //	sched   — event-based two-priority scheduler with reservations
 //	frontend— HTTP front end with result caching and delayed batching
 //	ml/ops/text — the model and operator substrate
