@@ -11,7 +11,6 @@ import (
 	"os"
 	goruntime "runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -150,7 +149,7 @@ func BenchmarkFig9LatencyMLNetHotSA(b *testing.B) {
 func BenchmarkFig10Materialization(b *testing.B) {
 	rt, names, input := saServing(b,
 		runtime.Config{Executors: 2, MatCacheBytes: 64 << 20},
-		oven.Options{AOT: true, Materialization: true})
+		oven.Options{Materialization: true})
 	in, out := vector.New(0), vector.New(0)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -201,36 +200,6 @@ func BenchmarkFig12BatchEngineThroughput(b *testing.B) {
 		done += k
 	}
 }
-
-// benchmarkScalePool measures concurrent request-response throughput
-// with the given pool sharding (1 = the seed's global-mutex pool,
-// 0 = one shard per core). Run with -cpu 1,2,4,8 for the scaling curve:
-// the sharded pool must beat the global pool at GOMAXPROCS >= 8.
-func benchmarkScalePool(b *testing.B, poolShards int) {
-	rt, names, input := saServing(b, runtime.Config{Executors: 1, PoolShards: poolShards}, oven.DefaultOptions())
-	b.ReportAllocs()
-	b.ResetTimer()
-	var next int64
-	b.RunParallel(func(pb *testing.PB) {
-		in, out := vector.New(0), vector.New(0)
-		for pb.Next() {
-			i := atomic.AddInt64(&next, 1)
-			in.SetText(input)
-			if err := rt.PredictRequest(runtime.Request{Model: names[i%int64(len(names))], In: in, Out: out}); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-}
-
-// BenchmarkScalePoolGlobal is the seed contention profile: every
-// concurrent Predict serializes on one pool mutex.
-func BenchmarkScalePoolGlobal(b *testing.B) { benchmarkScalePool(b, 1) }
-
-// BenchmarkScalePoolSharded is the contention-free hot path: pool
-// traffic spreads over one shard per core, batch-acquired per request.
-func BenchmarkScalePoolSharded(b *testing.B) { benchmarkScalePool(b, 0) }
 
 // BenchmarkFig8RegisterPlan measures the off-line phase cost per model
 // (import + compile + register with Object Store dedup), the operation
@@ -313,12 +282,10 @@ func BenchmarkExpFig5(b *testing.B)        { experimentBenchmark(b, "fig5") }
 func BenchmarkExpColdSplit(b *testing.B)   { experimentBenchmark(b, "coldsplit") }
 func BenchmarkExpFig8(b *testing.B)        { experimentBenchmark(b, "fig8") }
 func BenchmarkExpFig9(b *testing.B)        { experimentBenchmark(b, "fig9") }
-func BenchmarkExpAblation(b *testing.B)    { experimentBenchmark(b, "ablation") }
 func BenchmarkExpFig10(b *testing.B)       { experimentBenchmark(b, "fig10") }
 func BenchmarkExpFig11(b *testing.B)       { experimentBenchmark(b, "fig11") }
 func BenchmarkExpFig12(b *testing.B)       { experimentBenchmark(b, "fig12") }
 func BenchmarkExpFig13(b *testing.B)       { experimentBenchmark(b, "fig13") }
-func BenchmarkExpScale(b *testing.B)       { experimentBenchmark(b, "scale") }
 func BenchmarkExpReservation(b *testing.B) { experimentBenchmark(b, "reservation") }
 func BenchmarkExpFig14(b *testing.B)       { experimentBenchmark(b, "fig14") }
 func BenchmarkExpBatchSweep(b *testing.B)  { experimentBenchmark(b, "batchsweep") }
@@ -395,7 +362,7 @@ func BenchmarkBatchStage(b *testing.B) {
 // single job's stage events are otherwise sequential. The cpus axis is
 // encoded in the sub-benchmark NAME — benchgate strips testing's "-N"
 // GOMAXPROCS suffix, and -cpu fixes sub names at discovery time — so
-// each sub pins GOMAXPROCS itself, exp_scale-style.
+// each sub pins GOMAXPROCS itself.
 func BenchmarkBatchStageParallel(b *testing.B) {
 	const batch = 256
 	env := benchEnv(b)

@@ -29,7 +29,7 @@ func main() {
 		outPath      = flag.String("out", "", "write the current run's artifact here (uploaded by CI)")
 		update       = flag.Bool("update", false, "rewrite the baseline from this run instead of gating")
 		threshold    = flag.Float64("threshold", 0.25, "maximum tolerated relative throughput drop")
-		gateExpr     = flag.String("gate", `^BenchmarkBatchStage/|^BenchmarkScalePool`, "regexp of gated benchmark names")
+		gateExpr     = flag.String("gate", `^BenchmarkBatchStage/`, "regexp of gated benchmark names")
 		note         = flag.String("note", "", "note stored in the artifact")
 	)
 	flag.Parse()

@@ -38,7 +38,7 @@ func main() {
 		// Materialization flavor: featurization stages are shared through
 		// the runtime's plan store and cacheable across the similar
 		// pipelines.
-		pln, err := pretzel.Compile(p, objStore, oven.Options{AOT: true, Materialization: true, Plans: rt.PlanStore()})
+		pln, err := pretzel.Compile(p, objStore, oven.Options{Materialization: true, Plans: rt.PlanStore()})
 		if err != nil {
 			log.Fatal(err)
 		}

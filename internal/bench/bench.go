@@ -223,12 +223,10 @@ func Experiments() []Experiment {
 		{"coldsplit", "§2: cold prediction time split (init / JIT / compute)", runColdSplit},
 		{"fig8", "Figure 8: cumulative memory usage + load times", runFig8},
 		{"fig9", "Figure 9: latency CDFs, PRETZEL vs ML.Net (hot/cold)", runFig9},
-		{"ablation", "§5.2.1: AOT and vector-pooling ablations", runAblation},
 		{"fig10", "Figure 10: sub-plan materialization speedup (SA)", runFig10},
 		{"fig11", "Figure 11: end-to-end HTTP latency vs containers", runFig11},
 		{"fig12", "Figure 12: throughput scaling with cores", runFig12},
 		{"fig13", "Figure 13: heavy load (micro): throughput + latency", runFig13},
-		{"scale", "§4.2.1: multi-core Predict scaling, global vs sharded pool", runScale},
 		{"reservation", "§5.4.1: reservation-based scheduling under load", runReservation},
 		{"fig14", "Figure 14: heavy load end-to-end vs containers", runFig14},
 		{"deadline", "deadline-aware scheduling: expired jobs shed before dispatch", runDeadline},

@@ -20,8 +20,8 @@ var sharedEnv = func() *Env {
 
 func TestExperimentRegistry(t *testing.T) {
 	exps := Experiments()
-	if len(exps) != 24 {
-		t.Fatalf("expected 24 experiments, have %d", len(exps))
+	if len(exps) != 22 {
+		t.Fatalf("expected 22 experiments, have %d", len(exps))
 	}
 	seen := map[string]bool{}
 	for _, e := range exps {
@@ -34,7 +34,7 @@ func TestExperimentRegistry(t *testing.T) {
 		seen[e.ID] = true
 	}
 	for _, id := range []string{"table1", "fig3", "fig4", "fig5", "coldsplit", "fig8",
-		"fig9", "ablation", "fig10", "fig11", "fig12", "fig13", "scale", "reservation",
+		"fig9", "fig10", "fig11", "fig12", "fig13", "reservation",
 		"fig14", "deadline", "batchsweep", "parscale", "overload", "density"} {
 		if _, ok := Get(id); !ok {
 			t.Fatalf("missing experiment %s", id)

@@ -37,7 +37,7 @@ func runDensity(w io.Writer, env *Env) error {
 	objStore := store.New()
 	rt := runtime.New(objStore, runtime.Config{Executors: 1})
 	defer rt.Close()
-	opts := oven.Options{AOT: true, Materialization: true, Plans: rt.PlanStore()}
+	opts := oven.Options{Materialization: true, Plans: rt.PlanStore()}
 
 	heapBase := metrics.HeapInUse()
 	t0 := time.Now()

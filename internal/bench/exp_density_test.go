@@ -32,7 +32,7 @@ func TestDensityTenThousandVariants(t *testing.T) {
 	rt := runtime.New(objStore, runtime.Config{Executors: 1})
 	defer rt.Close()
 	plans := rt.PlanStore()
-	opts := oven.Options{AOT: true, Materialization: true, Plans: plans}
+	opts := oven.Options{Materialization: true, Plans: plans}
 
 	stagesPerPlan := 0
 	firstBytes := 0
@@ -96,15 +96,19 @@ func TestDensityTenThousandVariants(t *testing.T) {
 		}
 	}
 
-	// Warm predictions through shared stages stay allocation-free.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	if allocs := testing.AllocsPerRun(100, func() {
-		in.SetText(input)
-		if err := rt.PredictRequest(runtime.Request{Model: "dv-00000", In: in, Out: out}); err != nil {
-			t.Fatal(err)
+	// Warm predictions through shared stages stay allocation-free. Under
+	// the race detector sync.Pool drops items at random, so the count only
+	// holds without it.
+	if !raceEnabled {
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		if allocs := testing.AllocsPerRun(100, func() {
+			in.SetText(input)
+			if err := rt.PredictRequest(runtime.Request{Model: "dv-00000", In: in, Out: out}); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("warm Predict allocates %v/run with shared stages", allocs)
 		}
-	}); allocs != 0 {
-		t.Fatalf("warm Predict allocates %v/run with shared stages", allocs)
 	}
 
 	// Tear everything down: both stores must return exactly to empty.
@@ -149,7 +153,7 @@ func BenchmarkDensityRegister(b *testing.B) {
 	objStore := store.New()
 	rt := runtime.New(objStore, runtime.Config{Executors: 1})
 	defer rt.Close()
-	opts := oven.Options{AOT: true, Materialization: true, Plans: rt.PlanStore()}
+	opts := oven.Options{Materialization: true, Plans: rt.PlanStore()}
 	for _, p := range ds.Pipelines {
 		pl, err := oven.Compile(p, objStore, opts)
 		if err != nil {

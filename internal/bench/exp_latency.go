@@ -90,7 +90,8 @@ func runFig9(w io.Writer, env *Env) error {
 	} {
 		// PRETZEL: compile+register all plans (off-line phase), then
 		// measure. Cold here includes only what remains at prediction
-		// time: pool warmup and first-touch — AOT removed init/JIT.
+		// time: pool warmup and first-touch — kernels were built at
+		// compile time, so there is no init/JIT.
 		objStore := store.New()
 		rt := runtime.New(objStore, runtime.Config{Executors: 2})
 		if _, err := loadPretzel(rt, objStore, set.files, oven.DefaultOptions()); err != nil {
@@ -144,50 +145,6 @@ func planNames(files []string) []string {
 		out[i] = base[:len(base)-len(".zip")]
 	}
 	return out
-}
-
-// runAblation quantifies the §5.2.1 ablations: AOT compilation off
-// (cold latency rises) and vector pooling off (hot latency rises).
-func runAblation(w io.Writer, env *Env) error {
-	sa, err := env.SA()
-	if err != nil {
-		return err
-	}
-	files := sa.Files
-	names := planNames(files)
-	input := sa.Set.TestInputs[0]
-
-	run := func(opts oven.Options, cfg runtime.Config) (latencyPair, error) {
-		objStore := store.New()
-		rt := runtime.New(objStore, cfg)
-		defer rt.Close()
-		if _, err := loadPretzel(rt, objStore, files, opts); err != nil {
-			return latencyPair{}, err
-		}
-		return measure(rtPredict(rt), names, input, env.HotIters)
-	}
-
-	base, err := run(oven.DefaultOptions(), runtime.Config{Executors: 1})
-	if err != nil {
-		return err
-	}
-	noAOT, err := run(oven.Options{AOT: false}, runtime.Config{Executors: 1})
-	if err != nil {
-		return err
-	}
-	noPool, err := run(oven.DefaultOptions(), runtime.Config{Executors: 1, DisableVectorPooling: true})
-	if err != nil {
-		return err
-	}
-	summarize(w, "baseline hot", base.hot)
-	summarize(w, "baseline cold", base.cold)
-	summarize(w, "AOT-off cold", noAOT.cold)
-	summarize(w, "pool-off hot", noPool.hot)
-	fmt.Fprintf(w, "AOT off: mean cold %.2fx baseline (paper: 1.6-4.2x)\n",
-		float64(noAOT.cold.Mean())/float64(base.cold.Mean()))
-	fmt.Fprintf(w, "pooling off: mean hot %.2fx baseline (paper: +47%% hot)\n",
-		float64(noPool.hot.Mean())/float64(base.hot.Mean()))
-	return nil
 }
 
 // runFig10 measures the sub-plan materialization speedup: the same
@@ -248,7 +205,7 @@ func runFig10(w io.Writer, env *Env) error {
 	// Materialization flavor with shared cache.
 	objStore2 := store.New()
 	rtMat := runtime.New(objStore2, runtime.Config{Executors: 1, MatCacheBytes: 256 << 20})
-	if _, err := loadPretzel(rtMat, objStore2, files, oven.Options{AOT: true, Materialization: true}); err != nil {
+	if _, err := loadPretzel(rtMat, objStore2, files, oven.Options{Materialization: true}); err != nil {
 		rtMat.Close()
 		return err
 	}

@@ -2,8 +2,9 @@
 // per-benchmark throughput, persist it as a JSON artifact, and compare
 // a current run against a committed baseline so CI fails when a gated
 // benchmark's throughput drops past a threshold. The hot numbers this
-// repo's PRs exist for (BenchmarkBatchStage record throughput,
-// BenchmarkScalePool predictions/s) are regression-gated on every push.
+// repo's PRs exist for (BenchmarkBatchStage* record throughput,
+// BenchmarkDensityRegister registrations/s) are regression-gated on
+// every push.
 package bench
 
 import (

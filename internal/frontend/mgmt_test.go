@@ -256,7 +256,7 @@ func TestStatzMatCache(t *testing.T) {
 	objStore := store.New()
 	rt := runtime.New(objStore, runtime.Config{Executors: 2, MatCacheBytes: 8 << 20})
 	t.Cleanup(rt.Close)
-	pl, err := oven.Compile(saPipe(t, "sa", 0), objStore, oven.Options{AOT: true, Materialization: true})
+	pl, err := oven.Compile(saPipe(t, "sa", 0), objStore, oven.Options{Materialization: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,16 +12,10 @@ import (
 	"pretzel/internal/schema"
 	"pretzel/internal/store"
 	"pretzel/internal/text"
-	"pretzel/internal/vector"
 )
 
 // Options configure compilation.
 type Options struct {
-	// AOT compiles physical kernels at plan-compile time (the default
-	// PRETZEL behaviour, CrossGen in the paper). When false, kernels are
-	// bound lazily at first execution — the §5.2.1 AOT ablation.
-	AOT bool
-
 	// Materialization compiles shared featurization prefixes into
 	// cacheable stages instead of pushing linear models through them,
 	// enabling sub-plan materialization (§4.3).
@@ -35,8 +29,9 @@ type Options struct {
 	Plans *plan.StageStore
 }
 
-// DefaultOptions returns the standard configuration (AOT on).
-func DefaultOptions() Options { return Options{AOT: true} }
+// DefaultOptions returns the standard configuration: no sub-plan
+// materialization and no plan store.
+func DefaultOptions() Options { return Options{} }
 
 // Compile turns a trained pipeline into a PRETZEL model plan: parameters
 // are interned in the Object Store, the transformation graph is rewritten
@@ -154,20 +149,17 @@ func (g *graphIR) stageSignature(n *snode, inputs []int) plan.Sig {
 	var b8 [8]byte
 	writeStr(h, kernelKindOf(n))
 	flags := byte(0)
-	if g.opts.AOT {
+	if g.opts.Materialization {
 		flags |= 1
 	}
-	if g.opts.Materialization {
+	if n.materializable {
 		flags |= 2
 	}
-	if n.materializable {
+	if n.pushed {
 		flags |= 4
 	}
-	if n.pushed {
-		flags |= 8
-	}
 	if n.finisher {
-		flags |= 16
+		flags |= 8
 	}
 	h.Write([]byte{flags})
 	binary.LittleEndian.PutUint64(b8[:], uint64(len(n.ops)))
@@ -520,34 +512,22 @@ func assemble(p *pipeline.Pipeline, g *graphIR) (*plan.Plan, error) {
 				inputs = append(inputs, idx)
 			}
 		}
-		node := n
-		sig := g.stageSignature(node, inputs)
+		sig := g.stageSignature(n, inputs)
 		build := func() (*plan.Stage, error) {
-			st := &plan.Stage{
+			k, err := buildKernel(n)
+			if err != nil {
+				return nil, err
+			}
+			return &plan.Stage{
 				ID:             binary.LittleEndian.Uint64(sig[:8]),
 				Sig:            sig,
-				Ops:            node.ops,
+				Ops:            n.ops,
 				Inputs:         inputs,
-				OutCap:         node.outCap,
-				Materializable: node.materializable,
+				OutCap:         n.outCap,
+				Kern:           k,
+				Materializable: n.materializable,
 				UsesAcc:        kind == "sa-head" || kind == "sa-tail",
-			}
-			if opts.AOT {
-				k, err := buildKernel(node)
-				if err != nil {
-					return nil, err
-				}
-				st.Kern = k
-			} else {
-				st.Bind = func() plan.Kernel {
-					k, err := buildKernel(node)
-					if err != nil {
-						return &errKernel{err: err}
-					}
-					return k
-				}
-			}
-			return st, nil
+			}, nil
 		}
 		var st *plan.Stage
 		if opts.Plans != nil {
@@ -565,12 +545,3 @@ func assemble(p *pipeline.Pipeline, g *graphIR) (*plan.Plan, error) {
 	}
 	return pl, nil
 }
-
-// errKernel surfaces a deferred binding failure at execution time.
-type errKernel struct{ err error }
-
-// Kind implements Kernel.
-func (e *errKernel) Kind() string { return "error" }
-
-// Run implements Kernel.
-func (e *errKernel) Run(*plan.Exec, []*vector.Vector, *vector.Vector) error { return e.err }

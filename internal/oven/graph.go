@@ -3,7 +3,7 @@
 // imported from a model file), interns its parameters in the Object
 // Store, rewrites the transformation graph into a stage graph through
 // four rule-based steps run to fixpoint, and maps each logical stage onto
-// an AOT-compiled physical kernel:
+// a physical kernel built at compile time:
 //
 //	InputGraphValidatorStep   (3 rules)  schema propagation + validation
 //	StageGraphBuilderStep     (2 rules)  cut at pipeline breakers, fuse

@@ -177,7 +177,7 @@ func TestCompiledSAMatchesReference(t *testing.T) {
 func TestCompiledSAMaterializableMatchesReference(t *testing.T) {
 	p := buildSA(t, "sa", 0)
 	ref := buildSA(t, "sa-ref", 0)
-	pl, err := Compile(p, store.New(), Options{AOT: true, Materialization: true})
+	pl, err := Compile(p, store.New(), Options{Materialization: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,11 +210,11 @@ func TestMaterializationCacheHits(t *testing.T) {
 	objStore := store.New()
 	cache := store.NewMatCache(8 << 20)
 	// Two pipelines sharing dictionaries but with different weights.
-	plA, err := Compile(buildSA(t, "a", 0), objStore, Options{AOT: true, Materialization: true})
+	plA, err := Compile(buildSA(t, "a", 0), objStore, Options{Materialization: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plB, err := Compile(buildSA(t, "b", 1), objStore, Options{AOT: true, Materialization: true})
+	plB, err := Compile(buildSA(t, "b", 1), objStore, Options{Materialization: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,31 +310,6 @@ func TestCompileACGenericStages(t *testing.T) {
 	}
 }
 
-func TestCompileAOTOffLazyBinding(t *testing.T) {
-	p := buildSA(t, "sa", 0)
-	pl, err := Compile(p, store.New(), Options{AOT: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range pl.Stages {
-		if s.Kern != nil {
-			t.Fatalf("stage %d kernel bound despite AOT off", i)
-		}
-		if s.Bind == nil {
-			t.Fatalf("stage %d missing lazy binder", i)
-		}
-	}
-	ec := newExec()
-	in, out := vector.New(0), vector.New(0)
-	in.SetText("nice")
-	if err := plan.RunPlan(pl, ec, in, out); err != nil {
-		t.Fatal(err)
-	}
-	if pl.Stages[0].Kernel() == nil {
-		t.Fatal("kernel must be bound after first run")
-	}
-}
-
 func TestCompileRejectsInvalid(t *testing.T) {
 	// No predictor: output is tokens.
 	p := &pipeline.Pipeline{
@@ -414,7 +389,7 @@ func TestCalibratorSunkIntoPredictor(t *testing.T) {
 	p := buildSA(t, "sa", 0)
 	// Append a calibrator after the linear predictor.
 	p.Nodes = append(p.Nodes, pipeline.Node{Op: &ops.Calibrator{A: 1, B: 0}, Inputs: []int{4}})
-	pl, err := Compile(p, store.New(), Options{AOT: true, Materialization: true})
+	pl, err := Compile(p, store.New(), Options{Materialization: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 func TestCompileSharesStagesAcrossIdenticalPipelines(t *testing.T) {
 	objStore := store.New()
 	plans := plan.NewStageStore()
-	opts := Options{AOT: true, Plans: plans}
+	opts := Options{Plans: plans}
 
 	plA, err := Compile(buildSA(t, "a", 0), objStore, opts)
 	if err != nil {
@@ -77,7 +77,7 @@ func TestCompileSharesStagesAcrossIdenticalPipelines(t *testing.T) {
 func TestCompileSharesFeaturizationAcrossVariants(t *testing.T) {
 	objStore := store.New()
 	plans := plan.NewStageStore()
-	opts := Options{AOT: true, Materialization: true, Plans: plans}
+	opts := Options{Materialization: true, Plans: plans}
 
 	plA, err := Compile(buildSA(t, "a", 0), objStore, opts)
 	if err != nil {
@@ -129,11 +129,12 @@ func TestCompileSharesFeaturizationAcrossVariants(t *testing.T) {
 }
 
 // TestStageIDIsDerivedFromSig: a stage has one identity, its signature;
-// Stage.ID is only its first 8 bytes, whatever the compile path.
+// Stage.ID is only its first 8 bytes, whatever the compile path. Every
+// stage also leaves Compile with its kernel already built.
 func TestStageIDIsDerivedFromSig(t *testing.T) {
 	for _, withStore := range []bool{false, true} {
 		for _, withPlans := range []bool{false, true} {
-			for _, opts := range []Options{DefaultOptions(), {AOT: true, Materialization: true}, {AOT: false}} {
+			for _, opts := range []Options{DefaultOptions(), {Materialization: true}} {
 				var objStore *store.ObjectStore
 				if withStore {
 					objStore = store.New()
@@ -150,6 +151,10 @@ func TestStageIDIsDerivedFromSig(t *testing.T) {
 						if s.Sig == (plan.Sig{}) || s.ID != binary.LittleEndian.Uint64(s.Sig[:8]) {
 							t.Fatalf("%s store=%v plans=%v %+v stage %d: ID %x, Sig %x",
 								p.Name, withStore, withPlans, opts, i, s.ID, s.Sig)
+						}
+						if s.Kern == nil {
+							t.Fatalf("%s store=%v plans=%v %+v stage %d: no kernel after Compile",
+								p.Name, withStore, withPlans, opts, i)
 						}
 					}
 				}

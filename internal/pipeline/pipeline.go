@@ -206,6 +206,15 @@ func Import(r io.ReaderAt, size int64) (*Pipeline, error) {
 	return ImportWith(r, size, DefaultResolver)
 }
 
+// maxInflatedBytes caps the total uncompressed size of one model
+// archive, so a small deflate bomb cannot make an import inflate
+// gigabytes. The largest model the workloads build (a full-scale SA
+// pipeline) inflates to about 1.4 MB; the paper's largest dictionaries
+// are 83 MB.
+const maxInflatedBytes = 256 << 20
+
+var errTooLarge = fmt.Errorf("archive inflates past %d bytes", maxInflatedBytes)
+
 // ImportWith reads a pipeline resolving each operator through resolve.
 func ImportWith(r io.ReaderAt, size int64, resolve OpResolver) (*Pipeline, error) {
 	zr, err := zip.NewReader(r, size)
@@ -213,20 +222,26 @@ func ImportWith(r io.ReaderAt, size int64, resolve OpResolver) (*Pipeline, error
 		return nil, fmt.Errorf("pipeline import: %w", err)
 	}
 	files := make(map[string]*zip.File, len(zr.File))
+	var declared uint64
 	for _, f := range zr.File {
 		files[f.Name] = f
+		if f.UncompressedSize64 > maxInflatedBytes-declared {
+			return nil, fmt.Errorf("pipeline import: %w", errTooLarge)
+		}
+		declared += f.UncompressedSize64
 	}
+	// budget bounds the bytes actually read, whatever the headers claim.
+	budget := int64(maxInflatedBytes)
 	mf, ok := files["manifest.json"]
 	if !ok {
 		return nil, fmt.Errorf("pipeline import: missing manifest.json")
 	}
-	mr, err := mf.Open()
+	mb, err := readEntry(mf, &budget)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("pipeline import: manifest: %w", err)
 	}
-	defer mr.Close()
 	var m manifest
-	if err := json.NewDecoder(mr).Decode(&m); err != nil {
+	if err := json.NewDecoder(bytes.NewReader(mb)).Decode(&m); err != nil {
 		return nil, fmt.Errorf("pipeline import: manifest: %w", err)
 	}
 	p := &Pipeline{Name: m.Name, Stats: m.Stats, InputSchema: schema.New(m.Input.Cols...)}
@@ -235,12 +250,7 @@ func ImportWith(r io.ReaderAt, size int64, resolve OpResolver) (*Pipeline, error
 		if !ok {
 			return nil, fmt.Errorf("pipeline import: node %d: missing %s/params.bin", i, mn.Dir)
 		}
-		pr, err := pf.Open()
-		if err != nil {
-			return nil, err
-		}
-		raw, err := io.ReadAll(pr)
-		pr.Close()
+		raw, err := readEntry(pf, &budget)
 		if err != nil {
 			return nil, fmt.Errorf("pipeline import: node %d: %w", i, err)
 		}
@@ -254,6 +264,25 @@ func ImportWith(r io.ReaderAt, size int64, resolve OpResolver) (*Pipeline, error
 		return nil, fmt.Errorf("pipeline import: %w", err)
 	}
 	return p, nil
+}
+
+// readEntry inflates one archive entry, charging what it reads to
+// *budget and failing once the archive's total passes maxInflatedBytes.
+func readEntry(f *zip.File, budget *int64) ([]byte, error) {
+	rc, err := f.Open()
+	if err != nil {
+		return nil, err
+	}
+	defer rc.Close()
+	raw, err := io.ReadAll(io.LimitReader(rc, *budget+1))
+	if err != nil {
+		return nil, err
+	}
+	*budget -= int64(len(raw))
+	if *budget < 0 {
+		return nil, errTooLarge
+	}
+	return raw, nil
 }
 
 // ImportBytes is Import from a byte slice.

@@ -1,7 +1,11 @@
 package pipeline
 
 import (
+	"archive/zip"
 	"bytes"
+	"errors"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -206,6 +210,52 @@ func TestImportErrors(t *testing.T) {
 	buf.Reset()
 	if _, err := ImportBytes(buf.Bytes()); err == nil {
 		t.Fatal("empty must fail")
+	}
+}
+
+// TestImportRejectsOversizedArchive: an entry whose header claims more
+// than maxInflatedBytes fails the import before anything is inflated.
+func TestImportRejectsOversizedArchive(t *testing.T) {
+	src, err := buildSA(t).ExportBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	zr, err := zip.NewReader(bytes.NewReader(src), int64(len(src)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	zw := zip.NewWriter(&buf)
+	for _, f := range zr.File {
+		raw, err := f.OpenRaw()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fh := f.FileHeader
+		if strings.HasSuffix(f.Name, "/params.bin") {
+			fh.UncompressedSize64 = maxInflatedBytes + 1
+		}
+		w, err := zw.CreateRaw(&fh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.Copy(w, raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = ImportBytes(buf.Bytes())
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, errTooLarge) {
+		t.Fatalf("import error = %v, want %v", err, errTooLarge)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Fatalf("rejecting the archive allocated %d bytes", n)
 	}
 }
 

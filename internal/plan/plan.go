@@ -1,8 +1,8 @@
 // Package plan defines PRETZEL model plans: the compiled, white-box
 // representation of a trained pipeline (§4.1.2). A plan is a DAG of
 // stages; each stage binds a logical view (the fused operator sequence)
-// to a physical implementation — an AOT-compiled, lock-free, parametric
-// kernel that is shared between plans with identical stages and fed at
+// to a physical implementation — a lock-free, parametric kernel built at
+// compile time, shared between plans with identical stages and fed at
 // runtime with pooled vectors and an execution context.
 package plan
 
@@ -157,9 +157,10 @@ func (e *Exec) ClearRequestState() {
 	e.FaultModel = ""
 }
 
-// Kernel is a physical stage implementation: an AOT-compiled parametric
-// computation unit. Kernels must be safe for concurrent Run calls (all
-// mutable state is in Exec or the caller-provided vectors).
+// Kernel is a physical stage implementation: a parametric computation
+// unit built once, when the plan is compiled. Kernels must be safe for
+// concurrent Run calls (all mutable state is in Exec or the
+// caller-provided vectors).
 type Kernel interface {
 	// Kind names the physical implementation class.
 	Kind() string
@@ -189,15 +190,10 @@ type Stage struct {
 	// shared marks stages owned by a StageStore (see Shared).
 	shared bool
 
-	// Kern is the bound physical implementation. With AOT compilation
-	// (the default) it is set at compile time; with AOT disabled it is
-	// built by Bind on first execution (the §5.2.1 AOT ablation).
+	// Kern is the physical implementation. The compiler sets it on every
+	// stage and nothing writes it afterwards, so concurrent executors
+	// read it without synchronization.
 	Kern Kernel
-
-	// Bind lazily constructs the kernel when AOT is off.
-	Bind func() Kernel
-
-	bindOnce sync.Once
 
 	// OutCap is the pool capacity hint for the stage output vector.
 	OutCap int
@@ -264,16 +260,8 @@ func (s *Stage) OpKinds() []string {
 	return kinds
 }
 
-// Kernel returns the stage's physical implementation, binding it on first
-// use when AOT compilation was disabled. A lazily bound Kern is written
-// inside bindOnce, so concurrent first requests read it only through
-// here.
-func (s *Stage) Kernel() Kernel {
-	if s.Bind != nil {
-		s.bindOnce.Do(func() { s.Kern = s.Bind() })
-	}
-	return s.Kern
-}
+// Kernel returns the stage's physical implementation.
+func (s *Stage) Kernel() Kernel { return s.Kern }
 
 // Plan is a compiled model plan.
 type Plan struct {

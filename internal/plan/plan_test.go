@@ -231,24 +231,6 @@ func TestRunStageMaterialization(t *testing.T) {
 	}
 }
 
-func TestStageLazyBinding(t *testing.T) {
-	built := 0
-	st := &Stage{Bind: func() Kernel {
-		built++
-		return &GenericKernel{Fused: []ops.Op{&ops.Tokenizer{}}}
-	}}
-	if st.Kernel() == nil || st.Kernel() == nil {
-		t.Fatal("kernel nil")
-	}
-	if built != 1 {
-		t.Fatalf("bind ran %d times, want 1", built)
-	}
-	var none Stage
-	if none.Kernel() != nil {
-		t.Fatal("no kern, no bind -> nil")
-	}
-}
-
 func TestPlanValidate(t *testing.T) {
 	empty := &Plan{Name: "e"}
 	if err := empty.Validate(); err == nil {

@@ -41,7 +41,7 @@ func TestRowDriverMatchesReferenceAllExamplePlans(t *testing.T) {
 		tol    float32
 	}{
 		{"sa-pushdown", sa.Pipelines, sa.TestInputs, oven.DefaultOptions(), 1e-5},
-		{"sa-materialized", sa.Pipelines, sa.TestInputs, oven.Options{AOT: true, Materialization: true}, 1e-5},
+		{"sa-materialized", sa.Pipelines, sa.TestInputs, oven.Options{Materialization: true}, 1e-5},
 		{"ac", ac.Pipelines, ac.TestInputs, oven.DefaultOptions(), 1e-4},
 	} {
 		t.Run(ex.name, func(t *testing.T) {
@@ -128,7 +128,7 @@ func TestRowDriverMatchesReferenceAllExamplePlans(t *testing.T) {
 // stay correct and keep the pool accounting balanced.
 func TestConcurrentBatchJobsSharedMatCache(t *testing.T) {
 	rt, os := newRT(t, Config{Executors: 4, MatCacheBytes: 1 << 20})
-	opts := oven.Options{AOT: true, Materialization: true}
+	opts := oven.Options{Materialization: true}
 	for i := 0; i < 3; i++ {
 		register(t, rt, os, saPipeline(t, fmt.Sprintf("sa-%d", i), float32(i)), opts)
 	}

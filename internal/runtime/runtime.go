@@ -49,16 +49,6 @@ type Config struct {
 	// MatCacheBytes enables sub-plan materialization with this budget
 	// when > 0 (§4.3).
 	MatCacheBytes int
-	// DisableVectorPooling runs the §5.2.1 ablation.
-	DisableVectorPooling bool
-	// VectorsPerExecutor / VectorCapHint preallocate executor pools.
-	VectorsPerExecutor int
-	VectorCapHint      int
-	// PoolShards shards the request-response vector pool so concurrent
-	// Predict callers on different cores never contend on one lock.
-	// 0 means one shard per core (GOMAXPROCS); 1 emulates the old
-	// global-mutex pool (used as the scaling-experiment baseline).
-	PoolShards int
 
 	// MaxInFlight bounds concurrently admitted requests across all
 	// models (0 = no limit). When the limit is reached, further
@@ -192,7 +182,8 @@ type Runtime struct {
 
 	closed atomic.Bool
 
-	// rrPool supplies vectors to the request-response engine.
+	// rrPool supplies vectors to the request-response engine: one shard
+	// per core, so concurrent Predict callers do not contend on one lock.
 	rrPool   *vector.Pool
 	execPool sync.Pool
 }
@@ -213,32 +204,17 @@ func New(objStore *store.ObjectStore, cfg Config) *Runtime {
 		objStore:  objStore,
 		planStore: plan.NewStageStore(),
 		models:    make(map[string]*model),
+		rrPool:    vector.NewPoolShards(goruntime.GOMAXPROCS(0)),
 	}
 	if cfg.MatCacheBytes > 0 {
 		rt.matCache = store.NewMatCache(cfg.MatCacheBytes)
-	}
-	switch {
-	case cfg.DisableVectorPooling:
-		rt.rrPool = vector.NewDisabledPool()
-	case cfg.PoolShards > 0:
-		rt.rrPool = vector.NewPoolShards(cfg.PoolShards)
-	default:
-		rt.rrPool = vector.NewPoolShards(goruntime.GOMAXPROCS(0))
-	}
-	if cfg.VectorsPerExecutor > 0 {
-		rt.rrPool.Preallocate(cfg.VectorsPerExecutor*rt.rrPool.NumShards(), cfg.VectorCapHint)
 	}
 	rt.execPool.New = func() any {
 		// Pooled contexts are long-lived and sticky to a P (sync.Pool),
 		// so pinning each to one pool shard gives core affinity.
 		return &plan.Exec{Pool: rt.rrPool, Shard: rt.rrPool.ShardHint(), Cache: rt.matCache}
 	}
-	rt.sched = sched.New(sched.Config{
-		Executors:            cfg.Executors,
-		DisableVectorPooling: cfg.DisableVectorPooling,
-		VectorsPerExecutor:   cfg.VectorsPerExecutor,
-		VectorCapHint:        cfg.VectorCapHint,
-	})
+	rt.sched = sched.New(sched.Config{Executors: cfg.Executors})
 	return rt
 }
 

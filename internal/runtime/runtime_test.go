@@ -201,37 +201,6 @@ func TestRegisterKeepsEachPlansKernels(t *testing.T) {
 	}
 }
 
-// TestAOTOffBindsAtFirstRequest: with AOT off (the §5.2.1 ablation) a
-// registered plan's kernels stay unbound until the first request, and
-// concurrent first requests bind them safely.
-func TestAOTOffBindsAtFirstRequest(t *testing.T) {
-	rt, os := newRT(t, Config{Executors: 1})
-	pl := register(t, rt, os, saPipeline(t, "sa", 0), oven.Options{AOT: false})
-	for i, s := range pl.Stages {
-		if s.Kern != nil {
-			t.Fatalf("stage %d bound at registration", i)
-		}
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			in, out := vector.New(0), vector.New(0)
-			in.SetText("a nice product")
-			if err := rt.PredictRequest(Request{Model: "sa", In: in, Out: out}); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-	for i, s := range pl.Stages {
-		if s.Kern == nil {
-			t.Fatalf("stage %d unbound after the first request", i)
-		}
-	}
-}
-
 func TestDuplicateRegistration(t *testing.T) {
 	rt, os := newRT(t, Config{Executors: 1})
 	register(t, rt, os, saPipeline(t, "sa", 0), oven.DefaultOptions())
@@ -308,7 +277,7 @@ func TestMaterializationAcrossPlansViaRuntime(t *testing.T) {
 	defer rt.Close()
 	for i := 0; i < 3; i++ {
 		pl, err := oven.Compile(saPipeline(t, fmt.Sprintf("sa-%d", i), float32(i)),
-			osStore, oven.Options{AOT: true, Materialization: true})
+			osStore, oven.Options{Materialization: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -119,34 +119,3 @@ func TestConcurrentEnginesStress(t *testing.T) {
 		}
 	}
 }
-
-// TestConcurrentStressDisabledPool runs the same mixed load under the
-// §5.2.1 vector-pooling ablation: every get allocates, nothing is
-// retained, and the accounting must still balance.
-func TestConcurrentStressDisabledPool(t *testing.T) {
-	rt, os := newRT(t, Config{Executors: 2, DisableVectorPooling: true})
-	register(t, rt, os, saPipeline(t, "sa", 0), oven.DefaultOptions())
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			in, out := vector.New(0), vector.New(0)
-			for i := 0; i < 100; i++ {
-				in.SetText("nice product")
-				if err := rt.PredictRequest(Request{Model: "sa", In: in, Out: out}); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	st := rt.PoolStats()
-	if st.Hits != 0 {
-		t.Fatalf("disabled pool must never hit: %+v", st)
-	}
-	if st.Gets != st.Allocs {
-		t.Fatalf("disabled pool: gets (%d) != allocs (%d)", st.Gets, st.Allocs)
-	}
-}

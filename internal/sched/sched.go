@@ -411,14 +411,6 @@ func (q *queueSet) close() {
 type Config struct {
 	// Executors is the number of worker goroutines (≈ cores), default 4.
 	Executors int
-	// DisableVectorPooling makes executors allocate instead of pooling
-	// (the §5.2.1 ablation).
-	DisableVectorPooling bool
-	// VectorsPerExecutor preallocates pool vectors (paid at init time,
-	// §4.2.1).
-	VectorsPerExecutor int
-	// VectorCapHint sizes preallocated vectors.
-	VectorCapHint int
 }
 
 // Scheduler coordinates executors over the shared queues.
@@ -579,15 +571,7 @@ func (s *Scheduler) newExecutorCounters() *executorCounters {
 // newExecutorPool builds one executor's vector pool and records it for
 // PoolStats aggregation.
 func (s *Scheduler) newExecutorPool() *vector.Pool {
-	var pool *vector.Pool
-	if s.cfg.DisableVectorPooling {
-		pool = vector.NewDisabledPool()
-	} else {
-		pool = vector.NewPool()
-		if s.cfg.VectorsPerExecutor > 0 {
-			pool.Preallocate(s.cfg.VectorsPerExecutor, s.cfg.VectorCapHint)
-		}
-	}
+	pool := vector.NewPool()
 	s.mu.Lock()
 	s.pools = append(s.pools, pool)
 	s.mu.Unlock()

@@ -339,32 +339,6 @@ func TestSubmitRacingClose(t *testing.T) {
 	}
 }
 
-func TestVectorPoolingAblationConfig(t *testing.T) {
-	s := New(Config{Executors: 2, DisableVectorPooling: true})
-	defer s.Close()
-	pl := saPlan(t, "sa")
-	in, out := vector.New(0), vector.New(0)
-	in.SetText("nice product")
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				o := vector.New(0)
-				j := NewJob(pl, in, o, nil)
-				s.Submit(j)
-				if err := j.Wait(); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	_ = out
-}
-
 func TestJobWithCache(t *testing.T) {
 	// Materializable plan scheduled with a cache: second job hits.
 	cb, wb := text.NewDictBuilder(), text.NewDictBuilder()
@@ -386,7 +360,7 @@ func TestJobWithCache(t *testing.T) {
 			{Op: &ops.LinearPredictor{Model: &ml.LinearModel{Kind: ml.LogisticRegression, Weights: weights}}, Inputs: []int{3}},
 		},
 	}
-	pl, err := oven.Compile(p, store.New(), oven.Options{AOT: true, Materialization: true})
+	pl, err := oven.Compile(p, store.New(), oven.Options{Materialization: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,7 +63,7 @@ func TestConcurrentRegisterUnregisterStoreBalance(t *testing.T) {
 	rt := runtime.New(store.New(), runtime.Config{Executors: 2})
 	t.Cleanup(rt.Close)
 	push := NewLocal(rt, nil)
-	mat := NewLocal(rt, &oven.Options{AOT: true, Materialization: true})
+	mat := NewLocal(rt, &oven.Options{Materialization: true})
 
 	const goroutines = 8
 	iters := 30

@@ -23,10 +23,9 @@ import (
 // a pipeline's later stages may run on a different executor than the one
 // owning the pool the vectors came from.
 type Pool struct {
-	shards   []poolShard
-	mask     uint32
-	cursor   atomic.Uint32
-	disabled bool // when true, Get always allocates (ablation mode)
+	shards []poolShard
+	mask   uint32
+	cursor atomic.Uint32
 }
 
 // nClasses size classes: capacities 1<<6 .. 1<<(6+nClasses-1).
@@ -45,7 +44,7 @@ type poolShard struct {
 	classes [nClasses][]*Vector
 
 	// Stats are atomics so Stats() aggregates without taking locks and
-	// the ablation accounting never serializes the hot path.
+	// the hit/alloc accounting never serializes the hot path.
 	gets   atomic.Uint64
 	hits   atomic.Uint64
 	allocs atomic.Uint64
@@ -70,14 +69,6 @@ func NewPoolShards(n int) *Pool {
 	}
 	n = 1 << bits.Len(uint(n-1)) // round up to a power of two
 	return &Pool{shards: make([]poolShard, n), mask: uint32(n - 1)}
-}
-
-// NewDisabledPool returns a pool that never reuses vectors. It implements
-// the "vector pooling off" ablation of §5.2.1.
-func NewDisabledPool() *Pool {
-	p := NewPoolShards(1)
-	p.disabled = true
-	return p
 }
 
 // NumShards reports the shard count.
@@ -129,10 +120,6 @@ func (p *Pool) GetAt(hint uint32, capHint int) *Vector {
 	}
 	s := p.shard(hint)
 	s.gets.Add(1)
-	if p.disabled {
-		s.allocs.Add(1)
-		return New(capHint)
-	}
 	c := classFor(capHint)
 	if c >= 0 {
 		s.mu.Lock()
@@ -161,13 +148,6 @@ func (p *Pool) GetAt(hint uint32, capHint int) *Vector {
 func (p *Pool) GetN(hint uint32, dst []*Vector, capHints []int) {
 	s := p.shard(hint)
 	s.gets.Add(uint64(len(dst)))
-	if p.disabled {
-		s.allocs.Add(uint64(len(dst)))
-		for i := range dst {
-			dst[i] = New(capHints[i])
-		}
-		return
-	}
 	var hits, misses uint64
 	s.mu.Lock()
 	for i := range dst {
@@ -212,13 +192,6 @@ func (p *Pool) GetN(hint uint32, dst []*Vector, capHints []int) {
 func (p *Pool) GetNUniform(hint uint32, dst []*Vector, capHint int) {
 	s := p.shard(hint)
 	s.gets.Add(uint64(len(dst)))
-	if p.disabled {
-		s.allocs.Add(uint64(len(dst)))
-		for i := range dst {
-			dst[i] = New(capHint)
-		}
-		return
-	}
 	c := classFor(capHint)
 	var hits uint64
 	if c >= 0 {
@@ -254,8 +227,8 @@ func (p *Pool) GetNUniform(hint uint32, dst []*Vector, capHint int) {
 	}
 }
 
-// Put returns a vector to the pool. Oversized or disabled-pool vectors
-// are dropped for the GC.
+// Put returns a vector to the pool. Oversized vectors are dropped for
+// the GC.
 func (p *Pool) Put(v *Vector) {
 	if v == nil {
 		return
@@ -270,7 +243,7 @@ func (p *Pool) PutAt(hint uint32, v *Vector) {
 	}
 	s := p.shard(hint)
 	s.puts.Add(1)
-	if p.disabled || cap(v.Dense) > maxVecCap {
+	if cap(v.Dense) > maxVecCap {
 		return
 	}
 	c := floorClassFor(cap(v.Dense))
@@ -295,9 +268,6 @@ func (p *Pool) PutN(hint uint32, vs []*Vector) {
 		return
 	}
 	s.puts.Add(uint64(n))
-	if p.disabled {
-		return
-	}
 	// Reset outside the critical section; the class computation is O(1).
 	for _, v := range vs {
 		if v != nil && cap(v.Dense) <= maxVecCap {
@@ -343,30 +313,4 @@ func (p *Pool) Stats() PoolStats {
 		st.Puts += s.puts.Load()
 	}
 	return st
-}
-
-// Preallocate fills the pool with n vectors of capacity capHint each,
-// spread across shards, so that steady-state serving never allocates
-// (§4.2.1 "overheads for instantiating memory ... are paid upfront at
-// initialization time").
-func (p *Pool) Preallocate(n, capHint int) {
-	c := classFor(capHint)
-	if c < 0 || p.disabled {
-		return
-	}
-	per := (n + len(p.shards) - 1) / len(p.shards)
-	for si := range p.shards {
-		s := &p.shards[si]
-		vs := make([]*Vector, 0, per)
-		for i := 0; i < per; i++ {
-			vs = append(vs, New(1<<(minShift+c)))
-		}
-		s.mu.Lock()
-		for _, v := range vs {
-			if len(s.classes[c]) < maxPerList {
-				s.classes[c] = append(s.classes[c], v)
-			}
-		}
-		s.mu.Unlock()
-	}
 }

@@ -80,26 +80,6 @@ func TestPoolPutNSkipsNilAndOversized(t *testing.T) {
 	}
 }
 
-func TestPoolDisabledBatch(t *testing.T) {
-	p := NewDisabledPool()
-	row := make([]*Vector, 4)
-	p.GetN(0, row, []int{10, 10, 10, 10})
-	p.PutN(0, row)
-	row2 := make([]*Vector, 4)
-	p.GetNUniform(0, row2, 10)
-	for _, v := range row2 {
-		for _, old := range row {
-			if v == old {
-				t.Fatal("disabled pool must never reuse")
-			}
-		}
-	}
-	st := p.Stats()
-	if st.Hits != 0 || st.Allocs != 8 || st.Gets != 8 || st.Puts != 4 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
 func TestPoolShardedConcurrent(t *testing.T) {
 	p := NewPoolShards(8)
 	var wg sync.WaitGroup

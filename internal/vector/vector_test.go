@@ -206,20 +206,6 @@ func TestPoolReuse(t *testing.T) {
 	}
 }
 
-func TestPoolDisabled(t *testing.T) {
-	p := NewDisabledPool()
-	v := p.Get(10)
-	p.Put(v)
-	v2 := p.Get(10)
-	if v2 == v {
-		t.Fatal("disabled pool must not reuse")
-	}
-	st := p.Stats()
-	if st.Hits != 0 || st.Allocs != 2 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
 func TestPoolOversized(t *testing.T) {
 	p := NewPool()
 	v := p.Get(maxVecCap * 2) // beyond largest class
@@ -230,21 +216,6 @@ func TestPoolOversized(t *testing.T) {
 	v2 := p.Get(maxVecCap * 2)
 	if v2 == v {
 		t.Fatal("oversized vector should not be pooled")
-	}
-}
-
-func TestPoolPreallocate(t *testing.T) {
-	p := NewPool()
-	p.Preallocate(8, 256)
-	for i := 0; i < 8; i++ {
-		v := p.Get(200)
-		if cap(v.Dense) < 200 {
-			t.Fatalf("prealloc vector too small: %d", cap(v.Dense))
-		}
-	}
-	st := p.Stats()
-	if st.Hits != 8 {
-		t.Fatalf("expected 8 hits, got %+v", st)
 	}
 }
 

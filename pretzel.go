@@ -199,7 +199,7 @@ func NewObjectStore() *ObjectStore { return store.New() }
 func NewFlourContext(s *ObjectStore) *FlourContext { return flour.NewContext(s) }
 
 // DefaultCompileOptions returns the standard compiler configuration
-// (AOT compilation on, sub-plan materialization off).
+// (sub-plan materialization off, no plan store).
 func DefaultCompileOptions() CompileOptions { return oven.DefaultOptions() }
 
 // Compile turns a trained pipeline into a model plan, interning its

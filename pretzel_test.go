@@ -12,7 +12,6 @@ import (
 	"pretzel/internal/dataset"
 	"pretzel/internal/frontend"
 	"pretzel/internal/ml"
-	"pretzel/internal/oven"
 	"pretzel/internal/text"
 )
 
@@ -235,32 +234,6 @@ func TestCompileOptionEquivalence(t *testing.T) {
 		if d := a.Dense[0] - b.Dense[0]; d > 1e-5 || d < -1e-5 {
 			t.Fatalf("%q: pushdown %v materializable %v", r.Text, a.Dense[0], b.Dense[0])
 		}
-	}
-}
-
-// TestAblationOptionsThroughFacade exercises AOT-off and pooling-off
-// configurations through the public API.
-func TestAblationOptionsThroughFacade(t *testing.T) {
-	objStore, _ := buildQuickstart(t, false)
-	opts := oven.Options{AOT: false}
-	fc := pretzel.NewFlourContext(objStore)
-	d := text.NewDict()
-	d.Add("ni")
-	prg := fc.Text().Tokenize().CharNgram(d, 2, 2).
-		ClassifierBinaryLinear(&ml.LinearModel{Kind: ml.LogisticRegression, Weights: make([]float32, 1)})
-	pln, err := prg.Plan("lazy", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt := pretzel.NewRuntime(objStore, pretzel.RuntimeConfig{Executors: 1, DisableVectorPooling: true})
-	defer rt.Close()
-	if _, err := rt.Register(pln); err != nil {
-		t.Fatal(err)
-	}
-	in, out := pretzel.NewVector(), pretzel.NewVector()
-	in.SetText("nice")
-	if err := rt.PredictRequest(pretzel.Request{Model: "lazy", In: in, Out: out}); err != nil {
-		t.Fatal(err)
 	}
 }
 
