@@ -3,6 +3,7 @@ package pipeline
 import (
 	"archive/zip"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"runtime"
@@ -256,6 +257,70 @@ func TestImportRejectsOversizedArchive(t *testing.T) {
 	}
 	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
 		t.Fatalf("rejecting the archive allocated %d bytes", n)
+	}
+}
+
+// TestImportRejectsDuplicateTerms: a dictionary whose last term repeats
+// its first fails the import, so an upload of it is a bad model.
+func TestImportRejectsDuplicateTerms(t *testing.T) {
+	p := buildSA(t)
+	wd := p.Nodes[2].Op.(*ops.WordNgram).Dict
+	var dict bytes.Buffer
+	if _, err := wd.WriteTo(&dict); err != nil {
+		t.Fatal(err)
+	}
+	// The same term count, with the last term replaced by the first.
+	bad := binary.LittleEndian.AppendUint64(nil, uint64(wd.Size()))
+	for ix := int32(0); int(ix) < wd.Size(); ix++ {
+		term := wd.Term(ix)
+		if int(ix) == wd.Size()-1 {
+			term = wd.Term(0)
+		}
+		bad = binary.LittleEndian.AppendUint32(bad, uint32(len(term)))
+		bad = append(bad, term...)
+	}
+
+	src, err := p.ExportBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	zr, err := zip.NewReader(bytes.NewReader(src), int64(len(src)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	zw := zip.NewWriter(&buf)
+	for _, f := range zr.File {
+		rc, err := f.Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(rc)
+		rc.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.HasSuffix(f.Name, "_WordNgram/params.bin") {
+			frame, ok := bytes.CutSuffix(raw, dict.Bytes())
+			if !ok {
+				t.Fatal("WordNgram params do not end with its dictionary")
+			}
+			raw = append(frame, bad...)
+		}
+		w, err := zw.Create(f.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write(raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = ImportBytes(buf.Bytes())
+	if err == nil || !strings.Contains(err.Error(), "duplicate term") {
+		t.Fatalf("import error = %v, want a duplicate-term error", err)
 	}
 }
 

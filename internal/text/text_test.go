@@ -134,7 +134,8 @@ func TestDictRoundTrip(t *testing.T) {
 	if got.Size() != d.Size() {
 		t.Fatalf("size %d != %d", got.Size(), d.Size())
 	}
-	for term, ix := range d.Terms {
+	for ix := int32(0); int(ix) < d.Size(); ix++ {
+		term := d.Term(ix)
 		if got.Lookup(term) != ix {
 			t.Fatalf("term %q: %d != %d", term, got.Lookup(term), ix)
 		}
@@ -178,7 +179,7 @@ func TestDictBuilder(t *testing.T) {
 		t.Fatalf("size %d", d.Size())
 	}
 	if d.Lookup("common") != 0 || d.Lookup("mid") != 1 || d.Lookup("rare") != -1 {
-		t.Fatalf("frequency ordering: %v", d.Terms)
+		t.Fatalf("frequency ordering: %q %q", d.Term(0), d.Term(1))
 	}
 }
 
