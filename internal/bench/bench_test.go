@@ -61,15 +61,6 @@ func TestAllExperimentsQuick(t *testing.T) {
 	for _, e := range Experiments() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			if e.ID == "churn" && raceEnabled {
-				// The churn drill hard-asserts a wall-clock p99 ratio
-				// (backoff-dominated hash-only vs service-dominated
-				// warm-aware); race instrumentation inflates the warm
-				// path until the ratio floor is noise. The placement
-				// plane itself stays race-covered by the
-				// internal/cluster churn and flapping tests.
-				t.Skip("wall-clock latency ratio is meaningless under the race detector")
-			}
 			var buf bytes.Buffer
 			if err := Run(&buf, sharedEnv, e.ID); err != nil {
 				t.Fatalf("%s: %v\noutput so far:\n%s", e.ID, err, buf.String())

@@ -3,13 +3,15 @@ package bench
 // Churn experiment: membership change under live Zipf traffic. One
 // fleet is killed-and-regrown twice — once with the placement plane on
 // (warm-aware routing + rebalancer pre-warm) and once in hash-only
-// mode (the pre-PR router: pure ring order, no pre-warm) — and the
-// tail latency of the churn window is compared. The claim under test:
-// the rebalancer makes join/leave invisible to the tail, because
-// traffic only shifts onto replicas that already hold the models warm;
-// without it, every request that hashes onto a new (empty) or promoted
-// (cold) owner pays a 404-failover round trip through the retry
-// backoff, and the tail collapses.
+// mode (the router without placement: pure ring order, no pre-warm) —
+// and what the router did in the churn window is counted. The claim
+// under test: the rebalancer makes join/leave invisible to the tail,
+// because traffic only shifts onto replicas that already hold the
+// models warm; without it, every request that hashes onto a new (empty)
+// or promoted (cold) owner pays a 404-failover round trip through the
+// retry backoff, and the tail collapses. The verdicts are counts of that
+// mechanism (pre-warms, cold routes, failovers), not a wall-clock
+// ratio; the tail latencies are printed beside them.
 
 import (
 	"context"
@@ -78,8 +80,11 @@ type churnResult struct {
 	PrewarmErrs    uint64
 	Rebalances     uint64
 	WarmRouted     uint64
-	ColdRouted     uint64
 	JoinedColdLoad uint64 // cold loads the joined node paid itself
+	// The churn window's counts: from AddMember's return to the end.
+	ColdRouted uint64 // first attempts sent to a replica known cold
+	Failovers  uint64 // retries moved to another replica
+	Retries    uint64 // attempts beyond each request's first
 }
 
 func (r churnResult) Success() float64 {
@@ -226,6 +231,7 @@ func runChurnMode(env *Env, hashOnly bool) (churnResult, error) {
 		return res, err
 	}
 	phase.Store(2)
+	st0 := router.Stats().Cluster
 	time.Sleep(env.LoadWindow)
 
 	close(stop)
@@ -239,26 +245,34 @@ func runChurnMode(env *Env, hashOnly bool) (churnResult, error) {
 	res.PrewarmErrs = st.PrewarmErrs
 	res.Rebalances = st.Rebalances
 	res.WarmRouted = st.WarmRouted
-	res.ColdRouted = st.ColdRouted
+	res.ColdRouted = st.ColdRouted - st0.ColdRouted
+	res.Failovers = st.Failovers - st0.Failovers
+	res.Retries = st.Retries - st0.Retries
 	res.JoinedColdLoad = joined.mgr.LStats().ColdLoads
 	return res, nil
 }
 
-// runChurnExp runs the drill in both modes and hard-asserts the
-// robustness claims: warm-aware keeps success >= 99% through kill +
-// re-add, and its churn-window p99 beats the hash-only baseline >= 3x.
+// runChurnExp runs the drill in both modes and hard-asserts counted
+// verdicts on the mechanism. Warm-aware keeps success >= 99% through
+// kill + re-add, pre-warms during the join, and in the churn window
+// routes no request to a replica it knows is cold and fails none over to
+// another replica. Hash-only never pre-warms, and its churn window shows
+// the failovers that warm-aware avoids. The churn-window p99 ratio is
+// printed, not asserted: the histogram's power-of-two buckets make it a
+// step function, and on a loaded host scheduler noise moves it more than
+// the mechanism does.
 func runChurnExp(w io.Writer, env *Env) error {
 	fmt.Fprintf(w, "churn drill: N=3 K=2 lifecycle nodes, Zipf(1.3) over 12 models; kill an owner,\n")
 	fmt.Fprintf(w, "remove it, then join a fresh node mid-traffic (churn window: %v after the\n", env.LoadWindow)
 	fmt.Fprintf(w, "join's ring swap; the join itself counts toward success only)\n")
-	fmt.Fprintf(w, "%-12s %-8s %-9s %-10s %-10s %-9s %-11s %s\n",
-		"mode", "total", "success", "base-p99", "churn-p99", "prewarms", "cold-routed", "joined-cold-loads")
+	fmt.Fprintf(w, "%-12s %-8s %-9s %-10s %-10s %-9s %-11s %-10s %-8s %s\n",
+		"mode", "total", "success", "base-p99", "churn-p99", "prewarms", "cold-routed", "failovers", "retries", "joined-cold-loads")
 
 	report := func(mode string, r churnResult) {
-		fmt.Fprintf(w, "%-12s %-8d %-9s %-10v %-10v %-9d %-11d %d\n",
+		fmt.Fprintf(w, "%-12s %-8d %-9s %-10v %-10v %-9d %-11d %-10d %-8d %d\n",
 			mode, r.Total, fmt.Sprintf("%.2f%%", 100*r.Success()),
 			r.BaseP99.Round(time.Microsecond), r.ChurnP99.Round(time.Microsecond),
-			r.Prewarms, r.ColdRouted, r.JoinedColdLoad)
+			r.Prewarms, r.ColdRouted, r.Failovers, r.Retries, r.JoinedColdLoad)
 	}
 
 	warm, err := runChurnMode(env, false)
@@ -271,6 +285,8 @@ func runChurnExp(w io.Writer, env *Env) error {
 		return err
 	}
 	report("hash-only", hash)
+	fmt.Fprintf(w, "churn-window p99 hash-only/warm-aware: %.1fx (printed only)\n",
+		float64(hash.ChurnP99)/float64(max(warm.ChurnP99, 1)))
 
 	if s := warm.Success(); s < 0.99 {
 		return fmt.Errorf("churn: warm-aware success %.2f%% < 99%% through kill+join", 100*s)
@@ -278,25 +294,15 @@ func runChurnExp(w io.Writer, env *Env) error {
 	if warm.Prewarms == 0 || warm.Rebalances == 0 {
 		return fmt.Errorf("churn: warm-aware mode never pre-warmed (prewarms=%d rebalances=%d)", warm.Prewarms, warm.Rebalances)
 	}
-	if hash.Prewarms != 0 {
-		return fmt.Errorf("churn: hash-only baseline pre-warmed %d times; the baseline must model the pre-placement router", hash.Prewarms)
+	if warm.ColdRouted != 0 || warm.Failovers != 0 {
+		return fmt.Errorf("churn: warm-aware churn window routed %d requests to a replica known cold and failed %d over",
+			warm.ColdRouted, warm.Failovers)
 	}
-	ratio := float64(hash.ChurnP99) / float64(warm.ChurnP99)
-	fmt.Fprintf(w, "churn-window p99 hash-only/warm-aware: %.1fx\n", ratio)
-	// The ratio is a wall-clock SLO: hash-only's churn tail is backoff-
-	// dominated (25ms per failover), warm-aware's is service-dominated
-	// (~0.5ms). On a contended host (parallel test packages, race
-	// instrumentation) scheduler noise alone pushes every p99 past the
-	// backoff penalty and the differential becomes unmeasurable — the
-	// base (pre-churn) p99 tells us which world we are in.
-	const noiseFloor = 20 * time.Millisecond
-	if warm.BaseP99 > noiseFloor || hash.BaseP99 > noiseFloor {
-		fmt.Fprintf(w, "NOTE: base p99 (%v warm / %v hash) exceeds the %v noise floor — the host is\n",
-			warm.BaseP99.Round(time.Microsecond), hash.BaseP99.Round(time.Microsecond), noiseFloor)
-		fmt.Fprintf(w, "too contended to resolve the churn differential; p99-ratio assertion skipped\n")
-	} else if ratio < 3 {
-		return fmt.Errorf("churn: hash-only churn p99 (%v) is only %.1fx warm-aware (%v), want >= 3x",
-			hash.ChurnP99, ratio, warm.ChurnP99)
+	if hash.Prewarms != 0 {
+		return fmt.Errorf("churn: hash-only baseline pre-warmed %d times; the baseline must model the router without placement", hash.Prewarms)
+	}
+	if hash.Failovers+hash.Retries == 0 {
+		return fmt.Errorf("churn: hash-only churn window had no failover or retry; the drill did not reach an empty owner")
 	}
 	fmt.Fprintf(w, "(warm-aware: the rebalancer replicates + warms the ownership delta BEFORE the\n")
 	fmt.Fprintf(w, " ring swap, so churn traffic only ever lands on warm replicas; hash-only shifts\n")

@@ -242,6 +242,9 @@ func init() {
 		if err := readJSONFrame(r, o); err != nil {
 			return nil, err
 		}
+		if o.MinN < 0 {
+			return nil, fmt.Errorf("ops: CharNgram MinN %d is negative", o.MinN)
+		}
 		d, err := text.ReadDict(r)
 		if err != nil {
 			return nil, err
@@ -391,6 +394,13 @@ func (o *HashNgram) WriteParams(w io.Writer) error { return writeJSONFrame(w, o)
 func init() {
 	register("HashNgram", func(r io.Reader) (Op, error) {
 		o := &HashNgram{}
-		return o, readJSONFrame(r, o)
+		if err := readJSONFrame(r, o); err != nil {
+			return nil, err
+		}
+		// Buckets are int32 indices: 1<<Bits must be a positive int32.
+		if o.Bits < 0 || o.Bits > 31 {
+			return nil, fmt.Errorf("ops: HashNgram Bits %d outside 0..31", o.Bits)
+		}
+		return o, nil
 	})
 }

@@ -324,6 +324,71 @@ func TestImportRejectsDuplicateTerms(t *testing.T) {
 	}
 }
 
+// buildHash constructs Tokenizer -> HashNgram(bits) -> LinearPredictor.
+func buildHash(bits int) *Pipeline {
+	return &Pipeline{
+		Name:        "hash-test",
+		InputSchema: schema.Text("Text"),
+		Nodes: []Node{
+			{Op: &ops.Tokenizer{}, Inputs: []int{InputID}},
+			{Op: &ops.HashNgram{Bits: bits, Word: true}, Inputs: []int{0}},
+			{Op: &ops.LinearPredictor{Model: &ml.LinearModel{Kind: ml.LogisticRegression, Weights: make([]float32, 1)}}, Inputs: []int{1}},
+		},
+	}
+}
+
+// importNoPanic exports p and imports it back, turning a panic into a
+// test failure.
+func importNoPanic(t *testing.T, p *Pipeline) (err error) {
+	t.Helper()
+	src, err := p.ExportBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("import panicked: %v", r)
+		}
+	}()
+	_, err = ImportBytes(src)
+	return err
+}
+
+// TestImportRejectsBadNgramConfigs: an n-gram config that would panic at
+// import (a negative shift in HashNgram.Dim) or on every predict (a
+// negative char gram length), or overflow int32 buckets, fails the
+// import; the edge configs that work still import.
+func TestImportRejectsBadNgramConfigs(t *testing.T) {
+	charSA := func(minN, maxN int) *Pipeline {
+		p := buildSA(t)
+		c := p.Nodes[1].Op.(*ops.CharNgram)
+		c.MinN, c.MaxN = minN, maxN
+		return p
+	}
+	for _, tc := range []struct {
+		name string
+		p    *Pipeline
+		msg  string // "" when the import must succeed
+	}{
+		{"char MinN -2", charSA(-2, 3), "MinN -2 is negative"},
+		{"hash Bits -1", buildHash(-1), "Bits -1 outside"},
+		{"hash Bits 32", buildHash(32), "Bits 32 outside"},
+		{"char MinN 0", charSA(0, 3), ""},
+		{"char MaxN < MinN", charSA(3, 2), ""},
+		{"hash Bits 0", buildHash(0), ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := importNoPanic(t, tc.p)
+			switch {
+			case tc.msg == "" && err != nil:
+				t.Fatalf("import failed: %v", err)
+			case tc.msg != "" && (err == nil || !strings.Contains(err.Error(), tc.msg)):
+				t.Fatalf("import error = %v, want %q", err, tc.msg)
+			}
+		})
+	}
+}
+
 func TestMemBytesAndContent(t *testing.T) {
 	p := buildSA(t)
 	if p.MemBytes() < 1000 {

@@ -59,6 +59,10 @@ func (k *GenericKernel) Run(ec *Exec, ins []*vector.Vector, out *vector.Vector) 
 // pushed-down linear model folded in. It emits the token list (arena
 // backed, no string allocation) for the dependent word-n-gram stage and
 // accumulates the char-block partial margin into the execution context.
+// Each token's grams are looked up and weighted in one loop
+// (text.CharNgramConfig.SumToken): no call per gram, and the same float32
+// sum, bit for bit, as adding the weights over CharNgram's emitted
+// indices.
 type SAHeadKernel struct {
 	Char     text.CharNgramConfig
 	Weights  []float32 // char block of the linear model weights
@@ -83,18 +87,14 @@ func (k *SAHeadKernel) Run(ec *Exec, ins []*vector.Vector, out *vector.Vector) e
 		out.Kind = vector.KindTokens
 		ec.TokBuf = text.TokenizeFunc(ins[0].Text, ec.TokBuf, func(tok []byte) {
 			out.AppendTokenBytes(tok)
-			k.Char.ExtractToken(tok, func(ix int32) {
-				acc += w[ix]
-			})
+			acc = k.Char.SumToken(tok, w, acc)
 		})
 	} else {
 		if ins[0].Kind != vector.KindTokens {
 			return fmt.Errorf("plan: sa-head expects tokens input, got %s", ins[0].Kind)
 		}
 		for i := 0; i < ins[0].NumTokens(); i++ {
-			k.Char.ExtractToken(ins[0].TokenAt(i), func(ix int32) {
-				acc += w[ix]
-			})
+			acc = k.Char.SumToken(ins[0].TokenAt(i), w, acc)
 		}
 		out.CopyFrom(ins[0]) // pass the tokens through to the next stage
 	}

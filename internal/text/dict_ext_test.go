@@ -68,10 +68,12 @@ func TestCharNgramSequenceMatchesMap(t *testing.T) {
 
 // benchDicts holds dictionaries built like the benchmark-scale SA ones (a
 // 2-5 char dictionary and a unigram+bigram word dictionary, capped at 45k
-// and 36k terms) and the grams of held-out reviews to look up in them.
+// and 36k terms), and the tokens of held-out reviews and their grams to
+// look up in them.
 var benchDicts struct {
 	once       sync.Once
 	char, word *text.Dict
+	tokens     [][]byte
 	charGrams  [][]byte
 	wordGrams  [][]byte
 }
@@ -91,6 +93,7 @@ func loadBenchDicts() {
 	for _, doc := range corpus.Generate(200, 40) {
 		toks := text.Tokenize(doc.Text, nil)
 		for i, tok := range toks {
+			benchDicts.tokens = append(benchDicts.tokens, []byte(tok))
 			for n := 2; n <= 5; n++ {
 				for j := 0; j+n <= len(tok); j++ {
 					benchDicts.charGrams = append(benchDicts.charGrams, []byte(tok[j:j+n]))

@@ -1,6 +1,9 @@
 package text
 
-import "hash/fnv"
+import (
+	"encoding/binary"
+	"hash/fnv"
+)
 
 // CharNgramConfig parameterizes character n-gram extraction. Character
 // n-grams are taken inside token boundaries after lowercasing, for lengths
@@ -19,7 +22,8 @@ func (c *CharNgramConfig) ExtractTokens(tokens []string, emit func(idx int32)) {
 }
 
 // ExtractToken emits the dictionary indices of all char n-grams of one
-// lowercased token given as bytes. Zero allocations.
+// lowercased token given as bytes. Zero allocations. SumToken is its
+// fused form for a linear head.
 func (c *CharNgramConfig) ExtractToken(tok []byte, emit func(idx int32)) {
 	for n := c.MinN; n <= c.MaxN; n++ {
 		if len(tok) < n {
@@ -31,6 +35,58 @@ func (c *CharNgramConfig) ExtractToken(tok []byte, emit func(idx int32)) {
 			}
 		}
 	}
+}
+
+// SumToken returns acc plus w[ix] for the index ix of every char n-gram of
+// one lowercased token that is in the dictionary: the char block of a
+// linear model pushed down into the featurizer (§4.1). The sum is taken in
+// ExtractToken's emission order (n outer, i inner), so it is bit-identical
+// to adding w[ix] in an ExtractToken callback, but no function is called
+// per gram. A gram of at most 7 bytes is keyed straight from the 8-byte
+// little-endian window at tok[i:], masked to n bytes and tagged with n in
+// the top byte (the Dict key of a short term), and the table is probed in
+// line; the windows that would run past the end of tok read from a
+// zero-padded copy of its tail. A longer gram takes the Dict's hashed key,
+// verified against the arena. Zero allocations.
+func (c *CharNgramConfig) SumToken(tok []byte, w []float32, acc float32) float32 {
+	d := c.Dict
+	keys, vals, shift := d.keys, d.vals, d.shift
+	mask := uint64(len(keys) - 1)
+	var tail [16]byte
+	t0 := max(len(tok)-7, 0)
+	copy(tail[:], tok[t0:])
+	for n := c.MinN; n <= c.MaxN && n <= len(tok); n++ {
+		if n >= 8 {
+			for i := 0; i+n <= len(tok); i++ {
+				g := tok[i : i+n]
+				if ix := find(d, g, bytesKey(g)); ix >= 0 {
+					acc += w[ix]
+				}
+			}
+			continue
+		}
+		gmask, tag := uint64(1)<<(8*n)-1, uint64(n)<<56
+		for i := 0; i+n <= len(tok); i++ {
+			var win uint64
+			if i+8 <= len(tok) {
+				win = binary.LittleEndian.Uint64(tok[i:])
+			} else {
+				win = binary.LittleEndian.Uint64(tail[i-t0:])
+			}
+			k := win&gmask | tag
+			for s := (k * hashMul) >> shift; ; s = (s + 1) & mask {
+				v := vals[s]
+				if v == 0 {
+					break
+				}
+				if keys[s] == k {
+					acc += w[v-1]
+					break
+				}
+			}
+		}
+	}
+	return acc
 }
 
 func (c *CharNgramConfig) extractOne(tok string, emit func(idx int32)) {

@@ -11,6 +11,14 @@
 //     intermediate results along the data path; and
 //   - a streaming, zero-allocation style (callbacks over byte slices) used
 //     by PRETZEL's fused physical stages.
+//
+// For a linear model pushed down into char n-gram extraction (§4.1: the
+// optimized SA plan's head stage), CharNgramConfig.SumToken goes from
+// gram to weight in one loop: each gram's dictionary key is read straight
+// from the token bytes, the table is probed in line, and the weight is
+// added in place, in the callback style's order, so the float32 sum is
+// the same bit for bit. The string path (ExtractTokens), which the
+// unoptimized pipeline.Run oracle takes, stays on Dict.Lookup.
 package text
 
 // asciiLower maps a byte to lowercase ASCII.
