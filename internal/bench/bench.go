@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"pretzel/internal/metrics"
-	"pretzel/internal/ops"
 	"pretzel/internal/oven"
 	"pretzel/internal/pipeline"
 	"pretzel/internal/runtime"
@@ -163,26 +162,12 @@ func importFile(path string) (*pipeline.Pipeline, error) {
 	return pipeline.ImportBytes(b)
 }
 
-// cacheResolver shares operator instances across imports by the checksum
-// of their serialized bytes (§4.1.3): the 2nd..Nth pipeline carrying an
-// already-seen dictionary skips its deserialization entirely.
-func cacheResolver(cache *store.OpCache) pipeline.OpResolver {
-	return func(kind string, raw []byte) (ops.Op, error) {
-		return cache.GetOrBuild(kind, store.HashRaw(raw), func() (ops.Op, error) {
-			return pipeline.DefaultResolver(kind, raw)
-		})
-	}
-}
-
 // loadPretzel imports, compiles and registers a set of model files into
 // a runtime, returning the wall-clock load time. With an Object Store the
-// loader also shares operator instances at the serialized-bytes level,
-// and the plans share stages through the runtime's plan store, as on
-// the server.
+// loader imports through its raw index and the plans share stages
+// through the runtime's plan store, as on the server.
 func loadPretzel(rt *runtime.Runtime, objStore *store.ObjectStore, files []string, opts oven.Options) (time.Duration, error) {
-	resolve := pipeline.DefaultResolver
 	if objStore != nil {
-		resolve = cacheResolver(store.NewOpCache())
 		opts.Plans = rt.PlanStore()
 	}
 	t0 := time.Now()
@@ -191,7 +176,7 @@ func loadPretzel(rt *runtime.Runtime, objStore *store.ObjectStore, files []strin
 		if err != nil {
 			return 0, err
 		}
-		p, err := pipeline.ImportBytesWith(b, resolve)
+		p, err := pipeline.ImportIndexed(b, objStore)
 		if err != nil {
 			return 0, err
 		}

@@ -90,10 +90,8 @@ func runFig8(w io.Writer, env *Env) error {
 func memPretzel(files []string, withStore bool) (*memCurve, error) {
 	label := "pretzel"
 	var objStore *store.ObjectStore
-	resolve := pipeline.DefaultResolver
 	if withStore {
 		objStore = store.New()
-		resolve = cacheResolver(store.NewOpCache())
 	} else {
 		label = "pretzel(no ObjStore)"
 	}
@@ -113,7 +111,7 @@ func memPretzel(files []string, withStore bool) (*memCurve, error) {
 		if err != nil {
 			return nil, err
 		}
-		p, err := pipeline.ImportBytesWith(raw, resolve)
+		p, err := pipeline.ImportIndexed(raw, objStore)
 		if err != nil {
 			return nil, err
 		}

@@ -250,6 +250,33 @@ func TestStatz(t *testing.T) {
 	}
 }
 
+// TestStatzRawIndex: a second upload of the same model takes its
+// parameter-carrying operators from the Object Store's raw index, and
+// /statz shows the hits beside the index size.
+func TestStatzRawIndex(t *testing.T) {
+	_, srv := emptyServer(t)
+	zip, err := saPipe(t, "m", 0).ExportBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "b"} {
+		if resp, body := do(t, http.MethodPost, srv.URL+"/models?name="+name, zip); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("upload %s: %d %s", name, resp.StatusCode, body)
+		}
+	}
+	var st struct {
+		ObjectStore map[string]float64 `json:"object_store"`
+	}
+	_, body := do(t, http.MethodGet, srv.URL+"/statz", nil)
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	obj := st.ObjectStore
+	if obj["raw_keys"] == 0 || obj["raw_misses"] != obj["raw_keys"] || obj["raw_hits"] != obj["raw_keys"] {
+		t.Fatalf("statz object store %v: want as many raw hits as misses and keys", obj)
+	}
+}
+
 // TestStatzMatCache: with materialization enabled, /statz makes the
 // cache's effectiveness (hits, misses, entries, bytes) observable.
 func TestStatzMatCache(t *testing.T) {

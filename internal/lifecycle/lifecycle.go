@@ -324,7 +324,7 @@ func (m *Manager) doLoad(e *managed, allowEvict bool) error {
 		raw, err := m.repo.Read(v.Name, v.Version)
 		if err == nil {
 			var p *pipeline.Pipeline
-			if p, err = pipeline.ImportBytes(raw); err == nil {
+			if p, err = pipeline.ImportIndexed(raw, m.rt.ObjectStore()); err == nil {
 				imps = append(imps, imported{v.Version, p})
 				est += estimateBytes(p)
 				continue
@@ -677,7 +677,7 @@ func (m *Manager) ModelInfo(name string) (runtime.ModelInfo, error) {
 // makes it resident — the whole model when it was cold, just the new
 // version when already warm.
 func (m *Manager) Register(zip []byte, opts serving.RegisterOptions) (serving.RegisterResult, error) {
-	p, err := pipeline.ImportBytes(zip)
+	p, err := pipeline.ImportIndexed(zip, m.rt.ObjectStore())
 	if err != nil {
 		return serving.RegisterResult{}, fmt.Errorf("%w: importing: %v", serving.ErrBadModel, err)
 	}
@@ -972,7 +972,7 @@ func (m *Manager) onDiscovered(added []repo.Entry) {
 		raw, err := m.repo.Read(ent.Name, ent.Version)
 		var p *pipeline.Pipeline
 		if err == nil {
-			p, err = pipeline.ImportBytes(raw)
+			p, err = pipeline.ImportIndexed(raw, m.rt.ObjectStore())
 		}
 		if err == nil {
 			err = m.install(e, ent.Version, p)

@@ -31,7 +31,14 @@ func buildZip(t testing.TB, name string, bump float32) []byte {
 	// like "m-a" tokenizes into 1-char fragments that yield no 2-3
 	// char-ngrams, which would leave the char dictionary identical
 	// (shared) across models.
-	salt := fmt.Sprintf("x%x", name)
+	return saltedZip(t, name, fmt.Sprintf("x%x", name), bump)
+}
+
+// saltedZip exports the sentiment pipeline of buildZip with its
+// dictionaries salted by salt: models with one salt share both
+// dictionaries, and with one bump their final layer too.
+func saltedZip(t testing.TB, name, salt string, bump float32) []byte {
+	t.Helper()
 	cb, wb := text.NewDictBuilder(), text.NewDictBuilder()
 	for _, doc := range []string{"nice product great wonderful " + salt, "bad refund awful broken own" + salt} {
 		toks := text.Tokenize(doc, nil)

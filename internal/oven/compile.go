@@ -1,6 +1,7 @@
 package oven
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -63,13 +64,32 @@ func Compile(p *pipeline.Pipeline, objStore *store.ObjectStore, opts Options) (*
 				continue
 			}
 			shared := make([]ops.Param, len(ps))
+			canonical := true
 			for k, q := range ps {
 				shared[k] = objStore.Intern(q)
+				canonical = canonical && shared[k] == q
 			}
 			// Track before SetParams: a failure there still leaves the
 			// refcounts incremented, and Release finds a canonical
 			// instance by identity, so releasing them undoes it exactly.
 			interned = append(interned, shared...)
+			// An operator that already holds the canonical instances,
+			// such as one taken from the raw index and shared with other
+			// plans, is never written to.
+			if canonical {
+				continue
+			}
+			if n.Shared {
+				// Taken from the raw index, then its parameters were
+				// released to zero and equal ones interned anew: other
+				// imports may hold it too, so rewire a private copy.
+				op, err := cloneOp(n.Op)
+				if err != nil {
+					return nil, fmt.Errorf("oven: interning node %d: %w", i, err)
+				}
+				p.Nodes[i].Op, p.Nodes[i].Shared = op, false
+				n = p.Nodes[i]
+			}
 			if err := n.Op.SetParams(shared); err != nil {
 				return nil, fmt.Errorf("oven: interning node %d: %w", i, err)
 			}
@@ -101,7 +121,26 @@ func Compile(p *pipeline.Pipeline, objStore *store.ObjectStore, opts Options) (*
 	}
 	pl.Interned = interned
 	compiled = true
+	// The parameters are interned now: index each operator under the raw
+	// key it was imported by, so the next import of the same bytes takes
+	// it without parsing.
+	if objStore != nil {
+		for _, n := range p.Nodes {
+			if n.Raw != nil {
+				objStore.RecordRaw(*n.Raw, n.Op)
+			}
+		}
+	}
 	return pl, nil
+}
+
+// cloneOp returns a private copy of op, parsed from its serialized form.
+func cloneOp(op ops.Op) (ops.Op, error) {
+	var buf bytes.Buffer
+	if err := op.WriteParams(&buf); err != nil {
+		return nil, err
+	}
+	return ops.Read(op.Info().Kind, &buf)
 }
 
 // ReleaseInterned returns a compiled plan's interned parameter

@@ -9,12 +9,16 @@ package pipeline
 import (
 	"archive/zip"
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash"
 	"io"
 
 	"pretzel/internal/ops"
 	"pretzel/internal/schema"
+	"pretzel/internal/store"
 	"pretzel/internal/vector"
 )
 
@@ -25,6 +29,13 @@ const InputID = -1
 type Node struct {
 	Op     ops.Op
 	Inputs []int // producer node ids (InputID for the pipeline input)
+	// Raw is the key ImportIndexed looked the operator up under; a
+	// compile records it in the Object Store's raw index. Nil for
+	// pipelines built or imported any other way.
+	Raw *store.RawKey
+	// Shared marks an operator taken from the raw index: other plans
+	// and imports hold it too, so it must not be written to.
+	Shared bool
 }
 
 // Stats carries training-time statistics the compiler consumes (§4.1.1:
@@ -188,22 +199,26 @@ func (p *Pipeline) ExportBytes() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// OpResolver maps a serialized operator to an instance. It allows the
-// importer to share operator objects across model files: a white-box
-// loader checksums raw and returns a previously built instance when the
-// bytes match (skipping deserialization entirely — the §4.1.3 load-time
-// optimization), while the default resolver always deserializes.
-type OpResolver func(kind string, raw []byte) (ops.Op, error)
-
-// DefaultResolver deserializes every operator (black-box semantics:
-// every pipeline owns fresh parameter objects).
-func DefaultResolver(kind string, raw []byte) (ops.Op, error) {
-	return ops.Read(kind, bytes.NewReader(raw))
+// ImportBytes reads a pipeline from a zip archive produced by Export.
+// Every operator is parsed into fresh parameter objects, as a black-box
+// serving system would hold them.
+func ImportBytes(b []byte) (*Pipeline, error) {
+	return importFrom(b, nil)
 }
 
-// Import reads a pipeline from a zip archive produced by Export.
-func Import(r io.ReaderAt, size int64) (*Pipeline, error) {
-	return ImportWith(r, size, DefaultResolver)
+// ImportIndexed is ImportBytes that first looks each operator up in the
+// Object Store's raw index (§4.1.3: "parameters equality is computed by
+// looking at the checksum of the serialized version of the objects").
+// A params.bin is keyed by a SHA-256 over its kind, its zip header
+// fields and every stored byte a read of it checks. On a hit the canonical
+// operator is used as is: nothing is inflated, parsed or digested, and
+// the operator is shared, so it must not be written to. On a miss the
+// entry is inflated and parsed as by ImportBytes, and the compile that
+// interns its parameters records the key. The import itself takes no
+// Object Store reference. It accepts and rejects exactly what
+// ImportBytes does, and with a nil store it is ImportBytes.
+func ImportIndexed(b []byte, s *store.ObjectStore) (*Pipeline, error) {
+	return importFrom(b, s)
 }
 
 // maxInflatedBytes caps the total uncompressed size of one model
@@ -215,9 +230,10 @@ const maxInflatedBytes = 256 << 20
 
 var errTooLarge = fmt.Errorf("archive inflates past %d bytes", maxInflatedBytes)
 
-// ImportWith reads a pipeline resolving each operator through resolve.
-func ImportWith(r io.ReaderAt, size int64, resolve OpResolver) (*Pipeline, error) {
-	zr, err := zip.NewReader(r, size)
+// importFrom reads a pipeline from the archive b, through the raw index
+// of s when s is not nil.
+func importFrom(b []byte, s *store.ObjectStore) (*Pipeline, error) {
+	zr, err := zip.NewReader(bytes.NewReader(b), int64(len(b)))
 	if err != nil {
 		return nil, fmt.Errorf("pipeline import: %w", err)
 	}
@@ -245,20 +261,46 @@ func ImportWith(r io.ReaderAt, size int64, resolve OpResolver) (*Pipeline, error
 		return nil, fmt.Errorf("pipeline import: manifest: %w", err)
 	}
 	p := &Pipeline{Name: m.Name, Stats: m.Stats, InputSchema: schema.New(m.Input.Cols...)}
+	var (
+		keys []store.RawKey
+		kr   rawKeyer
+	)
+	if s != nil {
+		keys, kr.h = make([]store.RawKey, len(m.Nodes)), sha256.New()
+	}
 	for i, mn := range m.Nodes {
 		pf, ok := files[mn.Dir+"/params.bin"]
 		if !ok {
 			return nil, fmt.Errorf("pipeline import: node %d: missing %s/params.bin", i, mn.Dir)
 		}
-		raw, err := readEntry(pf, &budget)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline import: node %d: %w", i, err)
+		n := Node{Inputs: mn.Inputs}
+		if s != nil {
+			if err := kr.key(&keys[i], b, pf, mn.Kind); err != nil {
+				return nil, fmt.Errorf("pipeline import: node %d: %w", i, err)
+			}
+			n.Raw = &keys[i]
+			if n.Op = s.LookupRaw(keys[i]); n.Op != nil {
+				// The key fixes every byte the miss that recorded it
+				// read and checked; only the read budget is left.
+				n.Shared = true
+				if budget -= int64(pf.UncompressedSize64); budget < 0 {
+					return nil, fmt.Errorf("pipeline import: node %d: %w", i, errTooLarge)
+				}
+			}
 		}
-		op, err := resolve(mn.Kind, raw)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline import: node %d: %w", i, err)
+		if n.Op == nil {
+			raw, err := readEntry(pf, &budget)
+			if err != nil {
+				return nil, fmt.Errorf("pipeline import: node %d: %w", i, err)
+			}
+			if n.Op, err = ops.Read(mn.Kind, bytes.NewReader(raw)); err != nil {
+				return nil, fmt.Errorf("pipeline import: node %d: %w", i, err)
+			}
+			if s != nil && len(n.Op.Params()) > 0 {
+				s.CountRawMiss()
+			}
 		}
-		p.Nodes = append(p.Nodes, Node{Op: op, Inputs: mn.Inputs})
+		p.Nodes = append(p.Nodes, n)
 	}
 	if _, err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("pipeline import: %w", err)
@@ -285,12 +327,54 @@ func readEntry(f *zip.File, budget *int64) ([]byte, error) {
 	return raw, nil
 }
 
-// ImportBytes is Import from a byte slice.
-func ImportBytes(b []byte) (*Pipeline, error) {
-	return Import(bytes.NewReader(b), int64(len(b)))
+// rawKeyer keys the entries of one archive for the raw index, reusing
+// one hash state and header buffer.
+type rawKeyer struct {
+	h   hash.Hash
+	hdr []byte
 }
 
-// ImportBytesWith is ImportWith from a byte slice.
-func ImportBytesWith(b []byte, resolve OpResolver) (*Pipeline, error) {
-	return ImportWith(bytes.NewReader(b), int64(len(b)), resolve)
+// key sets *k to the key of the entry f of the archive b: a SHA-256 over
+// its kind and header fields and every byte a read of it checks, hashed
+// in place without inflating. Those are the compressed bytes and, when
+// flag bit 3 (which zip.Writer sets) puts a data descriptor after them,
+// the descriptor window archive/zip reads its CRC-32 from. Bytes the
+// archive does not hold are not hashed, as a raw read would end there.
+func (r *rawKeyer) key(k *store.RawKey, b []byte, f *zip.File, kind string) error {
+	off, err := f.DataOffset()
+	if err != nil {
+		return err
+	}
+	data := clamp(b, uint64(off), f.CompressedSize64)
+	var desc []byte
+	if f.Flags&0x8 != 0 {
+		desc = clamp(b, uint64(off)+f.CompressedSize64, 16)
+	}
+	r.hdr = binary.LittleEndian.AppendUint64(r.hdr[:0], uint64(len(kind)))
+	r.hdr = binary.LittleEndian.AppendUint16(r.hdr, f.Method)
+	r.hdr = binary.LittleEndian.AppendUint16(r.hdr, f.Flags&0x8)
+	r.hdr = binary.LittleEndian.AppendUint32(r.hdr, f.CRC32)
+	r.hdr = binary.LittleEndian.AppendUint64(r.hdr, f.UncompressedSize64)
+	r.hdr = binary.LittleEndian.AppendUint64(r.hdr, f.CompressedSize64)
+	r.hdr = binary.LittleEndian.AppendUint64(r.hdr, uint64(len(data)))
+	r.hdr = binary.LittleEndian.AppendUint64(r.hdr, uint64(len(desc)))
+	r.hdr = append(r.hdr, kind...)
+	r.h.Reset()
+	r.h.Write(r.hdr)
+	r.h.Write(data)
+	r.h.Write(desc)
+	r.h.Sum(k[:0])
+	return nil
+}
+
+// clamp returns the n bytes of b from off, or those of them b holds.
+func clamp(b []byte, off, n uint64) []byte {
+	end := uint64(len(b))
+	if off >= end {
+		return nil
+	}
+	if n < end-off {
+		end = off + n
+	}
+	return b[off:end]
 }

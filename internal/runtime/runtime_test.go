@@ -328,10 +328,11 @@ func TestRegisterInvalidPlan(t *testing.T) {
 }
 
 // resident is the part of both stores' Stats() that describes what is
-// held right now (the hit/miss counters only ever grow).
+// held right now (the hit, miss and digest counters only ever grow).
 func resident(rt *Runtime) [2]any {
 	o, p := rt.ObjectStoreStats(), rt.PlanStoreStats()
 	o.Hits, o.Misses, p.Hits, p.Misses = 0, 0, 0, 0
+	o.Digests, o.RawHits, o.RawMisses = 0, 0, 0
 	return [2]any{o, p}
 }
 

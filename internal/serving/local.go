@@ -105,7 +105,7 @@ func (l *Local) ModelInfo(name string) (runtime.ModelInfo, error) { return l.rt.
 // Register imports, compiles and installs a model from exported zip
 // bytes, optionally pointing a label at the new version.
 func (l *Local) Register(zip []byte, opts RegisterOptions) (RegisterResult, error) {
-	p, err := pipeline.ImportBytes(zip)
+	p, err := pipeline.ImportIndexed(zip, l.rt.ObjectStore())
 	if err != nil {
 		return RegisterResult{}, fmt.Errorf("%w: importing: %v", ErrBadModel, err)
 	}

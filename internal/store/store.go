@@ -10,6 +10,10 @@
 // one. Parameters equality is computed by looking at the checksum of the
 // serialized version of the objects." That checksum is the SHA-256
 // Digest, the only identity a parameter has.
+//
+// The store also indexes canonical operators by the bytes a model
+// archive stores them as (RawKey), so a load that meets a parameter it
+// already holds finds it before inflating or parsing anything.
 package store
 
 import (
@@ -17,6 +21,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"pretzel/internal/ops"
@@ -34,7 +39,18 @@ type entry struct {
 	val    ops.Param
 	digest Digest
 	refs   int
+	// raw lists the raw-index keys whose operator holds val; they are
+	// dropped with it.
+	raw []RawKey
 }
+
+// RawKey names an operator's params.bin entry by what a model archive
+// stores, before anything is inflated or parsed: a SHA-256 over the
+// operator kind the manifest gives it, the entry's zip header fields and
+// every stored byte a read of it checks (pipeline.ImportIndexed computes
+// it). Equal keys inflate to equal bytes, which parse to interchangeable
+// operators.
+type RawKey Digest
 
 // ObjectStore interns parameter objects.
 type ObjectStore struct {
@@ -44,14 +60,24 @@ type ObjectStore struct {
 	// a canonical parameter is its own proof of content equality, so
 	// re-interning, releasing or signing it never re-serializes it.
 	byInstance map[ops.Param]*entry
+	// byRaw indexes canonical operators, every parameter of which is a
+	// stored canonical instance, by the archive bytes they were parsed
+	// from. It holds no reference: an entry goes as soon as any of its
+	// operator's parameters is released to zero.
+	byRaw map[RawKey]ops.Op
 
-	hits   uint64
-	misses uint64
+	hits, misses       uint64
+	rawHits, rawMisses uint64
+	digests            uint64
 }
 
 // New returns an empty Object Store.
 func New() *ObjectStore {
-	return &ObjectStore{byDigest: make(map[Digest]*entry), byInstance: make(map[ops.Param]*entry)}
+	return &ObjectStore{
+		byDigest:   make(map[Digest]*entry),
+		byInstance: make(map[ops.Param]*entry),
+		byRaw:      make(map[RawKey]ops.Op),
+	}
 }
 
 // DigestOf computes the collision-safe content address of a parameter.
@@ -84,6 +110,7 @@ func (s *ObjectStore) lookup(p ops.Param) (*entry, Digest) {
 	s.mu.Unlock()
 	d := DigestOf(p)
 	s.mu.Lock()
+	s.digests++
 	return s.byDigest[d], d
 }
 
@@ -142,21 +169,78 @@ func (s *ObjectStore) Release(p ops.Param) {
 	if e.refs--; e.refs <= 0 {
 		delete(s.byDigest, e.digest)
 		delete(s.byInstance, e.val)
+		for _, k := range e.raw {
+			s.dropRaw(k)
+		}
 	}
 }
 
-// InternOp interns all parameters of an operator in place, rewiring the
-// operator to the canonical instances.
-func (s *ObjectStore) InternOp(op ops.Op) error {
+// LookupRaw returns the canonical operator indexed under k, counting a
+// raw hit, or nil. It takes no reference: the operator's parameters are
+// referenced when a compile interns them. If they are released to zero
+// before that, the compile interns the same instances anew, or rewires a
+// private copy when equal ones were interned meanwhile. Callers share
+// the operator and must not write to it.
+func (s *ObjectStore) LookupRaw(k RawKey) ops.Op {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	op := s.byRaw[k]
+	if op != nil {
+		s.rawHits++
+	}
+	return op
+}
+
+// CountRawMiss counts a parameter-carrying operator that an indexed
+// import did not find under its raw key and so inflated and parsed.
+func (s *ObjectStore) CountRawMiss() {
+	s.mu.Lock()
+	s.rawMisses++
+	s.mu.Unlock()
+}
+
+// RecordRaw indexes op under k once every parameter of op is a stored
+// canonical instance, that is after a compile interned it. An operator
+// without parameters is not indexed (nothing would ever drop it, and it
+// is cheap to parse), and a key keeps the first operator recorded.
+func (s *ObjectStore) RecordRaw(k RawKey, op ops.Op) {
 	ps := op.Params()
 	if len(ps) == 0 {
-		return nil
+		return
 	}
-	shared := make([]ops.Param, len(ps))
-	for i, p := range ps {
-		shared[i] = s.Intern(p)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.byRaw[k] != nil {
+		return
 	}
-	return op.SetParams(shared)
+	for _, p := range ps {
+		if s.byInstance[p] == nil {
+			return
+		}
+	}
+	s.byRaw[k] = op
+	for _, p := range ps {
+		e := s.byInstance[p]
+		e.raw = append(e.raw, k)
+	}
+}
+
+// dropRaw removes k from the raw index and from the lists of its
+// operator's parameters that are still stored, so nothing keeps the
+// operator alive. Caller holds s.mu.
+func (s *ObjectStore) dropRaw(k RawKey) {
+	op := s.byRaw[k]
+	if op == nil {
+		return
+	}
+	delete(s.byRaw, k)
+	for _, p := range op.Params() {
+		if e := s.byInstance[p]; e != nil {
+			if j := slices.Index(e.raw, k); j >= 0 {
+				e.raw = slices.Delete(e.raw, j, j+1)
+			}
+		}
+	}
 }
 
 // Count returns the number of unique parameters stored.
@@ -192,13 +276,24 @@ type Stats struct {
 	// BytesSaved is Σ (refs-1) × bytes per unique parameter: the RAM a
 	// copy-per-reference (black-box) runtime would additionally hold.
 	BytesSaved int64 `json:"bytes_saved"`
+	// Digests counts content digests computed for instances that were
+	// not canonical: each one re-serialized a parameter.
+	Digests uint64 `json:"digests"`
+	// RawHits counts operators an indexed import took from the raw
+	// index (nothing inflated, parsed or digested); RawMisses the
+	// parameter-carrying ones it had to inflate and parse. RawKeys is
+	// the size of the raw index.
+	RawHits   uint64 `json:"raw_hits"`
+	RawMisses uint64 `json:"raw_misses"`
+	RawKeys   int    `json:"raw_keys"`
 }
 
 // Stats returns a snapshot of the store counters.
 func (s *ObjectStore) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := Stats{Hits: s.hits, Misses: s.misses, Unique: len(s.byDigest)}
+	st := Stats{Hits: s.hits, Misses: s.misses, Unique: len(s.byDigest),
+		Digests: s.digests, RawHits: s.rawHits, RawMisses: s.rawMisses, RawKeys: len(s.byRaw)}
 	for _, e := range s.byDigest {
 		b := e.val.MemBytes()
 		st.Bytes += b
@@ -208,81 +303,6 @@ func (s *ObjectStore) Stats() Stats {
 		}
 	}
 	return st
-}
-
-// --- operator cache (load-time dedup) ---
-
-// opKey identifies a serialized operator by kind and raw-bytes hash.
-type opKey struct {
-	kind string
-	sum  uint64
-}
-
-// OpCache deduplicates whole operator instances by the checksum of their
-// serialized form, so importing the 2nd..Nth pipeline that contains an
-// already-loaded operator skips deserialization entirely. This is the
-// §4.1.3 mechanism behind PRETZEL's fast load times ("parameters equality
-// is computed by looking at the checksum of the serialized version of the
-// objects"; §5.1: "keeping track of pipelines' parameters also helps
-// reducing the time to load models").
-type OpCache struct {
-	mu sync.Mutex
-	m  map[opKey]ops.Op
-
-	hits, misses uint64
-}
-
-// NewOpCache returns an empty operator cache.
-func NewOpCache() *OpCache { return &OpCache{m: make(map[opKey]ops.Op)} }
-
-// HashRaw hashes serialized operator bytes (FNV-1a).
-func HashRaw(b []byte) uint64 {
-	var h uint64 = 0xcbf29ce484222325
-	for _, c := range b {
-		h = (h ^ uint64(c)) * 0x100000001b3
-	}
-	return h
-}
-
-// GetOrBuild returns the cached operator for (kind, raw hash), building
-// and caching it with build on first sight. Cached operators are shared
-// instances: they are safe for concurrent Transform calls, and plans
-// sharing them share their parameters implicitly.
-func (c *OpCache) GetOrBuild(kind string, sum uint64, build func() (ops.Op, error)) (ops.Op, error) {
-	k := opKey{kind, sum}
-	c.mu.Lock()
-	if op, ok := c.m[k]; ok {
-		c.hits++
-		c.mu.Unlock()
-		return op, nil
-	}
-	c.mu.Unlock()
-	op, err := build()
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if prior, ok := c.m[k]; ok { // racing build: keep the first
-		c.hits++
-		return prior, nil
-	}
-	c.m[k] = op
-	c.misses++
-	return op, nil
-}
-
-// OpCacheStats is a snapshot of cache counters.
-type OpCacheStats struct {
-	Hits, Misses uint64
-	Unique       int
-}
-
-// Stats returns a snapshot of the cache counters.
-func (c *OpCache) Stats() OpCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return OpCacheStats{Hits: c.hits, Misses: c.misses, Unique: len(c.m)}
 }
 
 // --- sub-plan materialization cache ---

@@ -76,29 +76,6 @@ func TestRelease(t *testing.T) {
 	s.Release(a) // double release: no panic
 }
 
-func TestInternOp(t *testing.T) {
-	s := New()
-	shared := dict("ab", "bc")
-	op1 := &ops.CharNgram{MinN: 2, MaxN: 2, Dict: shared}
-	op2 := &ops.CharNgram{MinN: 2, MaxN: 2, Dict: dict("ab", "bc")}
-	if err := s.InternOp(op1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.InternOp(op2); err != nil {
-		t.Fatal(err)
-	}
-	if op2.Dict != shared {
-		t.Fatal("InternOp must rewire to the canonical dict")
-	}
-	if s.MemBytes() <= 0 {
-		t.Fatal("membytes")
-	}
-	// Ops without params are a no-op.
-	if err := s.InternOp(&ops.Tokenizer{}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestInternConcurrent(t *testing.T) {
 	s := New()
 	var wg sync.WaitGroup
