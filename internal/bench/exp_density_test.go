@@ -117,10 +117,10 @@ func TestDensityTenThousandVariants(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c, b := objStore.Count(), objStore.MemBytes(); c != 0 || b != 0 {
+	if c, b := objStore.Stats().Unique, objStore.MemBytes(); c != 0 || b != 0 {
 		t.Fatalf("object store not drained: count=%d bytes=%d", c, b)
 	}
-	if c, b := plans.Count(), plans.MemBytes(); c != 0 || b != 0 {
+	if c, b := plans.Stats().Unique, plans.MemBytes(); c != 0 || b != 0 {
 		t.Fatalf("plan store not drained: count=%d bytes=%d", c, b)
 	}
 	if mem := rt.MemBytes(); mem != 0 {

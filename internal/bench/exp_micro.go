@@ -10,7 +10,6 @@ import (
 
 	"pretzel/internal/blackbox"
 	"pretzel/internal/metrics"
-	"pretzel/internal/ops"
 	"pretzel/internal/vector"
 )
 
@@ -226,13 +225,4 @@ func runColdSplit(w io.Writer, env *Env) error {
 	fmt.Fprintf(w, "  compute:                      %5.1f%%  (%v)\n", pct(compute), compute.Round(time.Microsecond))
 	fmt.Fprintf(w, "(paper: 57.4%% init+analysis, 36.5%% JIT, ~6%% compute)\n")
 	return nil
-}
-
-// opsOfPlanKinds is used by tests to sanity check fused stages.
-func opsOfPlanKinds(list []ops.Op) []string {
-	var out []string
-	for _, op := range list {
-		out = append(out, op.Info().Kind)
-	}
-	return out
 }

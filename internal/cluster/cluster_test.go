@@ -1,10 +1,14 @@
 package cluster
 
 import (
+	"archive/zip"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -305,7 +309,7 @@ func TestPlacementMemorySublinear(t *testing.T) {
 	holders, fleet := 0, 0
 	for _, n := range nodes {
 		fleet += n.rt.MemBytes()
-		if len(n.rt.Names()) > 0 {
+		if n.rt.CatalogStats().Models > 0 {
 			holders++
 		}
 	}
@@ -438,6 +442,51 @@ func TestRouterSentinelMapping(t *testing.T) {
 	}
 	if err := router.Ready(); !errors.Is(err, serving.ErrNotReady) {
 		t.Fatalf("dead fleet readiness: %v", err)
+	}
+}
+
+// TestRouterRegisterBadParams: an unnamed upload whose manifest is valid
+// but whose parameters are corrupt is placed by its manifest name and
+// rejected by the owning nodes, which the router reports as ErrBadModel.
+// An upload with no readable manifest fails at the router.
+func TestRouterRegisterBadParams(t *testing.T) {
+	_, router := newCluster(t, 2, 2)
+	src := exportPipe(t, "sa-bad")
+	zr, err := zip.NewReader(bytes.NewReader(src), int64(len(src)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	zw := zip.NewWriter(&buf)
+	for _, f := range zr.File {
+		raw, err := f.OpenRaw()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fh := f.FileHeader
+		if strings.HasSuffix(fh.Name, "/params.bin") {
+			fh.CRC32 ^= 1
+		}
+		w, err := zw.CreateRaw(&fh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.Copy(w, raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = router.Register(buf.Bytes(), serving.RegisterOptions{})
+	if !errors.Is(err, serving.ErrBadModel) || !strings.Contains(err.Error(), "node node") {
+		t.Fatalf("corrupt params: %v, want ErrBadModel from an owning node", err)
+	}
+	if models := router.Models(); len(models) != 0 {
+		t.Fatalf("a rejected upload is in the catalog: %+v", models)
+	}
+	if _, err := router.Register([]byte("not a zip"), serving.RegisterOptions{}); !errors.Is(err, serving.ErrBadModel) {
+		t.Fatalf("garbage upload: %v", err)
 	}
 }
 

@@ -115,16 +115,6 @@ func (r *Ring) Clone() *Ring {
 // Len returns the member count.
 func (r *Ring) Len() int { return len(r.nodes) }
 
-// Nodes returns the member IDs, sorted.
-func (r *Ring) Nodes() []string {
-	out := make([]string, 0, len(r.nodes))
-	for n := range r.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Owners returns the K distinct nodes owning a key: the first K
 // distinct members encountered walking the circle clockwise from the
 // key's hash. K is clamped to the member count. The first owner is the

@@ -591,13 +591,14 @@ func (r *Router) Register(zip []byte, opts serving.RegisterOptions) (serving.Reg
 	}
 	name := opts.Name
 	if name == "" {
-		// Peek into the upload for the placement key (and fail garbage
-		// early, before it travels the fleet).
-		p, err := pipeline.ImportBytes(zip)
+		// Read the placement key from the upload's manifest (and fail an
+		// unreadable archive early, before it travels the fleet). The
+		// owning nodes import the rest and reject a bad parameter.
+		mname, err := pipeline.ManifestName(zip)
 		if err != nil {
 			return serving.RegisterResult{}, fmt.Errorf("%w: importing: %v", serving.ErrBadModel, err)
 		}
-		name, _ = runtime.SplitRef(p.Name)
+		name, _ = runtime.SplitRef(mname)
 	}
 	owners := r.owners(name)
 	if len(owners) == 0 {

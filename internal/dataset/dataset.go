@@ -168,15 +168,3 @@ func (g *RecordGen) Generate(n int) []Record {
 	}
 	return out
 }
-
-// SplitReviews splits reviews into train/test by fraction trainFrac.
-func SplitReviews(rs []Review, trainFrac float64) (train, test []Review) {
-	cut := int(float64(len(rs)) * trainFrac)
-	return rs[:cut], rs[cut:]
-}
-
-// SplitRecords splits records into train/test by fraction trainFrac.
-func SplitRecords(rs []Record, trainFrac float64) (train, test []Record) {
-	cut := int(float64(len(rs)) * trainFrac)
-	return rs[:cut], rs[cut:]
-}

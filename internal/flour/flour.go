@@ -4,14 +4,14 @@
 // paper's Listing 1:
 //
 //	fc := flour.NewContext(objectStore)
-//	tok := fc.CSV(',').WithSchema(schema.Text("Text")).Select("Text").Tokenize()
+//	tok := fc.Text().Tokenize()
 //	cn  := tok.CharNgram(charDict, 2, 3)
 //	wn  := tok.WordNgram(wordDict, 2)
 //	prg := cn.Concat(wn).ClassifierBinaryLinear(model)
-//	pln, err := prg.Plan(oven.DefaultOptions())
+//	pln, err := prg.Plan("sa", oven.DefaultOptions())
 //
-// Each transformation optionally accepts training statistics; the
-// compiler uses them to pick physical implementations and pool sizes.
+// Each transformation records its output dimensionality in the program's
+// statistics; the compiler uses them to size pools.
 package flour
 
 import (
@@ -90,46 +90,6 @@ func (t *Transform) append(op ops.Op, inputs ...int) *Transform {
 
 // --- sources ---
 
-// CSVSource configures a delimited-text input (Flour's CSV.FromText).
-type CSVSource struct {
-	ctx *Context
-	sep byte
-	sch *schema.Schema
-}
-
-// CSV starts a program reading separator-delimited text.
-func (c *Context) CSV(sep byte) *CSVSource {
-	return &CSVSource{ctx: c, sep: sep}
-}
-
-// WithSchema declares the input column layout.
-func (s *CSVSource) WithSchema(sc *schema.Schema) *CSVSource {
-	s.sch = sc
-	return s
-}
-
-// Select picks one named column as the pipeline's working text column.
-func (s *CSVSource) Select(col string) *Transform {
-	p := &program{ctx: s.ctx, input: schema.Text("line")}
-	t := &Transform{prg: p, node: pipeline.InputID}
-	if s.sch == nil {
-		p.fail(fmt.Errorf("flour: CSV source needs WithSchema before Select"))
-		return t
-	}
-	field := -1
-	for i, c := range s.sch.Cols {
-		if c.Name == col {
-			field = i
-			break
-		}
-	}
-	if field < 0 {
-		p.fail(fmt.Errorf("flour: column %q not in schema %s", col, s.sch))
-		return t
-	}
-	return t.append(&ops.CSVSelect{Sep: s.sep, Field: field}, pipeline.InputID)
-}
-
 // Text starts a program whose input is a raw text column.
 func (c *Context) Text() *Transform {
 	p := &program{ctx: c, input: schema.Text("Text")}
@@ -161,11 +121,6 @@ func (t *Transform) WordNgram(dict *text.Dict, maxN int) *Transform {
 	return t.append(&ops.WordNgram{MaxN: maxN, Dict: dict}, t.node)
 }
 
-// HashNgram extracts hashed n-grams (dictionary-free featurization).
-func (t *Transform) HashNgram(bits int, word bool, maxN int) *Transform {
-	return t.append(&ops.HashNgram{Bits: bits, Word: word, MaxN: maxN}, t.node)
-}
-
 // Concat concatenates this transform's vector with the others'.
 func (t *Transform) Concat(others ...*Transform) *Transform {
 	p := t.prg
@@ -193,36 +148,6 @@ func (t *Transform) dim() int {
 	return 0
 }
 
-// Normalize appends an L2 normalizer.
-func (t *Transform) Normalize() *Transform {
-	return t.append(&ops.L2Normalizer{}, t.node)
-}
-
-// Impute replaces NaNs with the given per-coordinate fill values.
-func (t *Transform) Impute(fill []float32) *Transform {
-	return t.append(&ops.Imputer{Fill: &ops.Floats{V: fill}}, t.node)
-}
-
-// Scale standardizes coordinates with training means/stds.
-func (t *Transform) Scale(mean, std []float32) *Transform {
-	return t.append(&ops.MeanVarScaler{Mean: &ops.Floats{V: mean}, Std: &ops.Floats{V: std}}, t.node)
-}
-
-// Bucketize maps coordinates to quantile buckets.
-func (t *Transform) Bucketize(numBuckets int, bounds []float32) *Transform {
-	return t.append(&ops.Bucketizer{NumBuckets: numBuckets, Bounds: &ops.Floats{V: bounds}}, t.node)
-}
-
-// Clip clamps coordinates into [lo, hi].
-func (t *Transform) Clip(lo, hi float32) *Transform {
-	return t.append(&ops.Clip{Lo: lo, Hi: hi}, t.node)
-}
-
-// SelectFeatures projects onto an index subset.
-func (t *Transform) SelectFeatures(indices []int32) *Transform {
-	return t.append(&ops.FeatureSelect{Indices: indices}, t.node)
-}
-
 // PCA projects onto trained principal components.
 func (t *Transform) PCA(model *ml.PCA) *Transform {
 	return t.append(&ops.PCATransform{Model: model}, t.node)
@@ -245,43 +170,12 @@ func (t *Transform) ClassifierBinaryLinear(model *ml.LinearModel) *Transform {
 	return t.append(&ops.LinearPredictor{Model: model}, t.node)
 }
 
-// Regressor appends a linear regressor (identity or Poisson link).
-func (t *Transform) Regressor(model *ml.LinearModel) *Transform {
-	return t.append(&ops.LinearPredictor{Model: model}, t.node)
-}
-
 // ForestRegressor appends a forest regressor.
 func (t *Transform) ForestRegressor(model *ml.Forest) *Transform {
 	return t.append(&ops.ForestPredictor{Model: model}, t.node)
 }
 
-// ClassifierMultiForest appends a one-vs-rest forest classifier emitting
-// class probabilities.
-func (t *Transform) ClassifierMultiForest(model *ml.MultiClassForest) *Transform {
-	return t.append(&ops.MultiClassPredictor{Model: model}, t.node)
-}
-
-// Calibrate appends Platt scaling over a raw score.
-func (t *Transform) Calibrate(a, b float32) *Transform {
-	return t.append(&ops.Calibrator{A: a, B: b}, t.node)
-}
-
-// --- statistics and planning ---
-
-// WithStats attaches training statistics to the program (§4.1.1).
-func (t *Transform) WithStats(stats pipeline.Stats) *Transform {
-	if stats.MaxVectorSize > t.prg.stats.MaxVectorSize {
-		t.prg.stats.MaxVectorSize = stats.MaxVectorSize
-	}
-	if stats.AvgTokens > 0 {
-		t.prg.stats.AvgTokens = stats.AvgTokens
-	}
-	t.prg.stats.SparseOutput = t.prg.stats.SparseOutput || stats.SparseOutput
-	return t
-}
-
-// Err surfaces the first construction error of the chain.
-func (t *Transform) Err() error { return t.prg.err }
+// --- planning ---
 
 // Pipeline wraps the transformations leading to t as a named pipeline
 // (the reference, uncompiled representation).
@@ -320,22 +214,4 @@ func (t *Transform) Plan(name string, opts oven.Options) (*plan.Plan, error) {
 		os = t.prg.ctx.Store
 	}
 	return oven.Compile(pipe, os, opts)
-}
-
-// FromPipeline re-imports a trained pipeline (e.g. loaded from an ML.Net
-// style model file) as a Flour transform, the path used by the automatic
-// extraction instrumentation described in §4.1.1.
-func (c *Context) FromPipeline(p *pipeline.Pipeline) (*Transform, error) {
-	if _, err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("flour: FromPipeline: %w", err)
-	}
-	prg := &program{ctx: c, input: p.InputSchema, stats: p.Stats}
-	t := &Transform{prg: prg, node: pipeline.InputID}
-	for _, n := range p.Nodes {
-		t = t.append(n.Op, n.Inputs...)
-		if prg.err != nil {
-			return nil, prg.err
-		}
-	}
-	return t, nil
 }

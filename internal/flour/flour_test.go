@@ -7,7 +7,6 @@ import (
 	"pretzel/internal/oven"
 	"pretzel/internal/pipeline"
 	"pretzel/internal/plan"
-	"pretzel/internal/schema"
 	"pretzel/internal/store"
 	"pretzel/internal/text"
 	"pretzel/internal/vector"
@@ -35,13 +34,7 @@ func saTransform(t testing.TB, fc *Context) *Transform {
 		weights[cd.Size()+int(ix)] = 2
 	}
 	model := &ml.LinearModel{Kind: ml.LogisticRegression, Weights: weights}
-	tok := fc.CSV(',').
-		WithSchema(schema.New(
-			schema.Column{Name: "Id", Kind: schema.ColText},
-			schema.Column{Name: "Text", Kind: schema.ColText},
-		)).
-		Select("Text").
-		Tokenize()
+	tok := fc.Text().Tokenize()
 	cn := tok.CharNgram(cd, 2, 3)
 	wn := tok.WordNgram(wd, 2)
 	return cn.Concat(wn).ClassifierBinaryLinear(model)
@@ -50,20 +43,17 @@ func saTransform(t testing.TB, fc *Context) *Transform {
 func TestListing1Shape(t *testing.T) {
 	fc := NewContext(store.New())
 	prg := saTransform(t, fc)
-	if err := prg.Err(); err != nil {
-		t.Fatal(err)
-	}
 	pl, err := prg.Plan("sa", oven.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// CSVSelect fuses into the head; pushdown yields head+tail stages.
+	// Pushdown yields head+tail stages.
 	if len(pl.Stages) != 2 {
 		t.Fatalf("stages=%d, want 2", len(pl.Stages))
 	}
 	ec := &plan.Exec{Pool: vector.NewPool()}
 	in, out := vector.New(0), vector.New(0)
-	in.SetText("42,a nice product")
+	in.SetText("a nice product")
 	if err := plan.RunPlan(pl, ec, in, out); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +74,7 @@ func TestPipelineSnapshotMatchesPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	in, a, b := vector.New(0), vector.New(0), vector.New(0)
-	in.SetText("1,bad refund nice")
+	in.SetText("bad refund nice")
 	if err := pipe.Run(in, a, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -97,37 +87,18 @@ func TestPipelineSnapshotMatchesPlan(t *testing.T) {
 	}
 }
 
-func TestSelectUnknownColumn(t *testing.T) {
-	fc := NewContext(nil)
-	tr := fc.CSV(',').WithSchema(schema.Text("A")).Select("Nope")
-	if tr.Err() == nil {
-		t.Fatal("unknown column must set error")
-	}
-	if _, err := tr.Pipeline("x"); err == nil {
-		t.Fatal("Pipeline must surface the error")
-	}
-}
-
-func TestSelectWithoutSchema(t *testing.T) {
-	fc := NewContext(nil)
-	tr := fc.CSV(',').Select("X")
-	if tr.Err() == nil {
-		t.Fatal("Select without schema must error")
-	}
-}
-
 func TestSchemaMismatchDeferred(t *testing.T) {
 	fc := NewContext(nil)
 	// CharNgram over raw text (not tokens) is a schema error.
 	cd, _ := dicts(t)
 	tr := fc.Text().CharNgram(cd, 2, 3)
-	if tr.Err() == nil {
+	if tr.prg.err == nil {
 		t.Fatal("kind mismatch must be caught at build time")
 	}
 	// The chain stays fluent: further calls do not panic.
-	tr2 := tr.Normalize().Clip(0, 1)
-	if tr2.Err() == nil {
-		t.Fatal("error must persist")
+	tr2 := tr.Tokenize().CharNgram(cd, 2, 3)
+	if _, err := tr2.Pipeline("x"); err == nil || err != tr.prg.err {
+		t.Fatalf("the first error must persist, got %v", err)
 	}
 }
 
@@ -155,7 +126,7 @@ func TestConcatAcrossPrograms(t *testing.T) {
 	a := fc.Text().Tokenize().CharNgram(cd, 2, 3)
 	b := fc.Text().Tokenize().WordNgram(wd, 2)
 	c := a.Concat(b)
-	if c.Err() == nil {
+	if _, err := c.Pipeline("x"); err == nil {
 		t.Fatal("concat across programs must error")
 	}
 }
@@ -163,8 +134,6 @@ func TestConcatAcrossPrograms(t *testing.T) {
 func TestFloatsProgram(t *testing.T) {
 	fc := NewContext(store.New())
 	dim := 4
-	mean := make([]float32, dim)
-	std := []float32{1, 1, 1, 1}
 	xs := [][]float32{{1, 0, 0, 0}, {0, 1, 0, 0}, {0, 0, 1, 0}, {0, 0, 0, 1}, {1, 1, 0, 0}, {0, 0, 1, 1}}
 	km, err := ml.TrainKMeans(xs, ml.KMeansOptions{K: 2})
 	if err != nil {
@@ -187,13 +156,10 @@ func TestFloatsProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := fc.Floats(',', dim).Impute(mean).Scale(mean, std)
+	base := fc.Floats(',', dim)
 	p := base.PCA(pca)
 	k := base.KMeans(km)
 	prg := p.Concat(k).ForestRegressor(forest)
-	if err := prg.Err(); err != nil {
-		t.Fatal(err)
-	}
 	pl, err := prg.Plan("ac", oven.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)

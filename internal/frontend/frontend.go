@@ -124,9 +124,6 @@ func New(eng serving.Engine, cfg Config) *Server {
 	return s
 }
 
-// Engine returns the serving engine behind the front end.
-func (s *Server) Engine() serving.Engine { return s.eng }
-
 // handleHealthz is the liveness probe: the process is up and the mux
 // is serving. It stays 200 while draining (the process is still alive)
 // — readiness is what flips during shutdown.
@@ -362,11 +359,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // cache, then delayed batching or the request-response engine.
 func (s *Server) Predict(model, input string) (pred []float32, cached bool, err error) {
 	return s.predict(context.Background(), model, input, time.Time{}, runtime.PriorityNormal)
-}
-
-// PredictCtx is Predict with a caller-supplied cancellation context.
-func (s *Server) PredictCtx(ctx context.Context, model, input string) (pred []float32, cached bool, err error) {
-	return s.predict(ctx, model, input, time.Time{}, runtime.PriorityNormal)
 }
 
 func (s *Server) predict(ctx context.Context, model, input string, deadline time.Time, prio runtime.Priority) (pred []float32, cached bool, err error) {

@@ -206,13 +206,13 @@ func TestPredictDeadline504(t *testing.T) {
 
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	if _, _, err := fe.PredictCtx(ctx, "sa", "nice"); !errors.Is(err, runtime.ErrDeadlineExceeded) {
-		t.Fatalf("PredictCtx expired: %v", err)
+	if _, _, err := fe.predict(ctx, "sa", "nice", time.Time{}, runtime.PriorityNormal); !errors.Is(err, runtime.ErrDeadlineExceeded) {
+		t.Fatalf("predict expired: %v", err)
 	}
 	cctx, ccancel := context.WithCancel(context.Background())
 	ccancel()
-	if _, _, err := fe.PredictCtx(cctx, "sa", "nice"); !errors.Is(err, runtime.ErrCanceled) {
-		t.Fatalf("PredictCtx canceled: %v", err)
+	if _, _, err := fe.predict(cctx, "sa", "nice", time.Time{}, runtime.PriorityNormal); !errors.Is(err, runtime.ErrCanceled) {
+		t.Fatalf("predict canceled: %v", err)
 	}
 }
 

@@ -140,7 +140,7 @@ func TestLazyColdLoadOnFirstPredict(t *testing.T) {
 	if m.coldLoads.Load() != 1 {
 		t.Fatalf("cold loads = %d, want 1", m.coldLoads.Load())
 	}
-	if m.coldStart.Count() != 1 {
+	if m.coldStart.Snapshot().Count != 1 {
 		t.Fatal("cold-start histogram must record the load")
 	}
 	if m.ResidentBytes() <= 0 {

@@ -55,8 +55,8 @@ func TestColdLoadOfResidentParamsParsesNothing(t *testing.T) {
 	if st := objs.Stats(); st.Unique != 0 || st.Refs != 0 || st.Bytes != 0 || st.RawKeys != 0 {
 		t.Fatalf("object store not drained: %+v", st)
 	}
-	if ps := m.rt.PlanStore(); ps.Count() != 0 || ps.MemBytes() != 0 {
-		t.Fatalf("plan store not drained: count=%d bytes=%d", ps.Count(), ps.MemBytes())
+	if ps := m.rt.PlanStore(); ps.Stats().Unique != 0 || ps.MemBytes() != 0 {
+		t.Fatalf("plan store not drained: count=%d bytes=%d", ps.Stats().Unique, ps.MemBytes())
 	}
 }
 

@@ -49,7 +49,7 @@ func TestSingleFlightColdLoad(t *testing.T) {
 	if got := m.coldLoads.Load(); got != 1 {
 		t.Fatalf("cold loads = %d, want exactly 1 (single-flight)", got)
 	}
-	if got := m.coldStart.Count(); got != 1 {
+	if got := m.coldStart.Snapshot().Count; got != 1 {
 		t.Fatalf("cold-start histogram count = %d, want 1", got)
 	}
 }

@@ -52,24 +52,6 @@ func (h *Histogram) Record(d time.Duration) {
 	h.sum.Add(ns)
 }
 
-// Count returns the number of recorded samples.
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
-// Mean returns the arithmetic mean of the recorded samples.
-func (h *Histogram) Mean() time.Duration {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(uint64(h.sum.Load()) / n)
-}
-
 // Percentile returns the p-th percentile (0 < p <= 100) resolved to the
 // upper bound of its bucket; zero when empty.
 func (h *Histogram) Percentile(p float64) time.Duration {

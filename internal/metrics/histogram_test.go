@@ -27,7 +27,7 @@ func TestHistogramBuckets(t *testing.T) {
 
 func TestHistogramEmpty(t *testing.T) {
 	var h Histogram
-	if h.Count() != 0 || h.Mean() != 0 || h.Percentile(99) != 0 {
+	if s := h.Snapshot(); s.Count != 0 || s.MeanNanos != 0 || h.Percentile(99) != 0 {
 		t.Fatal("empty histogram must read zero")
 	}
 	if s := h.Snapshot(); s.Count != 0 || s.P99Nanos != 0 {
@@ -44,8 +44,8 @@ func TestHistogramPercentiles(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.Record(time.Millisecond)
 	}
-	if h.Count() != 100 {
-		t.Fatalf("count=%d", h.Count())
+	if h.Snapshot().Count != 100 {
+		t.Fatalf("count=%d", h.Snapshot().Count)
 	}
 	p50, p95, p99 := h.Percentile(50), h.Percentile(95), h.Percentile(99)
 	// p50 resolves inside the microsecond bucket (upper bound < 2µs),
@@ -63,7 +63,7 @@ func TestHistogramPercentiles(t *testing.T) {
 	if h.Percentile(100) < time.Millisecond {
 		t.Fatalf("p100=%v under-reports", h.Percentile(100))
 	}
-	mean := h.Mean()
+	mean := time.Duration(h.Snapshot().MeanNanos)
 	if mean < 50*time.Microsecond || mean > 200*time.Microsecond {
 		t.Fatalf("mean=%v", mean)
 	}
@@ -72,7 +72,7 @@ func TestHistogramPercentiles(t *testing.T) {
 		t.Fatalf("snapshot %+v vs %v/%v/%v", snap, p50, p95, p99)
 	}
 	h.Reset()
-	if h.Count() != 0 || h.Snapshot().P99Nanos != 0 {
+	if h.Snapshot().Count != 0 || h.Snapshot().P99Nanos != 0 {
 		t.Fatal("reset must zero the histogram")
 	}
 }
@@ -80,8 +80,8 @@ func TestHistogramPercentiles(t *testing.T) {
 func TestHistogramNegativeClamped(t *testing.T) {
 	var h Histogram
 	h.Record(-time.Second)
-	if h.Count() != 1 || h.Percentile(100) != 0 {
-		t.Fatalf("negative sample must clamp to 0: count=%d p100=%v", h.Count(), h.Percentile(100))
+	if h.Snapshot().Count != 1 || h.Percentile(100) != 0 {
+		t.Fatalf("negative sample must clamp to 0: count=%d p100=%v", h.Snapshot().Count, h.Percentile(100))
 	}
 }
 
@@ -101,8 +101,8 @@ func TestHistogramConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if h.Count() != goroutines*per {
-		t.Fatalf("count=%d want %d", h.Count(), goroutines*per)
+	if h.Snapshot().Count != goroutines*per {
+		t.Fatalf("count=%d want %d", h.Snapshot().Count, goroutines*per)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package metrics provides the measurement utilities the experiment
-// harness uses: latency recorders with percentile/CDF extraction, heap
-// usage snapshots and throughput counters.
+// harness uses: latency recorders with percentile/CDF extraction and heap
+// usage snapshots.
 package metrics
 
 import (
@@ -36,14 +36,6 @@ func (r *Recorder) Count() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.samples)
-}
-
-// Reset discards all samples.
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	r.samples = r.samples[:0]
-	r.sorted = false
-	r.mu.Unlock()
 }
 
 func (r *Recorder) ensureSorted() {
@@ -99,22 +91,6 @@ func (r *Recorder) Max() time.Duration {
 	return m
 }
 
-// Min returns the minimum sample.
-func (r *Recorder) Min() time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.samples) == 0 {
-		return 0
-	}
-	m := r.samples[0]
-	for _, s := range r.samples[1:] {
-		if s < m {
-			m = s
-		}
-	}
-	return m
-}
-
 // CDFPoint is one point of an empirical CDF.
 type CDFPoint struct {
 	Value time.Duration
@@ -159,39 +135,4 @@ func HeapInUse() uint64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return ms.HeapAlloc
-}
-
-// Throughput measures completed operations over a wall-clock window.
-type Throughput struct {
-	mu    sync.Mutex
-	count int64
-	start time.Time
-}
-
-// NewThroughput starts a throughput window now.
-func NewThroughput() *Throughput { return &Throughput{start: time.Now()} }
-
-// Add records n completed operations.
-func (t *Throughput) Add(n int64) {
-	t.mu.Lock()
-	t.count += n
-	t.mu.Unlock()
-}
-
-// PerSecond returns operations per second since the window started.
-func (t *Throughput) PerSecond() float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	el := time.Since(t.start).Seconds()
-	if el <= 0 {
-		return 0
-	}
-	return float64(t.count) / el
-}
-
-// Count returns the completed operation count.
-func (t *Throughput) Count() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.count
 }

@@ -102,12 +102,6 @@ func (mc *MultiClassForest) Scores(x []float32, out []float32) []float32 {
 	return linalg.Softmax(out, out)
 }
 
-// Predict returns the argmax class.
-func (mc *MultiClassForest) Predict(x []float32) int {
-	scores := make([]float32, len(mc.Classes))
-	return linalg.ArgMax(mc.Scores(x, scores))
-}
-
 // MemBytes estimates retained heap bytes.
 func (mc *MultiClassForest) MemBytes() int {
 	n := 24

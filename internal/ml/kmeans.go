@@ -17,7 +17,6 @@ type KMeans struct {
 	K         int
 	Dim       int
 	Centroids []float32 // K*Dim row-major
-	normSq    []float32 // cached per-centroid squared norms (lazily built)
 }
 
 // KMeansOptions control Lloyd's algorithm.
@@ -106,19 +105,6 @@ func TrainKMeans(xs [][]float32, opt KMeansOptions) (*KMeans, error) {
 	return km, nil
 }
 
-// ensureNorms caches per-centroid squared norms for the sparse path.
-func (k *KMeans) ensureNorms() {
-	if k.normSq != nil {
-		return
-	}
-	ns := make([]float32, k.K)
-	for c := 0; c < k.K; c++ {
-		row := k.Centroids[c*k.Dim : (c+1)*k.Dim]
-		ns[c] = linalg.Dot(row, row)
-	}
-	k.normSq = ns
-}
-
 // Distances writes the squared distance of x to each centroid into out
 // (length >= K) and returns out[:K].
 func (k *KMeans) Distances(x []float32, out []float32) []float32 {
@@ -129,30 +115,8 @@ func (k *KMeans) Distances(x []float32, out []float32) []float32 {
 	return out
 }
 
-// DistancesSparse is Distances for sparse input.
-func (k *KMeans) DistancesSparse(idx []int32, val []float32, out []float32) []float32 {
-	k.ensureNorms()
-	out = out[:k.K]
-	for c := 0; c < k.K; c++ {
-		out[c] = linalg.SparseSquaredDistance(idx, val, k.Centroids[c*k.Dim:(c+1)*k.Dim], k.normSq[c])
-	}
-	return out
-}
-
-// Assign returns the nearest centroid index for x.
-func (k *KMeans) Assign(x []float32) int {
-	best, bc := float32(math.MaxFloat32), 0
-	for c := 0; c < k.K; c++ {
-		d := linalg.SquaredDistance(x, k.Centroids[c*k.Dim:(c+1)*k.Dim])
-		if d < best {
-			best, bc = d, c
-		}
-	}
-	return bc
-}
-
 // MemBytes estimates retained heap bytes.
-func (k *KMeans) MemBytes() int { return 32 + 4*cap(k.Centroids) + 4*cap(k.normSq) }
+func (k *KMeans) MemBytes() int { return 32 + 4*cap(k.Centroids) }
 
 // WriteContent implements ops.Param: the canonical serialized bytes the
 // Object Store's content address is computed over.

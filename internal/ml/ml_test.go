@@ -332,13 +332,17 @@ func TestKMeansSeparatesClusters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := km.Assign([]float32{0, 0})
-	b := km.Assign([]float32{10, 10})
+	near := func(x []float32) int { // index of the nearer of the two centroids
+		if d := km.Distances(x, make([]float32, 2)); d[1] < d[0] {
+			return 1
+		}
+		return 0
+	}
+	a, b := near([]float32{0, 0}), near([]float32{10, 10})
 	if a == b {
 		t.Fatal("clusters not separated")
 	}
-	out := make([]float32, 2)
-	d := km.Distances([]float32{0, 0}, out)
+	d := km.Distances([]float32{0, 0}, make([]float32, 2))
 	if d[a] >= d[b] {
 		t.Fatal("distance ordering wrong")
 	}
@@ -542,15 +546,16 @@ func TestMultiClassForest(t *testing.T) {
 		t.Fatal("classes")
 	}
 	correct := 0
+	scores := make([]float32, 3)
 	for i, x := range xs {
-		if mc.Predict(x) == ys[i] {
+		if argMax(mc.Scores(x, scores)) == ys[i] {
 			correct++
 		}
 	}
 	if acc := float64(correct) / float64(len(xs)); acc < 0.85 {
 		t.Fatalf("multiclass accuracy %.3f", acc)
 	}
-	scores := mc.Scores(xs[0], make([]float32, 3))
+	scores = mc.Scores(xs[0], scores)
 	var sum float32
 	for _, s := range scores {
 		sum += s
@@ -614,4 +619,15 @@ func BenchmarkForestPredict(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = forest.Predict(x)
 	}
+}
+
+// argMax returns the index of the first largest element.
+func argMax(x []float32) int {
+	bi := 0
+	for i, v := range x {
+		if v > x[bi] {
+			bi = i
+		}
+	}
+	return bi
 }

@@ -103,15 +103,6 @@ func Read(kind string, r io.Reader) (Op, error) {
 	return op, nil
 }
 
-// Kinds returns the registered operator kinds (for documentation/tests).
-func Kinds() []string {
-	out := make([]string, 0, len(registry))
-	for k := range registry {
-		out = append(out, k)
-	}
-	return out
-}
-
 // errInputs builds the standard wrong-arity error.
 func errInputs(kind string, want, got int) error {
 	return fmt.Errorf("ops: %s expects %d input(s), got %d", kind, want, got)

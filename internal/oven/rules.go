@@ -473,9 +473,6 @@ func ruleMergeFeaturizers(g *graphIR) (bool, error) {
 	return false, nil
 }
 
-func charOf(n *snode) ops.Op { return n.ops[len(n.ops)-1] }
-func wordOf(n *snode) ops.Op { return n.ops[len(n.ops)-1] }
-
 // dedupeInputs removes duplicate input edges introduced by rewiring (a
 // pushdown ordering edge collapsing onto the data edge).
 func dedupeInputs(n *snode) {

@@ -58,15 +58,15 @@ func TestCompileSharesStagesAcrossIdenticalPipelines(t *testing.T) {
 	}
 
 	ReleasePlan(objStore, plans, plA)
-	if plans.Count() != len(plA.Stages) {
-		t.Fatalf("after first release: %d unique stages, want %d", plans.Count(), len(plA.Stages))
+	if plans.Stats().Unique != len(plA.Stages) {
+		t.Fatalf("after first release: %d unique stages, want %d", plans.Stats().Unique, len(plA.Stages))
 	}
 	ReleasePlan(objStore, plans, plB)
-	if plans.Count() != 0 || plans.MemBytes() != 0 {
-		t.Fatalf("plan store not drained: count=%d bytes=%d", plans.Count(), plans.MemBytes())
+	if plans.Stats().Unique != 0 || plans.MemBytes() != 0 {
+		t.Fatalf("plan store not drained: count=%d bytes=%d", plans.Stats().Unique, plans.MemBytes())
 	}
-	if objStore.Count() != 0 {
-		t.Fatalf("object store not drained: %d params", objStore.Count())
+	if objStore.Stats().Unique != 0 {
+		t.Fatalf("object store not drained: %d params", objStore.Stats().Unique)
 	}
 }
 
@@ -123,8 +123,8 @@ func TestCompileSharesFeaturizationAcrossVariants(t *testing.T) {
 
 	ReleasePlan(objStore, plans, plA)
 	ReleasePlan(objStore, plans, plB)
-	if plans.Count() != 0 || objStore.Count() != 0 {
-		t.Fatalf("stores not drained: plans=%d params=%d", plans.Count(), objStore.Count())
+	if plans.Stats().Unique != 0 || objStore.Stats().Unique != 0 {
+		t.Fatalf("stores not drained: plans=%d params=%d", plans.Stats().Unique, objStore.Stats().Unique)
 	}
 }
 

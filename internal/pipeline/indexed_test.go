@@ -355,3 +355,53 @@ func allParams(p *Pipeline) []ops.Param {
 	}
 	return ps
 }
+
+// TestManifestNameOpensNoParams: ManifestName reads manifest.json alone.
+// An archive whose every params.bin carries a bad CRC-32 still yields
+// its name there, while a full import of it fails the checksum.
+func TestManifestNameOpensNoParams(t *testing.T) {
+	p := buildSA(t)
+	b, err := p.ExportBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt := rewrite(t, b, func(fh *zip.FileHeader) {
+		if strings.HasSuffix(fh.Name, "/params.bin") {
+			fh.CRC32 ^= 1
+		}
+	})
+	name, err := ManifestName(corrupt)
+	if err != nil || name != p.Name {
+		t.Fatalf("ManifestName = %q, %v; want %q", name, err, p.Name)
+	}
+	if _, err := ImportBytes(corrupt); !errors.Is(err, zip.ErrChecksum) {
+		t.Fatalf("ImportBytes error = %v, want a checksum error", err)
+	}
+	for what, bad := range map[string][]byte{
+		"not a zip":    []byte("garbage"),
+		"no manifest":  rewrite(t, b, func(fh *zip.FileHeader) { fh.Name = strings.Replace(fh.Name, "manifest.json", "other.json", 1) }),
+		"bad manifest": zipOf(t, map[string]string{"manifest.json": "{"}),
+	} {
+		if _, err := ManifestName(bad); err == nil {
+			t.Fatalf("%s: ManifestName accepted it", what)
+		}
+	}
+}
+
+// zipOf builds an archive holding the given entries.
+func zipOf(t *testing.T, entries map[string]string) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	zw := zip.NewWriter(&buf)
+	for name, body := range entries {
+		w, err := zw.Create(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.WriteString(w, body)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}

@@ -230,35 +230,53 @@ const maxInflatedBytes = 256 << 20
 
 var errTooLarge = fmt.Errorf("archive inflates past %d bytes", maxInflatedBytes)
 
-// importFrom reads a pipeline from the archive b, through the raw index
-// of s when s is not nil.
-func importFrom(b []byte, s *store.ObjectStore) (*Pipeline, error) {
+// ManifestName returns the model name that archive b's manifest.json
+// declares. It reads that entry alone: no params.bin is inflated or
+// parsed, so an archive it accepts may still fail a full import.
+func ManifestName(b []byte) (string, error) {
+	m, _, _, err := readManifest(b)
+	return m.Name, err
+}
+
+// readManifest opens the archive b and decodes its manifest.json. It
+// returns the archive's entries by name and what is left of the read
+// budget, which bounds the bytes actually inflated whatever the headers
+// claim.
+func readManifest(b []byte) (m manifest, files map[string]*zip.File, budget int64, err error) {
 	zr, err := zip.NewReader(bytes.NewReader(b), int64(len(b)))
 	if err != nil {
-		return nil, fmt.Errorf("pipeline import: %w", err)
+		return m, nil, 0, fmt.Errorf("pipeline import: %w", err)
 	}
-	files := make(map[string]*zip.File, len(zr.File))
+	files = make(map[string]*zip.File, len(zr.File))
 	var declared uint64
 	for _, f := range zr.File {
 		files[f.Name] = f
 		if f.UncompressedSize64 > maxInflatedBytes-declared {
-			return nil, fmt.Errorf("pipeline import: %w", errTooLarge)
+			return m, nil, 0, fmt.Errorf("pipeline import: %w", errTooLarge)
 		}
 		declared += f.UncompressedSize64
 	}
-	// budget bounds the bytes actually read, whatever the headers claim.
-	budget := int64(maxInflatedBytes)
+	budget = int64(maxInflatedBytes)
 	mf, ok := files["manifest.json"]
 	if !ok {
-		return nil, fmt.Errorf("pipeline import: missing manifest.json")
+		return m, nil, 0, fmt.Errorf("pipeline import: missing manifest.json")
 	}
 	mb, err := readEntry(mf, &budget)
 	if err != nil {
-		return nil, fmt.Errorf("pipeline import: manifest: %w", err)
+		return m, nil, 0, fmt.Errorf("pipeline import: manifest: %w", err)
 	}
-	var m manifest
 	if err := json.NewDecoder(bytes.NewReader(mb)).Decode(&m); err != nil {
-		return nil, fmt.Errorf("pipeline import: manifest: %w", err)
+		return m, nil, 0, fmt.Errorf("pipeline import: manifest: %w", err)
+	}
+	return m, files, budget, nil
+}
+
+// importFrom reads a pipeline from the archive b, through the raw index
+// of s when s is not nil.
+func importFrom(b []byte, s *store.ObjectStore) (*Pipeline, error) {
+	m, files, budget, err := readManifest(b)
+	if err != nil {
+		return nil, err
 	}
 	p := &Pipeline{Name: m.Name, Stats: m.Stats, InputSchema: schema.New(m.Input.Cols...)}
 	var (

@@ -301,9 +301,6 @@ func (p *Plan) InterCaps() []int {
 	return p.interCaps
 }
 
-// Output returns the index of the output stage.
-func (p *Plan) Output() int { return len(p.Stages) - 1 }
-
 // Validate checks structural invariants of the compiled plan.
 func (p *Plan) Validate() error {
 	if len(p.Stages) == 0 {

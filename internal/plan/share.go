@@ -104,13 +104,6 @@ func (ss *StageStore) Refs(st *Stage) int {
 	return 0
 }
 
-// Count returns the number of unique interned stages.
-func (ss *StageStore) Count() int {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	return len(ss.stages)
-}
-
 // MemBytes sums the footprint of the unique interned stages (their own
 // overhead plus pushed weights; Object Store parameters are charged to
 // the Object Store, not here).

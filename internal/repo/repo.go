@@ -29,7 +29,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -83,9 +82,6 @@ type Repo struct {
 	// mu serializes writers (Put/Delete/PutLabels): next-free-version
 	// selection and label read-modify-write must not interleave.
 	mu sync.Mutex
-
-	puts  atomic.Uint64
-	scans atomic.Uint64
 }
 
 // Open opens (creating if necessary) a repository rooted at dir.
@@ -134,7 +130,6 @@ func (r *Repo) manifestPath(name string, version int) string {
 // sorted by name then version. Incomplete publishes (temp files,
 // version directories without a model.zip) are skipped.
 func (r *Repo) Scan() ([]Entry, error) {
-	r.scans.Add(1)
 	dirents, err := os.ReadDir(r.root)
 	if err != nil {
 		return nil, fmt.Errorf("repo: scanning root: %w", err)
@@ -328,7 +323,6 @@ func (r *Repo) Put(name string, version int, zip []byte) (Entry, error) {
 		cleanup(tmp.Name())
 		return storageErr("publishing", err)
 	}
-	r.puts.Add(1)
 	fi, err := os.Stat(final)
 	if err != nil {
 		return storageErr("publishing", err)
@@ -446,18 +440,6 @@ func (r *Repo) PutLabels(name string, labels map[string]int) error {
 		return fmt.Errorf("repo: %w", err)
 	}
 	return nil
-}
-
-// Stats is a snapshot of repository counters.
-type Stats struct {
-	Root  string `json:"root"`
-	Puts  uint64 `json:"puts"`
-	Scans uint64 `json:"scans"`
-}
-
-// Stats returns a snapshot of the repository counters.
-func (r *Repo) Stats() Stats {
-	return Stats{Root: r.root, Puts: r.puts.Load(), Scans: r.scans.Load()}
 }
 
 // --- poll loop ---

@@ -522,18 +522,6 @@ func (rt *Runtime) Unregister(ref string) error {
 	return nil
 }
 
-// Names lists registered model names (bare, without versions), sorted.
-func (rt *Runtime) Names() []string {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	out := make([]string, 0, len(rt.models))
-	for n := range rt.models {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // CatalogStats counts the registered plans. Stage sharing is reported
 // by the plan store (PlanStoreStats).
 type CatalogStats struct {

@@ -351,7 +351,7 @@ func TestUnregisterFreesStoresAndCatalog(t *testing.T) {
 	// their featurizer stages, but carry distinct weights.
 	register(t, rt, os, saPipeline(t, "a", 0), opts)
 	onlyA := resident(rt)
-	stagesA := rt.PlanStore().Count()
+	stagesA := rt.PlanStore().Stats().Unique
 	register(t, rt, os, saPipeline(t, "b", 1), opts)
 	if both := resident(rt); both == onlyA {
 		t.Fatal("b must add its own weights and scorer stage")
@@ -363,7 +363,7 @@ func TestUnregisterFreesStoresAndCatalog(t *testing.T) {
 	if got := resident(rt); got != onlyA {
 		t.Fatalf("unregistering b must return the stores to a's footprint:\n got %+v\nwant %+v", got, onlyA)
 	}
-	if got := rt.PlanStore().Count(); got != stagesA {
+	if got := rt.PlanStore().Stats().Unique; got != stagesA {
 		t.Fatalf("unregistering b must drop its unique stages: %d != %d", got, stagesA)
 	}
 	in, out := vector.New(0), vector.New(0)
@@ -378,7 +378,7 @@ func TestUnregisterFreesStoresAndCatalog(t *testing.T) {
 	if got := resident(rt); got != empty {
 		t.Fatalf("unregistering the last sharer must empty both stores:\n got %+v\nwant %+v", got, empty)
 	}
-	if got := rt.PlanStore().Count(); got != 0 {
+	if got := rt.PlanStore().Stats().Unique; got != 0 {
 		t.Fatalf("unregistering the last model must empty the plan store: %d stages left", got)
 	}
 	if err := rt.PredictRequest(Request{Model: "a", In: in, Out: out}); !errors.Is(err, ErrModelNotFound) {
@@ -403,7 +403,7 @@ func TestUnregisterOneVersion(t *testing.T) {
 	if err := rt.Unregister("m"); err != nil {
 		t.Fatal(err)
 	}
-	if got := os.Count(); got != 0 {
+	if got := os.Stats().Unique; got != 0 {
 		t.Fatalf("store must be empty after full removal: %d", got)
 	}
 }

@@ -55,7 +55,7 @@ type Job struct {
 
 	// Request-scoped lifecycle state: cancellation source, absolute
 	// deadline, queue priority and a completion hook. Set between
-	// NewJob and Submit; immutable afterwards.
+	// NewBatchJob and Submit; immutable afterwards.
 	ctx        context.Context
 	deadlineNS int64
 	highPrio   bool
@@ -66,11 +66,6 @@ type Job struct {
 	done     chan error
 	doneOnce sync.Once
 	poolOnce sync.Once
-}
-
-// NewJob prepares a single-record pipeline invocation. cache may be nil.
-func NewJob(p *plan.Plan, in, out *vector.Vector, cache *store.MatCache) *Job {
-	return NewBatchJob(p, []*vector.Vector{in}, []*vector.Vector{out}, cache)
 }
 
 // NewBatchJob prepares a batched pipeline invocation over len(ins)
@@ -530,14 +525,6 @@ func (s *Scheduler) Stats() Stats {
 		UptimeNS:         time.Now().UnixNano() - s.startNS,
 		ExecutorUtil:     util,
 	}
-}
-
-// QueueDepth returns the total queued stage events (high + low) across
-// every queue set — the scheduler-side backlog the admission plane and
-// the adaptive batcher react to.
-func (s *Scheduler) QueueDepth() int64 {
-	st := s.Stats()
-	return st.QueueHigh + st.QueueLow
 }
 
 // New starts a scheduler with the given configuration.

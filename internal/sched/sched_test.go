@@ -66,7 +66,7 @@ func TestJobThroughScheduler(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := vector.New(0)
-	j := NewJob(pl, in, out, nil)
+	j := newJob(pl, in, out, nil)
 	s.Submit(j)
 	if err := j.Wait(); err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestManyConcurrentJobs(t *testing.T) {
 			in.SetText("bad awful refund")
 		}
 		outs[i] = vector.New(0)
-		jobs[i] = NewJob(pl, in, outs[i], nil)
+		jobs[i] = newJob(pl, in, outs[i], nil)
 		s.Submit(jobs[i])
 	}
 	for i, j := range jobs {
@@ -116,7 +116,7 @@ func TestFailedJobCompletes(t *testing.T) {
 	in := vector.New(0)
 	in.SetDense([]float32{1, 2}) // wrong kind: head stage fails
 	out := vector.New(0)
-	j := NewJob(pl, in, out, nil)
+	j := newJob(pl, in, out, nil)
 	s.Submit(j)
 	err := j.Wait()
 	if err == nil {
@@ -176,7 +176,7 @@ func TestBranchingPlanThroughScheduler(t *testing.T) {
 	}
 	for i := 0; i < 100; i++ {
 		out := vector.New(0)
-		j := NewJob(pl, in, out, nil)
+		j := newJob(pl, in, out, nil)
 		s.Submit(j)
 		if err := j.Wait(); err != nil {
 			t.Fatal(err)
@@ -202,14 +202,14 @@ func TestReservation(t *testing.T) {
 	pl := saPlan(t, "vip")
 	in, out := vector.New(0), vector.New(0)
 	in.SetText("nice")
-	j := NewJob(pl, in, out, nil)
+	j := newJob(pl, in, out, nil)
 	s.Submit(j)
 	if err := j.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	// Unreserved plans still run on the shared executors.
 	other := saPlan(t, "other")
-	j2 := NewJob(other, in, out, nil)
+	j2 := newJob(other, in, out, nil)
 	s.Submit(j2)
 	if err := j2.Wait(); err != nil {
 		t.Fatal(err)
@@ -223,7 +223,7 @@ func TestSubmitAfterClose(t *testing.T) {
 	s.Close() // idempotent
 	in, out := vector.New(0), vector.New(0)
 	in.SetText("x")
-	j := NewJob(pl, in, out, nil)
+	j := newJob(pl, in, out, nil)
 	s.Submit(j)
 	if err := j.Wait(); err == nil {
 		t.Fatal("submit after close must fail the job")
@@ -318,7 +318,7 @@ func TestSubmitRacingClose(t *testing.T) {
 			for i := 0; i < n; i++ {
 				in, out := vector.New(0), vector.New(0)
 				in.SetText("nice")
-				jobs[i] = NewJob(pl, in, out, nil)
+				jobs[i] = newJob(pl, in, out, nil)
 				s.Submit(jobs[i])
 			}
 		}()
@@ -371,7 +371,7 @@ func TestJobWithCache(t *testing.T) {
 	in.SetText("nice product nice")
 	for i := 0; i < 2; i++ {
 		out := vector.New(0)
-		j := NewJob(pl, in, out, cache)
+		j := newJob(pl, in, out, cache)
 		s.Submit(j)
 		if err := j.Wait(); err != nil {
 			t.Fatal(err)
@@ -402,7 +402,7 @@ func BenchmarkSchedulerThroughputSA(b *testing.B) {
 			n = b.N - i
 		}
 		for k := 0; k < n; k++ {
-			jobs[k] = NewJob(pl, in, outs[k], nil)
+			jobs[k] = newJob(pl, in, outs[k], nil)
 			s.Submit(jobs[k])
 		}
 		for k := 0; k < n; k++ {
@@ -432,7 +432,7 @@ func TestSchedulerStress(t *testing.T) {
 			in.SetText("nice bad product refund great")
 			for i := 0; i < 200; i++ {
 				out := vector.New(0)
-				j := NewJob(plans[(id+i)%len(plans)], in, out, nil)
+				j := newJob(plans[(id+i)%len(plans)], in, out, nil)
 				s.Submit(j)
 				if err := j.Wait(); err != nil {
 					t.Error(err)
@@ -470,7 +470,7 @@ func TestBatchJobMatchesSingles(t *testing.T) {
 	}
 	// Single-record jobs as reference.
 	for i := 0; i < n; i++ {
-		j := NewJob(pl, ins[i], singles[i], nil)
+		j := newJob(pl, ins[i], singles[i], nil)
 		s.Submit(j)
 		if err := j.Wait(); err != nil {
 			t.Fatal(err)
@@ -602,19 +602,19 @@ func TestQueueDepthAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := s.Stats()
-	if st.QueueHigh != 0 || st.QueueLow != 0 || s.QueueDepth() != 0 {
+	if st.QueueHigh != 0 || st.QueueLow != 0 {
 		t.Fatalf("idle stats %+v", st)
 	}
 	pl := saPlan(t, "vip")
 	in, out := vector.New(0), vector.New(0)
 	in.SetText("nice")
-	j := NewJob(pl, in, out, nil)
+	j := newJob(pl, in, out, nil)
 	s.Submit(j)
 	if err := j.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if d := s.QueueDepth(); d != 0 {
-		t.Fatalf("depth %d after drain", d)
+	if st := s.Stats(); st.QueueHigh != 0 || st.QueueLow != 0 {
+		t.Fatalf("depth hi=%d lo=%d after drain", st.QueueHigh, st.QueueLow)
 	}
 }
 
@@ -629,14 +629,14 @@ func TestExpiredJobShedding(t *testing.T) {
 
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	j := NewJob(pl, in, out, nil)
+	j := newJob(pl, in, out, nil)
 	j.SetContext(ctx)
 	s.Submit(j)
 	if err := j.Wait(); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
 	}
 
-	j2 := NewJob(pl, in, out, nil)
+	j2 := newJob(pl, in, out, nil)
 	j2.SetDeadline(time.Now().Add(-time.Second))
 	s.Submit(j2)
 	if err := j2.Wait(); !errors.Is(err, context.DeadlineExceeded) {
@@ -663,7 +663,7 @@ func TestOnDoneAndPriority(t *testing.T) {
 	for _, high := range []bool{false, true} {
 		in, out := vector.New(0), vector.New(0)
 		in.SetText("nice product")
-		j := NewJob(pl, in, out, nil)
+		j := newJob(pl, in, out, nil)
 		j.SetHighPriority(high)
 		fired := make(chan error, 2)
 		j.SetOnDone(func(err error) { fired <- err })
@@ -727,4 +727,9 @@ func TestBatchJobOneExecPerStageEvent(t *testing.T) {
 			t.Fatalf("stage %d after 2 batches: execs=%d records=%d", i, st.Execs, st.Records)
 		}
 	}
+}
+
+// newJob prepares a single-record job: a batch of one.
+func newJob(p *plan.Plan, in, out *vector.Vector, cache *store.MatCache) *Job {
+	return NewBatchJob(p, []*vector.Vector{in}, []*vector.Vector{out}, cache)
 }

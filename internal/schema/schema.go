@@ -71,16 +71,6 @@ func Scalar(name string) *Schema { return New(Column{Name: name, Kind: ColScalar
 // Tokens is shorthand for a token-list schema.
 func Tokens(name string) *Schema { return New(Column{Name: name, Kind: ColTokens}) }
 
-// Lookup returns the column with the given name.
-func (s *Schema) Lookup(name string) (Column, bool) {
-	for _, c := range s.Cols {
-		if c.Name == name {
-			return c, true
-		}
-	}
-	return Column{}, false
-}
-
 // Arity returns the number of columns.
 func (s *Schema) Arity() int {
 	if s == nil {
@@ -95,19 +85,6 @@ func (s *Schema) Single() (Column, error) {
 		return Column{}, fmt.Errorf("schema: expected single column, have %d", s.Arity())
 	}
 	return s.Cols[0], nil
-}
-
-// Equal reports structural equality.
-func (s *Schema) Equal(o *Schema) bool {
-	if s.Arity() != o.Arity() {
-		return false
-	}
-	for i := range s.Cols {
-		if s.Cols[i] != o.Cols[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders "name:kind[dim]" pairs.

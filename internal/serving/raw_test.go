@@ -77,8 +77,8 @@ func TestConcurrentColdLoadsShareOperators(t *testing.T) {
 	if st := rt.ObjectStore().Stats(); st.Unique != 0 || st.Refs != 0 || st.RawKeys != 0 {
 		t.Fatalf("object store not drained: %+v", st)
 	}
-	if ps := rt.PlanStore(); ps.Count() != 0 || ps.MemBytes() != 0 {
-		t.Fatalf("plan store not drained: count=%d bytes=%d", ps.Count(), ps.MemBytes())
+	if ps := rt.PlanStore(); ps.Stats().Unique != 0 || ps.MemBytes() != 0 {
+		t.Fatalf("plan store not drained: count=%d bytes=%d", ps.Stats().Unique, ps.MemBytes())
 	}
 }
 

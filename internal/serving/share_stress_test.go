@@ -110,11 +110,11 @@ func TestConcurrentRegisterUnregisterStoreBalance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if c, b := rt.ObjectStore().Count(), rt.ObjectStore().MemBytes(); c != 0 || b != 0 {
+	if c, b := rt.ObjectStore().Stats().Unique, rt.ObjectStore().MemBytes(); c != 0 || b != 0 {
 		t.Fatalf("object store not drained: count=%d bytes=%d", c, b)
 	}
 	ps := rt.PlanStore()
-	if c, b := ps.Count(), ps.MemBytes(); c != 0 || b != 0 {
+	if c, b := ps.Stats().Unique, ps.MemBytes(); c != 0 || b != 0 {
 		t.Fatalf("plan store not drained: count=%d bytes=%d", c, b)
 	}
 	if mem := rt.MemBytes(); mem != 0 {

@@ -243,13 +243,6 @@ func (s *ObjectStore) dropRaw(k RawKey) {
 	}
 }
 
-// Count returns the number of unique parameters stored.
-func (s *ObjectStore) Count() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.byDigest)
-}
-
 // MemBytes sums the footprint of the unique stored parameters.
 func (s *ObjectStore) MemBytes() int {
 	s.mu.Lock()
@@ -378,24 +371,6 @@ func (c *MatCache) shardOf(k matKey) *matShard {
 	return &c.shards[h>>(64-matCacheShardBits)]
 }
 
-// Get returns the cached output of (stage, inputHash), if present. The
-// returned vector is owned by the cache: callers must copy it, not hold
-// it. Prefer GetInto, which copies under the shard lock.
-func (c *MatCache) Get(stage, inputHash uint64) (*vector.Vector, bool) {
-	k := matKey{stage, inputHash}
-	s := c.shardOf(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.index[k]
-	if !ok {
-		s.misses++
-		return nil, false
-	}
-	s.lru.MoveToFront(el)
-	s.hits++
-	return el.Value.(*matEntry).val, true
-}
-
 // GetInto copies the cached output of (stage, inputHash) into dst and
 // reports whether it was present. The copy happens under the shard
 // lock, so the result is stable even against concurrent evictions.
@@ -462,18 +437,6 @@ func (c *MatCache) Len() int {
 		s := &c.shards[i]
 		s.mu.Lock()
 		n += s.lru.Len()
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// Bytes returns the current cache footprint across all shards.
-func (c *MatCache) Bytes() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += s.curBytes
 		s.mu.Unlock()
 	}
 	return n

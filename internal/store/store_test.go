@@ -29,8 +29,8 @@ func TestInternDedups(t *testing.T) {
 	if ca != cb {
 		t.Fatal("equal params must intern to one instance")
 	}
-	if s.Count() != 1 {
-		t.Fatalf("count=%d", s.Count())
+	if s.Stats().Unique != 1 {
+		t.Fatalf("count=%d", s.Stats().Unique)
 	}
 	st := s.Stats()
 	if st.Hits != 1 || st.Misses != 1 {
@@ -38,7 +38,7 @@ func TestInternDedups(t *testing.T) {
 	}
 	c := dict("z")
 	s.Intern(c)
-	if s.Count() != 2 {
+	if s.Stats().Unique != 2 {
 		t.Fatal("different params must both be stored")
 	}
 }
@@ -49,14 +49,14 @@ func TestInternTypeDiscrimination(t *testing.T) {
 	d1 := dict() // empty dict
 	s.Intern(f1)
 	s.Intern(d1)
-	if s.Count() != 2 {
+	if s.Stats().Unique != 2 {
 		t.Fatal("different types must never collide")
 	}
 	// A tree featurizer serializes exactly its forest's bytes; the digest
 	// is type-qualified, so the two stay apart.
 	forest := &ml.Forest{Trees: []*ml.Tree{{Nodes: []ml.TreeNode{{Feature: -1, Value: 1}}, Leaves: 1}}}
-	if s.Intern(forest) == ops.Param(s.Intern(ml.NewTreeFeaturizer(forest))) || s.Count() != 4 {
-		t.Fatalf("a tree featurizer must not alias its forest (count=%d)", s.Count())
+	if s.Intern(forest) == ops.Param(s.Intern(ml.NewTreeFeaturizer(forest))) || s.Stats().Unique != 4 {
+		t.Fatalf("a tree featurizer must not alias its forest (count=%d)", s.Stats().Unique)
 	}
 }
 
@@ -66,11 +66,11 @@ func TestRelease(t *testing.T) {
 	s.Intern(a)
 	s.Intern(dict("x")) // refs = 2
 	s.Release(a)
-	if s.Count() != 1 {
+	if s.Stats().Unique != 1 {
 		t.Fatal("release below refcount must keep entry")
 	}
 	s.Release(a)
-	if s.Count() != 0 {
+	if s.Stats().Unique != 0 {
 		t.Fatal("final release must remove entry")
 	}
 	s.Release(a) // double release: no panic
@@ -89,8 +89,8 @@ func TestInternConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if s.Count() != 1 {
-		t.Fatalf("count=%d after concurrent intern of equal dicts", s.Count())
+	if s.Stats().Unique != 1 {
+		t.Fatalf("count=%d after concurrent intern of equal dicts", s.Stats().Unique)
 	}
 }
 
@@ -103,29 +103,35 @@ func sparse(dim int, pairs ...float32) *vector.Vector {
 	return v
 }
 
+// cached reports whether c holds (stage, inputHash), counting a hit or a
+// miss as a kernel's probe does.
+func cached(c *MatCache, stage, inputHash uint64) bool {
+	return c.GetInto(stage, inputHash, vector.New(0))
+}
+
 func TestMatCacheBasics(t *testing.T) {
 	c := NewMatCache(1 << 20)
-	if _, ok := c.Get(1, 2); ok {
+	if cached(c, 1, 2) {
 		t.Fatal("empty cache hit")
 	}
 	v := sparse(10, 1, 5)
 	c.Put(1, 2, v)
-	got, ok := c.Get(1, 2)
-	if !ok || !got.Equal(v) {
+	got := vector.New(0)
+	if !c.GetInto(1, 2, got) || !got.Equal(v) {
 		t.Fatal("cached value mismatch")
 	}
 	// The cache must hold a copy, not alias.
 	v.Val[0] = 99
-	got2, _ := c.Get(1, 2)
-	if got2.Val[0] == 99 {
+	got2 := vector.New(0)
+	if c.GetInto(1, 2, got2); got2.Val[0] == 99 {
 		t.Fatal("cache aliased the caller's vector")
 	}
 	// Same stage, different input -> miss.
-	if _, ok := c.Get(1, 3); ok {
+	if cached(c, 1, 3) {
 		t.Fatal("wrong-input hit")
 	}
 	// Different stage, same input -> miss.
-	if _, ok := c.Get(9, 2); ok {
+	if cached(c, 9, 2) {
 		t.Fatal("wrong-stage hit")
 	}
 	st := c.Stats()
@@ -157,15 +163,15 @@ func TestMatCacheLRUEviction(t *testing.T) {
 	c.Put(1, ks[0], v)
 	c.Put(1, ks[1], v)
 	// Touch ks[0] so ks[1] is LRU.
-	c.Get(1, ks[0])
+	cached(c, 1, ks[0])
 	c.Put(1, ks[2], v)
-	if _, ok := c.Get(1, ks[1]); ok {
+	if cached(c, 1, ks[1]) {
 		t.Fatal("LRU entry should have been evicted")
 	}
-	if _, ok := c.Get(1, ks[0]); !ok {
+	if !cached(c, 1, ks[0]) {
 		t.Fatal("recently used entry should survive")
 	}
-	if _, ok := c.Get(1, ks[2]); !ok {
+	if !cached(c, 1, ks[2]) {
 		t.Fatal("new entry should be present")
 	}
 	if c.Len() != 2 {
@@ -207,14 +213,15 @@ func TestMatCacheShardedBudget(t *testing.T) {
 	for i := uint64(0); i < 4*matCacheShards; i++ {
 		c.Put(7, i, v)
 	}
-	if c.Bytes() > budget {
-		t.Fatalf("footprint %d exceeds budget %d", c.Bytes(), budget)
+	st := c.Stats()
+	if st.Bytes > budget {
+		t.Fatalf("footprint %d exceeds budget %d", st.Bytes, budget)
 	}
 	if c.Len() == 0 || c.Len() > 2*matCacheShards {
 		t.Fatalf("len=%d", c.Len())
 	}
-	if st := c.Stats(); st.Entries != c.Len() || st.Bytes != c.Bytes() {
-		t.Fatalf("stats disagree with Len/Bytes: %+v", st)
+	if st.Entries != c.Len() {
+		t.Fatalf("stats disagree with Len: %+v", st)
 	}
 }
 
@@ -239,7 +246,7 @@ func TestMatCacheDuplicatePut(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatal("duplicate put must not duplicate entries")
 	}
-	if c.Bytes() <= 0 {
+	if c.Stats().Bytes <= 0 {
 		t.Fatal("bytes")
 	}
 }
@@ -254,7 +261,7 @@ func TestMatCacheConcurrent(t *testing.T) {
 			v := sparse(8, float32(id%4), 1)
 			for i := 0; i < 200; i++ {
 				c.Put(uint64(id%4), 7, v)
-				c.Get(uint64(id%4), 7)
+				cached(c, uint64(id%4), 7)
 			}
 		}(g)
 	}
@@ -289,8 +296,8 @@ func TestInternChecksumCollision(t *testing.T) {
 	a := &contentParam{content: "model-A weights"}
 	b := &contentParam{content: "model-B weights"}
 	ca, cb := s.Intern(a), s.Intern(b)
-	if ca == cb || s.Count() != 2 {
-		t.Fatalf("distinct content must give two entries (count=%d)", s.Count())
+	if ca == cb || s.Stats().Unique != 2 {
+		t.Fatalf("distinct content must give two entries (count=%d)", s.Stats().Unique)
 	}
 	if s.Intern(&contentParam{content: "model-B weights"}) != cb {
 		t.Fatal("equal content must dedup")
@@ -301,8 +308,8 @@ func TestInternChecksumCollision(t *testing.T) {
 	if s.Intern(x) != x || s.Intern(y) != y {
 		t.Fatal("an unserializable parameter must alias neither a well-formed one nor another unserializable one")
 	}
-	if s.Count() != 4 {
-		t.Fatalf("count=%d, want 4", s.Count())
+	if s.Stats().Unique != 4 {
+		t.Fatalf("count=%d, want 4", s.Stats().Unique)
 	}
 	if s.Refs(a) != 1 || s.Refs(b) != 2 || s.Refs(x) != 1 || s.Refs(y) != 1 {
 		t.Fatalf("refs a=%d b=%d x=%d y=%d", s.Refs(a), s.Refs(b), s.Refs(x), s.Refs(y))
@@ -310,8 +317,8 @@ func TestInternChecksumCollision(t *testing.T) {
 	for _, p := range []ops.Param{a, b, cb, x, y} {
 		s.Release(p)
 	}
-	if st := s.Stats(); s.Count() != 0 || st.Unique != 0 || st.Refs != 0 || st.Bytes != 0 {
-		t.Fatalf("count=%d stats=%+v after releasing all", s.Count(), st)
+	if st := s.Stats(); st.Unique != 0 || st.Refs != 0 || st.Bytes != 0 {
+		t.Fatalf("stats=%+v after releasing all", st)
 	}
 }
 

@@ -160,13 +160,6 @@ type WordNgramStream struct {
 	key  []byte
 }
 
-// NewWordNgramStream returns a stream extractor over cfg.
-func NewWordNgramStream(cfg *WordNgramConfig) *WordNgramStream {
-	w := &WordNgramStream{}
-	w.Configure(cfg)
-	return w
-}
-
 // Configure re-targets the stream at a new configuration, reusing the
 // token ring storage when possible (lets an executor keep one stream for
 // all plans it runs, allocation-free in steady state).

@@ -276,8 +276,8 @@ func TestWordNgramStreamMatchesBatch(t *testing.T) {
 	for _, doc := range docs {
 		var batch []int32
 		cfg.ExtractTokens(doc, nil, func(ix int32) { batch = append(batch, ix) })
-		stream := NewWordNgramStream(cfg)
-		stream.Reset()
+		var stream WordNgramStream
+		stream.Configure(cfg)
 		var got []int32
 		for _, tok := range doc {
 			stream.Push([]byte(tok), func(ix int32) { got = append(got, ix) })
@@ -311,7 +311,8 @@ func TestWordNgramStreamReset(t *testing.T) {
 	d := NewDict()
 	d.Add("a b")
 	cfg := &WordNgramConfig{MaxN: 2, Dict: d}
-	s := NewWordNgramStream(cfg)
+	var s WordNgramStream
+	s.Configure(cfg)
 	count := 0
 	s.Push([]byte("a"), func(int32) { count++ })
 	s.Push([]byte("b"), func(int32) { count++ })

@@ -71,9 +71,6 @@ func NewPoolShards(n int) *Pool {
 	return &Pool{shards: make([]poolShard, n), mask: uint32(n - 1)}
 }
 
-// NumShards reports the shard count.
-func (p *Pool) NumShards() int { return len(p.shards) }
-
 // ShardHint hands out a shard index round-robin. Long-lived owners call
 // it once and pass the hint to GetN/PutN so their traffic stays on one
 // shard (goroutine affinity without runtime support).
@@ -105,41 +102,6 @@ func floorClassFor(capDense int) int {
 		fc = nClasses - 1
 	}
 	return fc
-}
-
-// Get returns a vector whose dense buffer has capacity at least capHint.
-// The vector is reset and ready for use.
-func (p *Pool) Get(capHint int) *Vector {
-	return p.GetAt(p.cursor.Add(1), capHint)
-}
-
-// GetAt is Get pinned to the hinted shard.
-func (p *Pool) GetAt(hint uint32, capHint int) *Vector {
-	if capHint < 0 {
-		capHint = 0
-	}
-	s := p.shard(hint)
-	s.gets.Add(1)
-	c := classFor(capHint)
-	if c >= 0 {
-		s.mu.Lock()
-		// Search upward from the requested class: a bigger vector works.
-		for cc := c; cc < nClasses; cc++ {
-			if n := len(s.classes[cc]); n > 0 {
-				v := s.classes[cc][n-1]
-				s.classes[cc][n-1] = nil
-				s.classes[cc] = s.classes[cc][:n-1]
-				s.mu.Unlock()
-				s.hits.Add(1)
-				v.Reset()
-				return v
-			}
-		}
-		s.mu.Unlock()
-		capHint = 1 << (minShift + c)
-	}
-	s.allocs.Add(1)
-	return New(capHint)
 }
 
 // GetN fills dst with vectors sized by capHints (len(capHints) must equal
@@ -225,34 +187,6 @@ func (p *Pool) GetNUniform(hint uint32, dst []*Vector, capHint int) {
 			dst[i] = New(capHint)
 		}
 	}
-}
-
-// Put returns a vector to the pool. Oversized vectors are dropped for
-// the GC.
-func (p *Pool) Put(v *Vector) {
-	if v == nil {
-		return
-	}
-	p.PutAt(p.cursor.Add(1), v)
-}
-
-// PutAt is Put pinned to the hinted shard.
-func (p *Pool) PutAt(hint uint32, v *Vector) {
-	if v == nil {
-		return
-	}
-	s := p.shard(hint)
-	s.puts.Add(1)
-	if cap(v.Dense) > maxVecCap {
-		return
-	}
-	c := floorClassFor(cap(v.Dense))
-	v.Reset()
-	s.mu.Lock()
-	if len(s.classes[c]) < maxPerList {
-		s.classes[c] = append(s.classes[c], v)
-	}
-	s.mu.Unlock()
 }
 
 // PutN returns all of vs (nil entries skipped) in a single shard visit.

@@ -10,8 +10,8 @@ func TestPoolShardsRounding(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {5, 8}, {8, 8}, {9, 16}, {64, 64}, {100, 64},
 	} {
-		if got := NewPoolShards(tc.in).NumShards(); got != tc.want {
-			t.Fatalf("NewPoolShards(%d).NumShards() = %d, want %d", tc.in, got, tc.want)
+		if got := len(NewPoolShards(tc.in).shards); got != tc.want {
+			t.Fatalf("NewPoolShards(%d) has %d shards, want %d", tc.in, got, tc.want)
 		}
 	}
 }
@@ -75,7 +75,7 @@ func TestPoolPutNSkipsNilAndOversized(t *testing.T) {
 	if st.Puts != 1 {
 		t.Fatalf("only the non-nil vector counts as a put: %+v", st)
 	}
-	if got := p.Get(maxVecCap * 2); got == big {
+	if got := getOne(p, maxVecCap*2); got == big {
 		t.Fatal("oversized vector must not be pooled")
 	}
 }

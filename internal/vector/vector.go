@@ -135,15 +135,6 @@ func (v *Vector) SetTokens(toks []string) {
 	v.Tokens = toks
 }
 
-// AppendToken appends one token, making v a token vector if it is not one.
-func (v *Vector) AppendToken(tok string) {
-	if v.Kind != KindTokens {
-		v.Reset()
-		v.Kind = KindTokens
-	}
-	v.Tokens = append(v.Tokens, tok)
-}
-
 // SetDense makes v a dense vector with the given values copied in.
 func (v *Vector) SetDense(vals []float32) {
 	v.Reset()
@@ -209,9 +200,6 @@ func (v *Vector) AppendSparseShifted(off int32, idx []int32, val []float32) {
 		ix[i] += off
 	}
 }
-
-// NNZ returns the number of stored non-zeros of a sparse vector.
-func (v *Vector) NNZ() int { return len(v.Idx) }
 
 // sparseSorter sorts parallel Idx/Val slices by index.
 type sparseSorter struct{ v *Vector }
@@ -291,26 +279,6 @@ func (v *Vector) Clone() *Vector {
 	c := &Vector{}
 	c.CopyFrom(v)
 	return c
-}
-
-// ToDense materializes v into dst (len dst >= v.Dim) as a dense slice.
-func (v *Vector) ToDense(dst []float32) []float32 {
-	switch v.Kind {
-	case KindDense:
-		n := copy(dst, v.Dense)
-		return dst[:n]
-	case KindSparse:
-		dst = dst[:v.Dim]
-		for i := range dst {
-			dst[i] = 0
-		}
-		for i, ix := range v.Idx {
-			dst[ix] = v.Val[i]
-		}
-		return dst
-	default:
-		return dst[:0]
-	}
 }
 
 // L2Norm returns the Euclidean norm of a dense or sparse vector.

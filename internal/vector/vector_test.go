@@ -74,8 +74,8 @@ func TestSparseAppendSortCoalesce(t *testing.T) {
 	v.AppendSparse(5, 3)
 	v.AppendSparse(9, 4)
 	v.SortSparse()
-	if v.NNZ() != 3 {
-		t.Fatalf("NNZ after coalesce = %d, want 3", v.NNZ())
+	if len(v.Idx) != 3 {
+		t.Fatalf("nnz after coalesce = %d, want 3", len(v.Idx))
 	}
 	wantIdx := []int32{2, 5, 9}
 	wantVal := []float32{2, 4, 4}
@@ -185,15 +185,22 @@ func TestScale(t *testing.T) {
 	}
 }
 
+// getOne takes one vector of capacity capHint from shard 0.
+func getOne(p *Pool, capHint int) *Vector {
+	row := []*Vector{nil}
+	p.GetN(0, row, []int{capHint})
+	return row[0]
+}
+
 func TestPoolReuse(t *testing.T) {
 	p := NewPool()
-	v := p.Get(100)
+	v := getOne(p, 100)
 	if cap(v.Dense) < 100 {
-		t.Fatalf("Get(100) cap=%d", cap(v.Dense))
+		t.Fatalf("GetN(100) cap=%d", cap(v.Dense))
 	}
 	v.UseDense(100)
-	p.Put(v)
-	v2 := p.Get(80)
+	p.PutN(0, []*Vector{v})
+	v2 := getOne(p, 80)
 	if v2 != v {
 		t.Fatal("pool did not reuse the returned vector")
 	}
@@ -208,13 +215,12 @@ func TestPoolReuse(t *testing.T) {
 
 func TestPoolOversized(t *testing.T) {
 	p := NewPool()
-	v := p.Get(maxVecCap * 2) // beyond largest class
+	v := getOne(p, maxVecCap*2) // beyond largest class
 	if cap(v.Dense) < maxVecCap*2 {
 		t.Fatal("oversized get did not allocate enough")
 	}
-	p.Put(v) // must not panic; dropped
-	v2 := p.Get(maxVecCap * 2)
-	if v2 == v {
+	p.PutN(0, []*Vector{v}) // must not panic; dropped
+	if v2 := getOne(p, maxVecCap*2); v2 == v {
 		t.Fatal("oversized vector should not be pooled")
 	}
 }
@@ -248,15 +254,15 @@ func TestSortSparseProperty(t *testing.T) {
 			sums[idx] += val
 		}
 		v.SortSparse()
-		for i := 1; i < v.NNZ(); i++ {
+		for i := 1; i < len(v.Idx); i++ {
 			if v.Idx[i] <= v.Idx[i-1] {
 				return false
 			}
 		}
-		if v.NNZ() != len(sums) {
+		if len(v.Idx) != len(sums) {
 			return false
 		}
-		for i := 0; i < v.NNZ(); i++ {
+		for i := 0; i < len(v.Idx); i++ {
 			if math.Abs(float64(sums[v.Idx[i]]-v.Val[i])) > 1e-3 {
 				return false
 			}
@@ -296,9 +302,10 @@ func TestPoolConcurrent(t *testing.T) {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 1000; i++ {
-				v := p.Get(128)
-				v.UseDense(100)[0] = 1
-				p.Put(v)
+				row := []*Vector{nil}
+				p.GetNUniform(0, row, 128)
+				row[0].UseDense(100)[0] = 1
+				p.PutN(0, row)
 			}
 		}()
 	}
