@@ -464,6 +464,7 @@ func buildKernel(n *snode) (plan.Kernel, error) {
 		if word == nil {
 			return nil, fmt.Errorf("oven: pushed tail stage without WordNgram")
 		}
+		word.Dict.IndexWords()
 		return &plan.SATailKernel{
 			Word:     text.WordNgramConfig{MaxN: word.MaxN, Dict: word.Dict},
 			Weights:  n.pushW,
@@ -485,6 +486,7 @@ func buildKernel(n *snode) (plan.Kernel, error) {
 		if char == nil || word == nil {
 			return nil, fmt.Errorf("oven: materializable stage missing n-gram configs")
 		}
+		word.Dict.IndexWords()
 		return &plan.FeaturizeKernel{
 			Char:    text.CharNgramConfig{MinN: char.MinN, MaxN: char.MaxN, Dict: char.Dict},
 			Word:    text.WordNgramConfig{MaxN: word.MaxN, Dict: word.Dict},

@@ -1,6 +1,7 @@
 package oven
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"pretzel/internal/store"
 	"pretzel/internal/text"
 	"pretzel/internal/vector"
+	"pretzel/internal/workload"
 )
 
 // buildSA constructs the canonical SA pipeline over a tiny corpus. The
@@ -396,5 +398,56 @@ func TestCalibratorSunkIntoPredictor(t *testing.T) {
 	// Calibrator should be fused into the scorer stage, keeping 2 stages.
 	if len(pl.Stages) != 2 {
 		t.Fatalf("stages=%d, want calibrator sunk", len(pl.Stages))
+	}
+}
+
+// TestWordIndexChargedAtCompile: Compile builds each word dictionary's
+// tuple index, so the Object Store's MemBytes (what lifecycle charges a
+// load) already holds it, and 1,000 predicts leave MemBytes unchanged.
+func TestWordIndexChargedAtCompile(t *testing.T) {
+	set, err := workload.BuildSA(workload.SmallScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []Options{DefaultOptions(), {Materialization: true}} {
+		s := store.New()
+		var plans []*plan.Plan
+		for _, p := range set.Pipelines {
+			pl, err := Compile(p, s, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plans = append(plans, pl)
+			var word *text.Dict
+			switch k := pl.Stages[0].Kern.(type) {
+			case *plan.FeaturizeKernel:
+				word = k.Word.Dict
+			default:
+				word = pl.Stages[1].Kern.(*plan.SATailKernel).Word.Dict
+			}
+			var buf bytes.Buffer
+			if _, err := word.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			bare, err := text.ReadDict(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if word.MemBytes() <= bare.MemBytes() {
+				t.Fatalf("%s: word dictionary holds %d bytes after Compile, %d without an index", p.Name, word.MemBytes(), bare.MemBytes())
+			}
+		}
+		before := s.MemBytes()
+		ec := newExec()
+		in, out := vector.New(0), vector.New(0)
+		for i := 0; i < 1000; i++ {
+			in.SetText(set.TestInputs[i%len(set.TestInputs)])
+			if err := plan.RunPlan(plans[i%len(plans)], ec, in, out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if after := s.MemBytes(); after != before {
+			t.Fatalf("materialization %v: store MemBytes %d after 1,000 predicts, %d after Compile", opts.Materialization, after, before)
+		}
 	}
 }

@@ -1,11 +1,18 @@
 package pipeline_test
 
 import (
+	"bytes"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 
+	"pretzel/internal/ops"
 	"pretzel/internal/oven"
 	"pretzel/internal/pipeline"
+	"pretzel/internal/plan"
 	"pretzel/internal/store"
+	"pretzel/internal/vector"
 	"pretzel/internal/workload"
 )
 
@@ -78,4 +85,69 @@ func FuzzImportBytes(f *testing.F) {
 			}
 		}
 	})
+}
+
+// hugeMaxNZip is fuzzZips's SA model with a WordNgram MaxN of 10^9, which
+// an upload may claim: the seed testdata/fuzz/FuzzImportBytes/huge-maxn,
+// byte for byte.
+func hugeMaxNZip(tb testing.TB) []byte {
+	tb.Helper()
+	p, err := pipeline.ImportBytes(fuzzZips(tb)[0])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	word := p.Nodes[2].Op.(*ops.WordNgram)
+	word.MaxN = 1_000_000_000
+	b, err := p.ExportBytes()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// TestImportHugeMaxN: the huge-maxn seed imports, compiles to the pushed
+// SA plan and predicts what the unoptimized pipeline does. The word
+// stream counts grams only up to the dictionary's longest term, so it
+// holds one token, not 10^9-1.
+func TestImportHugeMaxN(t *testing.T) {
+	seed, err := os.ReadFile("testdata/fuzz/FuzzImportBytes/huge-maxn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, quoted, _ := strings.Cut(strings.TrimSpace(string(seed)), "\n[]byte(")
+	b, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal([]byte(b), hugeMaxNZip(t)) {
+		t.Fatal("the huge-maxn seed is not hugeMaxNZip's archive")
+	}
+	p, err := pipeline.ImportBytes([]byte(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := p.Nodes[2].Op.(*ops.WordNgram).MaxN; n != 1_000_000_000 {
+		t.Fatalf("MaxN %d after import", n)
+	}
+	pl, err := oven.Compile(p, store.New(), oven.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := pl.Stages[len(pl.Stages)-1].Kern.Kind(); k != "sa-tail" {
+		t.Fatalf("last stage %s, want sa-tail", k)
+	}
+	ec := &plan.Exec{Pool: vector.NewPool()}
+	in, got, want := vector.New(0), vector.New(0), vector.New(0)
+	for _, s := range []string{"", "a", "nice great product", strings.Repeat("great nice bad ", 40)} {
+		in.SetText(s)
+		if err := plan.RunPlan(pl, ec, in, got); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Run(in, want, nil); err != nil {
+			t.Fatal(err)
+		}
+		if d := got.Dense[0] - want.Dense[0]; d > 1e-5 || d < -1e-5 {
+			t.Fatalf("%q: plan %v, pipeline %v", s, got.Dense[0], want.Dense[0])
+		}
+	}
 }

@@ -107,7 +107,10 @@ func (k *SAHeadKernel) Run(ec *Exec, ins []*vector.Vector, out *vector.Vector) e
 // SATailKernel is the second stage of the optimized SA plan: WordNgram
 // over the token list with the word block of the linear model folded in,
 // then bias + link. Concat never runs and the full feature vector is
-// never materialized.
+// never materialized. Each token's grams are probed on the word
+// dictionary's tuple index and weighted in one call
+// (text.WordNgramStream.Sum), with the same float32 sum, bit for bit, as
+// adding the weights over WordNgram's emitted indices in stream order.
 type SATailKernel struct {
 	Word     text.WordNgramConfig
 	Weights  []float32 // word block of the linear model weights
@@ -126,17 +129,17 @@ func (k *SATailKernel) Run(ec *Exec, ins []*vector.Vector, out *vector.Vector) e
 	}
 	acc := float32(0)
 	w := k.Weights
-	ec.WStream.Configure(&k.Word)
-	emit := func(ix int32) { acc += w[ix] }
+	ws := &ec.WStream
+	ws.Configure(&k.Word)
 	switch {
 	case k.Tokenize && ins[0].Kind == vector.KindText:
 		ec.TokBuf = text.TokenizeFunc(ins[0].Text, ec.TokBuf, func(tok []byte) {
-			ec.WStream.Push(tok, emit)
+			acc = ws.Sum(tok, w, acc)
 		})
 	case ins[0].Kind == vector.KindTokens:
 		toks := ins[0]
 		for i := 0; i < toks.NumTokens(); i++ {
-			ec.WStream.Push(toks.TokenAt(i), emit)
+			acc = ws.Sum(toks.TokenAt(i), w, acc)
 		}
 	default:
 		return fmt.Errorf("plan: sa-tail expects tokens or text input, got %s", ins[0].Kind)

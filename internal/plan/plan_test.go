@@ -287,6 +287,41 @@ func TestRunPlanSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestSATailZeroAlloc: a warm sa-tail Run allocates nothing, on a tokens
+// input and tokenizing text itself, with unigram to trigram hits on the
+// word index.
+func TestSATailZeroAlloc(t *testing.T) {
+	docs := []string{"a nice product that works very well", "a bad product that works very badly"}
+	b := text.NewDictBuilder()
+	for _, doc := range docs {
+		text.ObserveWordNgrams(b, text.Tokenize(doc, nil), 3, nil)
+	}
+	wd := b.Build(0)
+	cfg := text.WordNgramConfig{MaxN: 3, Dict: wd}
+	wts := make([]float32, wd.Size())
+	ec := &Exec{Pool: vector.NewPool()}
+	txt, toks, out := vector.New(0), vector.New(0), vector.New(0)
+	txt.SetText(docs[0] + " and " + docs[1])
+	for _, tok := range text.Tokenize(txt.Text, nil) {
+		toks.AppendTokenBytes([]byte(tok))
+	}
+	for _, tc := range []struct {
+		tokenize bool
+		in       *vector.Vector
+	}{{false, toks}, {true, txt}} {
+		tail := &SATailKernel{Word: cfg, Weights: wts, Link: ml.LogisticRegression, Tokenize: tc.tokenize}
+		run := func() {
+			if err := tail.Run(ec, []*vector.Vector{tc.in}, out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		if n := testing.AllocsPerRun(100, run); n != 0 {
+			t.Fatalf("sa-tail (Tokenize=%v) allocates %v per Run", tc.tokenize, n)
+		}
+	}
+}
+
 // saMiniPlan builds a two-stage head/tail plan for plan-level tests.
 func saMiniPlan(t testing.TB) *Plan {
 	t.Helper()

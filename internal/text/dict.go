@@ -10,6 +10,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"sync/atomic"
 	"unsafe"
 )
 
@@ -18,21 +19,27 @@ import (
 // and are exactly the objects the PRETZEL Object Store deduplicates
 // between pipelines.
 //
-// A Dict is flat and pointer-free: the garbage collector never scans it,
-// and its size is known without a walk. The terms sit in one arena in
-// index order, and an open-addressed table (power-of-two slot count, load
-// at most ½, multiply-shift hashing, linear probing) maps a term's key to
-// its index. A term of at most 7 bytes is its own key: its bytes packed
-// little-endian, with its length in the top byte. A longer term is keyed
-// by a 56-bit maphash value tagged 0xFF in the top byte, and a key match
-// is verified against the arena. The hash only picks where a probe
-// starts; a term's identity is its bytes.
+// A Dict is flat: its arrays hold no pointers, so the garbage collector
+// never scans them, and its size is known without a walk. The terms sit
+// in one arena in index order, and an open-addressed table (power-of-two
+// slot count, load at most ½, multiply-shift hashing, linear probing)
+// maps a term's key to its index. A term of at most 7 bytes is its own
+// key: its bytes packed little-endian, with its length in the top byte. A
+// longer term is keyed by a 56-bit maphash value tagged 0xFF in the top
+// byte, and a key match is verified against the arena. The hash only
+// picks where a probe starts; a term's identity is its bytes.
+//
+// The Dict's one pointer is to its word index, which keys its multi-word
+// terms by tuples of token IDs (WordNgramStream's fast path). It is built
+// once, the first time the Dict serves word n-grams (IndexWords), and is
+// freed with the Dict.
 type Dict struct {
 	arena []byte   // the terms, in index order
 	offs  []uint32 // term i is arena[offs[i]:offs[i+1]]; len Size()+1
 	keys  []uint64 // slot keys
 	vals  []int32  // slot term index + 1; 0 marks an empty slot
 	shift uint     // 64 - log2(len(keys))
+	word  atomic.Pointer[wordIndex]
 }
 
 const (
@@ -155,6 +162,7 @@ func (d *Dict) Add(term string) int32 {
 		panic("text: dictionary arena past 4 GiB")
 	}
 	d.arena = append(d.arena, term...)
+	d.word.Store(nil) // an index built before this term does not cover it
 	return d.push(i, k)
 }
 
@@ -164,11 +172,15 @@ func (d *Dict) Lookup(term string) int32 { return find(d, term, stringKey(term))
 // LookupBytes is Lookup for a byte-slice key.
 func (d *Dict) LookupBytes(term []byte) int32 { return find(d, term, bytesKey(term)) }
 
-// MemBytes returns the bytes the dictionary holds: its header and the
-// capacity of its four arrays. It is exact and O(1), so residency
-// accounting can call it under a lock.
+// MemBytes returns the bytes the dictionary holds: its header, the
+// capacity of its four arrays and, once it is built, its word index. It
+// is exact and O(1), so residency accounting can call it under a lock.
 func (d *Dict) MemBytes() int {
-	return int(unsafe.Sizeof(*d)) + cap(d.arena) + 4*cap(d.offs) + 8*cap(d.keys) + 4*cap(d.vals)
+	n := int(unsafe.Sizeof(*d)) + cap(d.arena) + 4*cap(d.offs) + 8*cap(d.keys) + 4*cap(d.vals)
+	if x := d.word.Load(); x != nil {
+		n += x.memBytes()
+	}
+	return n
 }
 
 // WriteContent implements ops.Param: the canonical serialized bytes the

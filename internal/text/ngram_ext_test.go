@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
+	"pretzel/internal/dataset"
 	"pretzel/internal/text"
 	"pretzel/internal/workload"
 )
@@ -169,5 +173,135 @@ func BenchmarkCharNgramSum(b *testing.B) {
 			cfg.ExtractToken(toks[i%len(toks)], func(ix int32) { acc += w[ix] })
 		}
 		benchSum = acc
+	})
+}
+
+// benchWords holds a word dictionary built like the benchmark catalog's
+// MaxN-3 SA version (unigrams to trigrams of 2,500 reviews over an
+// 8,000-word vocabulary, capped at 40k terms) and 200 held-out reviews of
+// about 300 words, tokenized.
+var benchWords struct {
+	once    sync.Once
+	dict    *text.Dict
+	reviews [][][]byte
+}
+
+func loadBenchWords() {
+	corpus := dataset.NewReviewCorpus(8000, 2018)
+	b := text.NewDictBuilder()
+	var scratch []byte
+	for _, doc := range corpus.Generate(2500, 20) {
+		scratch = text.ObserveWordNgrams(b, text.Tokenize(doc.Text, nil), 3, scratch)
+	}
+	benchWords.dict = b.Build(40000)
+	for _, doc := range corpus.Generate(200, 300) {
+		var toks [][]byte
+		for _, tok := range text.Tokenize(doc.Text, nil) {
+			toks = append(toks, []byte(tok))
+		}
+		benchWords.reviews = append(benchWords.reviews, toks)
+	}
+}
+
+// BenchmarkWordNgramSum: the word block of an SA tail over one held-out
+// 300-word review, MaxN 3, per review: Sum on the word index, Push on the
+// index with a weight-adding callback, and Sum on the joined-bytes
+// fallback (the path every gram took before the index).
+func BenchmarkWordNgramSum(b *testing.B) {
+	benchWords.once.Do(loadBenchWords)
+	cfg := text.WordNgramConfig{MaxN: 3, Dict: benchWords.dict}
+	w := varied(rand.New(rand.NewSource(1)), cfg.Dict.Size())
+	revs := benchWords.reviews
+	for _, bc := range []struct {
+		name   string
+		joined bool
+		push   bool
+	}{{"index", false, false}, {"push", false, true}, {"joined", true, false}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var s text.WordNgramStream
+			s.Configure(&cfg)
+			var acc float32
+			emit := func(ix int32) { acc += w[ix] }
+			for i := 0; i < b.N; i++ {
+				s.Reset()
+				if bc.joined {
+					s.Joined()
+				}
+				for _, tok := range revs[i%len(revs)] {
+					if bc.push {
+						s.Push(tok, emit)
+					} else {
+						acc = s.Sum(tok, w, acc)
+					}
+				}
+			}
+			benchSum = acc
+		})
+	}
+}
+
+// FuzzWordNgramSum: for any tokens (toks split at '\n', so a token may
+// hold a space, be empty or be any bytes), any dictionary and MaxN 0-5,
+// Sum on the word index returns the float32 bits of adding the weights
+// in a Push callback, on the index and on the joined-bytes fallback, and
+// Push emits the indices ExtractTokens emits (in stream order, not
+// ExtractTokens' order, so as a multiset). The dictionary holds the terms
+// (split at '\n') and the 1-3 grams that start at every fourth token, so
+// grams hit, the second and third of each four tokens are parts of
+// multi-word terms only, and the fourth is in no term unless the terms
+// name it.
+func FuzzWordNgramSum(f *testing.F) {
+	f.Fuzz(func(t *testing.T, toks, terms []byte, maxN int) {
+		tokens := bytes.Split(toks[:min(len(toks), 512)], []byte{'\n'})
+		strs := make([]string, len(tokens))
+		for i, tok := range tokens {
+			strs[i] = string(tok)
+		}
+		b := text.NewDictBuilder()
+		for _, term := range bytes.Split(terms[:min(len(terms), 512)], []byte{'\n'}) {
+			b.ObserveBytes(term)
+		}
+		for i := 0; i < len(strs); i += 4 {
+			for n := 1; n <= 3 && i+n <= len(strs); n++ {
+				b.Observe(strings.Join(strs[i:i+n], " "))
+			}
+		}
+		d := b.Build(0)
+		w := make([]float32, d.Size())
+		for i := range w {
+			w[i] = float32(1-2*(i&1)) / float32(i+3)
+		}
+		cfg := text.WordNgramConfig{MaxN: int(uint(maxN) % 6), Dict: d}
+
+		var s text.WordNgramStream
+		s.Configure(&cfg)
+		sum := float32(0.1)
+		for _, tok := range tokens {
+			sum = s.Sum(tok, w, sum)
+		}
+		push := func(joined bool) (float32, []int32) {
+			s.Reset()
+			if joined {
+				s.Joined()
+			}
+			acc, ixs := float32(0.1), []int32(nil)
+			for _, tok := range tokens {
+				s.Push(tok, func(ix int32) { acc += w[ix]; ixs = append(ixs, ix) })
+			}
+			return acc, ixs
+		}
+		onIndex, ixs := push(false)
+		joined, jixs := push(true)
+		if math.Float32bits(sum) != math.Float32bits(onIndex) || math.Float32bits(sum) != math.Float32bits(joined) || !slices.Equal(ixs, jixs) {
+			t.Fatalf("MaxN %d, tokens %q: Sum %v; Push %v %v on the index, %v %v joined", cfg.MaxN, strs, sum, onIndex, ixs, joined, jixs)
+		}
+		var want []int32
+		cfg.ExtractTokens(strs, nil, func(ix int32) { want = append(want, ix) })
+		slices.Sort(ixs)
+		slices.Sort(want)
+		if !slices.Equal(ixs, want) {
+			t.Fatalf("MaxN %d, tokens %q: Push emits %v, ExtractTokens %v", cfg.MaxN, strs, ixs, want)
+		}
 	})
 }

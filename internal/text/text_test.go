@@ -327,6 +327,42 @@ func TestWordNgramStreamReset(t *testing.T) {
 	}
 }
 
+// TestWordNgramStreamCapsMaxN: MaxN counts only up to the dictionary's
+// longest term, in parts, so a MaxN an upload sets to 2^30 holds as many
+// tokens as the terms have parts less one, on the index and on the
+// fallback alike, and still emits every gram.
+func TestWordNgramStreamCapsMaxN(t *testing.T) {
+	for _, tc := range []struct {
+		terms   []string
+		ring    int
+		onIndex bool
+	}{
+		{[]string{"a", "a b"}, 1, true},
+		{[]string{"a", "a b", "a b a"}, 2, true},
+		{[]string{"a b a b", "b a"}, 3, false},
+	} {
+		d := NewDict()
+		for _, term := range tc.terms {
+			d.Add(term)
+		}
+		cfg := &WordNgramConfig{MaxN: 1 << 30, Dict: d}
+		var s WordNgramStream
+		s.Configure(cfg)
+		if len(s.ring) != tc.ring || cap(s.ring) != tc.ring || s.OnIndex() != tc.onIndex {
+			t.Fatalf("terms %q: ring of %d (cap %d), on the index %v; want %d, %v", tc.terms, len(s.ring), cap(s.ring), s.OnIndex(), tc.ring, tc.onIndex)
+		}
+		var got []int32
+		for _, tok := range []string{"a", "b", "a", "b"} {
+			s.Push([]byte(tok), func(ix int32) { got = append(got, ix) })
+		}
+		var want []int32
+		cfg.ExtractTokens([]string{"a", "b", "a", "b"}, nil, func(ix int32) { want = append(want, ix) })
+		if !sameMultiset(got, want) {
+			t.Fatalf("terms %q: stream %v, ExtractTokens %v", tc.terms, got, want)
+		}
+	}
+}
+
 func TestObserveCharNgrams(t *testing.T) {
 	b := NewDictBuilder()
 	ObserveCharNgrams(b, []byte("abc"), 2, 3)
