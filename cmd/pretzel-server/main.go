@@ -247,10 +247,10 @@ func buildNode(nc nodeConfig) (*nodeParts, int, error) {
 		return nil, 0, err
 	}
 	ls := mgr.LStats()
-	n := ls.Warm + ls.Cold + ls.Loading
+	n := ls.RepoModels
 	if n > 0 {
 		st := objStore.Stats()
-		fmt.Printf("model repository %s: %d models (%d warm, %d cold) in %v (object store: %d unique params, %d dedup hits)\n",
+		fmt.Printf("model repository %s: %d models (%d versions warm, %d cold) in %v (object store: %d unique params, %d dedup hits)\n",
 			nc.dir, n, ls.Warm, ls.Cold, time.Since(t0).Round(time.Millisecond), st.Unique, st.Hits)
 	}
 	return &nodeParts{eng: mgr, opts: opts}, n, nil

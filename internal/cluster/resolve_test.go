@@ -23,12 +23,10 @@ type refCase struct {
 	remove  []int          // then these versions are unregistered
 	ref     string
 	want    int // 0 = ErrModelNotFound
-	// wantReloaded, when set, is the answer of a lifecycle node that
-	// re-reads the model from disk: a load installs the published
-	// versions lowest-first into an empty runtime, which hands "stable"
-	// to the first — so a model that lost its stable label gets one
-	// back on the next load.
-	wantReloaded int
+	// wantManaged, when set, is the answer of a lifecycle node, warm or
+	// cold: it resolves against its repository, where a model with no
+	// persisted stable label has its lowest published version as stable.
+	wantManaged int
 }
 
 var refCases = []refCase{
@@ -42,8 +40,8 @@ var refCases = []refCase{
 	{name: "unknown version", publish: 2, ref: "m@9"},
 	{name: "unknown model", publish: 1, ref: "ghost"},
 	{name: "no stable label, one version left", publish: 2, remove: []int{1}, ref: "m", want: 2},
-	{name: "no stable label, several versions left", publish: 3, remove: []int{1}, ref: "m", wantReloaded: 2},
-	{name: "no stable label, asked for by name", publish: 3, remove: []int{1}, ref: "m@stable", wantReloaded: 2},
+	{name: "no stable label, several versions left", publish: 3, remove: []int{1}, ref: "m", wantManaged: 2},
+	{name: "no stable label, asked for by name", publish: 3, remove: []int{1}, ref: "m@stable", wantManaged: 2},
 	{name: "label whose version was deleted", publish: 2, labels: map[string]int{"canary": 2}, remove: []int{2}, ref: "m@canary"},
 	{name: "deleted version", publish: 2, remove: []int{2}, ref: "m@2"},
 }
@@ -88,9 +86,9 @@ func (c refCase) check(t *testing.T, eng serving.Engine, want int) {
 }
 
 // TestReferenceRuleOnEveryEngine runs the one table of the reference
-// rule against its three consumers: a warm runtime, a cold lifecycle
-// manager (before and after the load its first predict triggers) and a
-// router over an in-process node.
+// rule against its three consumers: a warm runtime, a lifecycle manager
+// (warm, then cold before and after the load its first predict
+// triggers) and a router over an in-process node.
 func TestReferenceRuleOnEveryEngine(t *testing.T) {
 	for _, c := range refCases {
 		t.Run(c.name, func(t *testing.T) {
@@ -116,15 +114,15 @@ func TestReferenceRuleOnEveryEngine(t *testing.T) {
 					t.Cleanup(func() { mgr.Close() })
 					return mgr
 				}
+				want := c.want
+				if c.wantManaged != 0 {
+					want = c.wantManaged
+				}
 				warm := open(lifecycle.Config{})
 				c.arrange(t, warm)
-				c.check(t, warm, c.want) // resident: the runtime's answer
+				c.check(t, warm, want)
 				warm.Close()
 
-				want := c.want
-				if c.wantReloaded != 0 {
-					want = c.wantReloaded
-				}
 				cold := open(lifecycle.Config{LazyLoad: true})
 				if name, v, err := cold.Resolve(c.ref); want != 0 && (err != nil || name != "m" || v != want) {
 					t.Fatalf("cold Resolve(%q) = %s@%d, %v; want m@%d", c.ref, name, v, err, want)

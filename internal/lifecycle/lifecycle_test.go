@@ -103,13 +103,20 @@ func predict(t testing.TB, m *Manager, model string) []float32 {
 	return out
 }
 
-func state(m *Manager, name string) string {
+// state is the residency state of the version ref resolves to: its
+// record's state, cold when it has none, "" when the repository does not
+// know ref.
+func state(m *Manager, ref string) string {
+	ent, err := m.repo.Resolve(ref)
+	if err != nil {
+		return ""
+	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if e := m.entries[name]; e != nil {
-		return e.state
+	if rec := m.entries[verKey{ent.Name, ent.Version}]; rec != nil {
+		return rec.state
 	}
-	return ""
+	return StateCold
 }
 
 func TestLazyColdLoadOnFirstPredict(t *testing.T) {
@@ -148,12 +155,13 @@ func TestLazyColdLoadOnFirstPredict(t *testing.T) {
 	}
 }
 
-// TestCorruptVersionSkipped: a single corrupt version on disk (e.g.
-// half-written by an offline trainer) must not make the whole model
-// unservable — good versions load and the bad one counts as a load
-// error. A model whose EVERY version is corrupt fails fast on repeat
-// attempts (negative cache) instead of redoing the full disk read +
-// compile on each one — whichever entry point asks for the load.
+// TestCorruptVersionSkipped: a corrupt version on disk (e.g.
+// half-written by an offline trainer) costs only the requests that name
+// it: the good stable version loads and serves, and asking for the bad
+// one fails with ErrBadModel, counts one load error and is
+// negative-cached. Repeat attempts fail fast from the cache instead of
+// redoing the disk read + compile — whichever entry point asks for the
+// load.
 func TestCorruptVersionSkipped(t *testing.T) {
 	dir := t.TempDir()
 	r := openRepo(t, dir)
@@ -176,11 +184,15 @@ func TestCorruptVersionSkipped(t *testing.T) {
 	if got := state(m, "sa"); got != StateWarm {
 		t.Fatalf("good version must serve despite corrupt sibling, got %q", got)
 	}
-	if m.loadErrs.Load() == 0 {
-		t.Fatal("skipped corrupt version must count as a load error")
+	if got := m.loadErrs.Load(); got != 0 {
+		t.Fatalf("loading sa@1 read its corrupt sibling: %d load errors", got)
 	}
 
 	for name, load := range map[string]func(name string) error{
+		"sa@2": func(name string) error {
+			_, err := m.Predict(context.Background(), name, "x", serving.PredictOptions{})
+			return err
+		},
 		"bad-predict": func(name string) error {
 			_, err := m.Predict(context.Background(), name, "x", serving.PredictOptions{})
 			return err
@@ -188,21 +200,28 @@ func TestCorruptVersionSkipped(t *testing.T) {
 		"bad-warm": m.Warm,
 		"bad-pin":  func(name string) error { return m.Pin(name, true) },
 	} {
-		// Fully corrupt model: the load fails with ErrBadModel...
+		// A corrupt version: the load fails with ErrBadModel and counts
+		// one load error...
+		errs := m.loadErrs.Load()
 		first := load(name)
 		if !errors.Is(first, serving.ErrBadModel) {
-			t.Fatalf("%s: fully corrupt model: %v", name, first)
+			t.Fatalf("%s: corrupt version: %v", name, first)
+		}
+		if got := m.loadErrs.Load() - errs; got != 1 {
+			t.Fatalf("%s: %d load errors, want 1", name, got)
 		}
 		// ...and an immediate retry is answered from the negative cache:
 		// the same error, and no new load attempt, so loadErrs must not
 		// move.
-		errs := m.loadErrs.Load()
 		if again := load(name); again != first {
 			t.Fatalf("%s: cached failure: %v, want %v", name, again, first)
 		}
-		if got := m.loadErrs.Load(); got != errs {
-			t.Fatalf("%s: negative cache missed: load retried (%d -> %d load errors)", name, errs, got)
+		if got := m.loadErrs.Load() - errs; got != 1 {
+			t.Fatalf("%s: negative cache missed: load retried (%d load errors)", name, got)
 		}
+	}
+	if got := state(m, "sa"); got != StateWarm {
+		t.Fatalf("a failed load of sa@2 disturbed sa@1: %q", got)
 	}
 }
 
@@ -468,7 +487,7 @@ func TestUnregisterRemovesFromDiskAndRAM(t *testing.T) {
 	if err := m.Unregister("sa@2"); err != nil {
 		t.Fatal(err)
 	}
-	if vs, _ := r.Versions("sa"); len(vs) != 1 || vs[0].Version != 1 {
+	if vs, _ := openRepo(t, dir).Versions("sa"); len(vs) != 1 || vs[0].Version != 1 {
 		t.Fatalf("disk after version delete: %v", vs)
 	}
 	predict(t, m, "sa") // v1 still serves
@@ -476,7 +495,7 @@ func TestUnregisterRemovesFromDiskAndRAM(t *testing.T) {
 	if err := m.Unregister("sa"); err != nil {
 		t.Fatal(err)
 	}
-	if vs, _ := r.Versions("sa"); len(vs) != 0 {
+	if vs, _ := openRepo(t, dir).Versions("sa"); len(vs) != 0 {
 		t.Fatalf("disk after model delete: %v", vs)
 	}
 	if _, err := m.Predict(context.Background(), "sa", "x", serving.PredictOptions{}); !errors.Is(err, runtime.ErrModelNotFound) {
@@ -500,7 +519,7 @@ func TestPollDiscoversNewModels(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for m.lookup("fresh") == nil {
+	for state(m, "fresh") == "" {
 		if time.Now().After(deadline) {
 			t.Fatal("poller never discovered the new model")
 		}
@@ -511,18 +530,24 @@ func TestPollDiscoversNewModels(t *testing.T) {
 	}
 	predict(t, m, "fresh")
 
-	// A new version of the now-warm model is registered eagerly.
+	// A new version of the now-warm model enters the catalog cold: the
+	// poll installs nothing, and the first request for it loads it.
 	if _, err := r.Put("fresh", 0, buildZip(t, "fresh", 1)); err != nil {
 		t.Fatal(err)
 	}
-	for {
-		if _, v, err := m.Resolve("fresh@2"); err == nil && v == 2 {
-			break
-		}
+	for state(m, "fresh@2") == "" {
 		if time.Now().After(deadline) {
-			t.Fatal("poller never registered the new version of a warm model")
+			t.Fatal("poller never discovered the new version")
 		}
 		time.Sleep(time.Millisecond)
+	}
+	if got := state(m, "fresh@2"); got != StateCold {
+		t.Fatalf("discovered version state %q, want cold", got)
+	}
+	loads := m.coldLoads.Load()
+	predict(t, m, "fresh@2")
+	if got := m.coldLoads.Load() - loads; got != 1 || state(m, "fresh@2") != StateWarm {
+		t.Fatalf("first predict on fresh@2: %d cold loads, state %q", got, state(m, "fresh@2"))
 	}
 }
 
@@ -596,13 +621,13 @@ func TestBudgetReassertsAfterDrain(t *testing.T) {
 
 	// Hold a lease on every model at once: each load sees the others
 	// busy, eviction skips them, and all three end up resident.
-	leases := make([]*managed, len(names))
+	leases := make([]*record, len(names))
 	for i, n := range names {
-		e, err := m.ensureWarm(n)
-		if err != nil || e == nil {
-			t.Fatalf("ensureWarm(%s): %v %v", n, e, err)
+		rec, err := m.acquire(n)
+		if err != nil {
+			t.Fatalf("acquire(%s): %v", n, err)
 		}
-		leases[i] = e
+		leases[i] = rec
 	}
 	if got := m.ResidentBytes(); got <= m.cfg.RAMBudget {
 		t.Fatalf("premise: %d in-flight models should overshoot the %d budget, resident %d",

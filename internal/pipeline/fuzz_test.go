@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"pretzel/internal/ml"
 	"pretzel/internal/ops"
 	"pretzel/internal/oven"
 	"pretzel/internal/pipeline"
@@ -105,12 +106,43 @@ func hugeMaxNZip(tb testing.TB) []byte {
 	return b
 }
 
-// TestImportHugeMaxN: the huge-maxn seed imports, compiles to the pushed
-// SA plan and predicts what the unoptimized pipeline does. The word
-// stream counts grams only up to the dictionary's longest term, so it
-// holds one token, not 10^9-1.
-func TestImportHugeMaxN(t *testing.T) {
-	seed, err := os.ReadFile("testdata/fuzz/FuzzImportBytes/huge-maxn")
+// hugeMaxNGenericZip is Tokenizer → WordNgram → LinearPredictor over
+// fuzzZips's SA word dictionary, with a WordNgram MaxN of 10^9. No SA
+// kernel takes this shape, so it compiles to a generic stage that runs
+// ops.WordNgram on the serving path: the seed
+// testdata/fuzz/FuzzImportBytes/huge-maxn-generic, byte for byte.
+func hugeMaxNGenericZip(tb testing.TB) []byte {
+	tb.Helper()
+	sa, err := pipeline.ImportBytes(fuzzZips(tb)[0])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	word := sa.Nodes[2].Op.(*ops.WordNgram)
+	weights := make([]float32, word.Dict.Size())
+	for i := range weights {
+		weights[i] = float32(i%7-3) / 4
+	}
+	p := &pipeline.Pipeline{
+		Name:        "wordonly",
+		InputSchema: sa.InputSchema,
+		Stats:       pipeline.Stats{MaxVectorSize: len(weights), SparseOutput: true},
+		Nodes: []pipeline.Node{
+			{Op: &ops.Tokenizer{}, Inputs: []int{pipeline.InputID}},
+			{Op: &ops.WordNgram{MaxN: 1_000_000_000, Dict: word.Dict}, Inputs: []int{0}},
+			{Op: &ops.LinearPredictor{Model: &ml.LinearModel{Kind: ml.LogisticRegression, Weights: weights}}, Inputs: []int{1}},
+		},
+	}
+	b, err := p.ExportBytes()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// readSeed returns the bytes of one committed FuzzImportBytes seed.
+func readSeed(t *testing.T, name string) []byte {
+	t.Helper()
+	seed, err := os.ReadFile("testdata/fuzz/FuzzImportBytes/" + name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,10 +151,65 @@ func TestImportHugeMaxN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal([]byte(b), hugeMaxNZip(t)) {
+	return []byte(b)
+}
+
+// TestImportHugeMaxNGeneric: the huge-maxn-generic seed imports and
+// compiles to a generic word n-gram stage, and on a 1,000-token
+// document it predicts exactly what the same model with MaxN set to the
+// dictionary's longest term does: the oracle counts n only that far.
+func TestImportHugeMaxNGeneric(t *testing.T) {
+	b := readSeed(t, "huge-maxn-generic")
+	if !bytes.Equal(b, hugeMaxNGenericZip(t)) {
+		t.Fatal("the huge-maxn-generic seed is not hugeMaxNGenericZip's archive")
+	}
+	huge, err := pipeline.ImportBytes(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := pipeline.ImportBytes(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	word := exact.Nodes[1].Op.(*ops.WordNgram)
+	word.MaxN = word.Dict.Parts()
+	if word.MaxN < 2 {
+		t.Fatalf("the seed's dictionary has no multi-word term (longest %d parts)", word.MaxN)
+	}
+	s := store.New()
+	ec := &plan.Exec{Pool: vector.NewPool()}
+	in := vector.New(0)
+	in.SetText(strings.Repeat("great nice bad product ", 250))
+	var got [2]float32
+	for i, p := range []*pipeline.Pipeline{huge, exact} {
+		pl, err := oven.Compile(p, s, oven.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k := pl.Stages[0].Kern.Kind(); k != "generic" {
+			t.Fatalf("first stage %s, want generic", k)
+		}
+		out := vector.New(0)
+		if err := plan.RunPlan(pl, ec, in, out); err != nil {
+			t.Fatal(err)
+		}
+		got[i] = out.Dense[0]
+	}
+	if got[0] != got[1] {
+		t.Fatalf("MaxN 10^9 predicts %v, MaxN %d predicts %v", got[0], word.MaxN, got[1])
+	}
+}
+
+// TestImportHugeMaxN: the huge-maxn seed imports, compiles to the pushed
+// SA plan and predicts what the unoptimized pipeline does. The word
+// stream counts grams only up to the dictionary's longest term, so it
+// holds one token, not 10^9-1.
+func TestImportHugeMaxN(t *testing.T) {
+	b := readSeed(t, "huge-maxn")
+	if !bytes.Equal(b, hugeMaxNZip(t)) {
 		t.Fatal("the huge-maxn seed is not hugeMaxNZip's archive")
 	}
-	p, err := pipeline.ImportBytes([]byte(b))
+	p, err := pipeline.ImportBytes(b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,8 @@
-// Package repo implements the on-disk model repository behind the
-// lifecycle tier: the durable, versioned store a serving node loads
-// models from and evicts them back to. The layout is one directory per
-// model with one numbered subdirectory per version:
+// Package repo implements the model repository behind the lifecycle
+// tier: the durable, versioned store a serving node loads models from
+// and evicts them back to, and the node's one catalog of which versions
+// each name has and where its labels point. The layout is one directory
+// per model with one numbered subdirectory per version:
 //
 //	<root>/<name>/<version>/model.zip    the exported pipeline
 //	<root>/<name>/labels.json            persisted label→version map
@@ -15,21 +16,32 @@
 // the pre-lifecycle server layout), a top-level "<name>.zip" is
 // version 1 of <name> — unless "<name>/1/model.zip" exists, which
 // wins. Writes only ever use the versioned layout.
+//
+// The catalog is an in-memory index of that layout. Open fills it with
+// one walk, Put, Delete and PutLabels update it in the same step as
+// their disk write, and Scan (and so Poll) walks the disk again to pick
+// up what was written behind the repository's back. Versions, Labels,
+// Entries and Resolve answer from the index and touch no disk.
 package repo
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
+
+	"pretzel/internal/runtime"
 )
 
 // zipName is the published model file inside a version directory.
@@ -72,19 +84,50 @@ type Entry struct {
 // Ref formats the entry as a "name@version" model reference.
 func (e Entry) Ref() string { return fmt.Sprintf("%s@%d", e.Name, e.Version) }
 
-// Repo is a versioned on-disk model repository rooted at one
-// directory. All methods are safe for concurrent use; publishes are
-// serialized per repository, scans run lock-free against the
-// atomically renamed layout.
+// Repo is a versioned model repository rooted at one directory. All
+// methods are safe for concurrent use.
 type Repo struct {
 	root string
 
-	// mu serializes writers (Put/Delete/PutLabels): next-free-version
-	// selection and label read-modify-write must not interleave.
+	// mu serializes writers (Put/Delete/PutLabels/Scan): next-free-version
+	// selection, the label read-modify-write and a walk that replaces the
+	// index must not interleave.
 	mu sync.Mutex
+
+	// idx guards index. Writers take it only after their disk write, so
+	// a reader never waits on a publish's fsync.
+	idx   sync.RWMutex
+	index map[string]*model
 }
 
-// Open opens (creating if necessary) a repository rooted at dir.
+// model is one name's catalog entry.
+type model struct {
+	versions []Entry // published, ascending
+	// persisted is labels.json. Writers replace it and never change one
+	// once it is stored, so a writer may read it outside idx.
+	persisted map[string]int
+}
+
+// label returns the version label names: a persisted label, or, for
+// "stable" when none is persisted, the lowest published version. This is
+// the one statement of that rule on a node.
+func (m *model) label(l string) (int, bool) {
+	if v, ok := m.persisted[l]; ok {
+		return v, true
+	}
+	if l == runtime.LabelStable && len(m.versions) > 0 {
+		return m.versions[0].Version, true
+	}
+	return 0, false
+}
+
+// find returns where version v is, or would go, in m.versions.
+func (m *model) find(v int) (int, bool) {
+	return slices.BinarySearchFunc(m.versions, v, func(e Entry, v int) int { return cmp.Compare(e.Version, v) })
+}
+
+// Open opens (creating if necessary) a repository rooted at dir and
+// fills its catalog with one walk.
 func Open(dir string) (*Repo, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("repo: empty root directory")
@@ -92,7 +135,11 @@ func Open(dir string) (*Repo, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("repo: creating root: %w", err)
 	}
-	return &Repo{root: dir}, nil
+	r := &Repo{root: dir}
+	if _, err := r.Scan(); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
 // Root returns the repository's root directory.
@@ -126,17 +173,19 @@ func (r *Repo) manifestPath(name string, version int) string {
 	return filepath.Join(r.root, name, strconv.Itoa(version), manifestName)
 }
 
-// Scan walks the repository and returns every published version,
-// sorted by name then version. Incomplete publishes (temp files,
-// version directories without a model.zip) are skipped.
+// Scan walks the repository, makes the catalog what it found and
+// returns every published version, sorted by name then version.
+// Incomplete publishes (temp files, version directories without a
+// model.zip) are skipped, and so is a labels.json that does not parse.
 func (r *Repo) Scan() ([]Entry, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	dirents, err := os.ReadDir(r.root)
 	if err != nil {
 		return nil, fmt.Errorf("repo: scanning root: %w", err)
 	}
 	// A model is a directory, a legacy flat "<name>.zip", or both.
-	var out []Entry
-	seen := make(map[string]bool)
+	index := make(map[string]*model)
 	for _, de := range dirents {
 		name := de.Name()
 		if !de.IsDir() {
@@ -145,26 +194,27 @@ func (r *Repo) Scan() ([]Entry, error) {
 			}
 			name = strings.TrimSuffix(name, ".zip")
 		}
-		if seen[name] || validName(name) != nil {
+		if index[name] != nil || validName(name) != nil {
 			continue
 		}
-		seen[name] = true
 		vs, err := r.versions(name)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, vs...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
+		m := &model{versions: vs}
+		var labels map[string]int
+		if b, err := os.ReadFile(filepath.Join(r.dir(name), labelsName)); err == nil && json.Unmarshal(b, &labels) == nil {
+			m.persisted = labels
 		}
-		return out[i].Version < out[j].Version
-	})
-	return out, nil
+		index[name] = m
+	}
+	r.idx.Lock()
+	r.index = index
+	r.idx.Unlock()
+	return r.Entries(), nil
 }
 
-// versions lists the published versions of one model, sorted
+// versions lists the published versions of one model on disk, sorted
 // ascending: the entries of its versioned directory, plus a legacy flat
 // zip as version 1 whenever "<name>/1/model.zip" is absent (the same
 // precedence Read applies).
@@ -196,17 +246,103 @@ func (r *Repo) versions(name string) ([]Entry, error) {
 			out = append(out, Entry{Name: name, Version: 1, Path: r.legacyPath(name), Bytes: fi.Size(), ModTime: fi.ModTime()})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Version < out[j].Version })
+	sortEntries(out)
 	return out, nil
 }
 
-// Versions lists the published versions of one model, a legacy flat
-// zip included (see versions).
+func sortEntries(es []Entry) {
+	sort.Slice(es, func(i, j int) bool {
+		if es[i].Name != es[j].Name {
+			return es[i].Name < es[j].Name
+		}
+		return es[i].Version < es[j].Version
+	})
+}
+
+// Entries returns every published version in the catalog, sorted by
+// name then version.
+func (r *Repo) Entries() []Entry {
+	r.idx.RLock()
+	var out []Entry
+	for _, m := range r.index {
+		out = append(out, m.versions...)
+	}
+	r.idx.RUnlock()
+	sortEntries(out)
+	return out
+}
+
+// Versions lists the published versions of one model, ascending, a
+// legacy flat zip included.
 func (r *Repo) Versions(name string) ([]Entry, error) {
 	if err := validName(name); err != nil {
 		return nil, err
 	}
-	return r.versions(name)
+	r.idx.RLock()
+	defer r.idx.RUnlock()
+	if m := r.index[name]; m != nil {
+		return slices.Clone(m.versions), nil
+	}
+	return nil, nil
+}
+
+// Labels returns a model's label→version map as references see it: the
+// persisted labels, plus "stable" on the lowest published version when
+// none is persisted (empty for a name the catalog does not know).
+func (r *Repo) Labels(name string) (map[string]int, error) {
+	if err := validName(name); err != nil {
+		return nil, err
+	}
+	out := make(map[string]int)
+	r.idx.RLock()
+	defer r.idx.RUnlock()
+	if m := r.index[name]; m != nil {
+		maps.Copy(out, m.persisted)
+		if v, ok := m.label(runtime.LabelStable); ok {
+			out[runtime.LabelStable] = v
+		}
+	}
+	return out, nil
+}
+
+// Resolve picks the published version a model reference "name[@ref]"
+// selects: "2" or "v2" names version 2, and anything else a label, ""
+// meaning "stable" (see model.label). It is runtime.ResolveVersion's
+// rule, restated over the catalog's sorted versions so that the index
+// holds no map per model. It touches no disk and, on success, allocates
+// nothing: the lifecycle tier calls it on every request.
+func (r *Repo) Resolve(ref string) (Entry, error) {
+	name, part := runtime.SplitRef(ref)
+	r.idx.RLock()
+	defer r.idx.RUnlock()
+	m := r.index[name]
+	if m == nil {
+		return Entry{}, fmt.Errorf("%w: %q", runtime.ErrModelNotFound, name)
+	}
+	var v int
+	var named bool
+	if part == "" {
+		v, named = m.label(runtime.LabelStable)
+	} else if v, named = runtime.ParseVersion(part); !named {
+		v, named = m.label(part)
+	}
+	if i, ok := m.find(v); named && ok {
+		return m.versions[i], nil
+	}
+	return Entry{}, fmt.Errorf("%w: %q has no published version %q", runtime.ErrModelNotFound, name, part)
+}
+
+// update applies fn to name's catalog entry, created if absent. Caller
+// holds mu.
+func (r *Repo) update(name string, fn func(m *model)) {
+	r.idx.Lock()
+	defer r.idx.Unlock()
+	m := r.index[name]
+	if m == nil {
+		m = &model{}
+		r.index[name] = m
+	}
+	fn(m)
 }
 
 // Read returns the zip bytes of one published version, verified
@@ -263,7 +399,9 @@ func (r *Repo) Put(name string, version int, zip []byte) (Entry, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if version <= 0 {
-		vs, err := r.Versions(name)
+		// From disk, not the catalog: a version written behind the
+		// repository's back must not be overwritten.
+		vs, err := r.versions(name)
 		if err != nil {
 			return Entry{}, fmt.Errorf("%w: selecting version of %s: %v", ErrStorage, name, err)
 		}
@@ -327,7 +465,15 @@ func (r *Repo) Put(name string, version int, zip []byte) (Entry, error) {
 	if err != nil {
 		return storageErr("publishing", err)
 	}
-	return Entry{Name: name, Version: version, Path: final, Bytes: fi.Size(), ModTime: fi.ModTime()}, nil
+	e := Entry{Name: name, Version: version, Path: final, Bytes: fi.Size(), ModTime: fi.ModTime()}
+	r.update(name, func(m *model) {
+		if i, ok := m.find(version); ok {
+			m.versions[i] = e
+		} else {
+			m.versions = slices.Insert(m.versions, i, e)
+		}
+	})
+	return e, nil
 }
 
 // atomicWrite writes bytes to dir/name via a temp file and rename.
@@ -353,90 +499,98 @@ func atomicWrite(dir, name string, b []byte) error {
 	return nil
 }
 
-// Delete removes one version (version > 0) or the whole model
-// (version <= 0), including its labels and any legacy flat zip.
+// Delete removes one version (version > 0) with the labels that point
+// at it, or the whole model (version <= 0), including its labels and
+// any legacy flat zip.
 func (r *Repo) Delete(name string, version int) error {
 	if err := validName(name); err != nil {
 		return err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if version > 0 {
-		if err := os.RemoveAll(filepath.Join(r.dir(name), strconv.Itoa(version))); err != nil {
+	if version <= 0 {
+		if err := os.RemoveAll(r.dir(name)); err != nil {
 			return fmt.Errorf("repo: %w", err)
 		}
-		// A legacy flat zip surfaces as version 1: deleting version 1
-		// must remove it too, or the "deleted" version resurrects on
-		// the next scan.
-		if version == 1 {
-			if err := os.Remove(r.legacyPath(name)); err != nil && !os.IsNotExist(err) {
-				return fmt.Errorf("repo: %w", err)
-			}
+		if err := os.Remove(r.legacyPath(name)); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("repo: %w", err)
 		}
+		r.idx.Lock()
+		delete(r.index, name)
+		r.idx.Unlock()
 		return nil
 	}
-	if err := os.RemoveAll(r.dir(name)); err != nil {
+	if err := os.RemoveAll(filepath.Join(r.dir(name), strconv.Itoa(version))); err != nil {
 		return fmt.Errorf("repo: %w", err)
 	}
-	if err := os.Remove(r.legacyPath(name)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("repo: %w", err)
+	// A legacy flat zip surfaces as version 1: deleting version 1 must
+	// remove it too, or the "deleted" version resurrects on the next
+	// scan.
+	if version == 1 {
+		if err := os.Remove(r.legacyPath(name)); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("repo: %w", err)
+		}
 	}
+	r.idx.RLock()
+	var persisted map[string]int
+	if m := r.index[name]; m != nil {
+		persisted = m.persisted
+	}
+	r.idx.RUnlock()
+	kept := make(map[string]int, len(persisted))
+	for l, v := range persisted {
+		if v != version {
+			kept[l] = v
+		}
+	}
+	if len(kept) == len(persisted) {
+		kept = persisted
+	} else if err := r.writeLabels(name, kept); err != nil {
+		return err
+	}
+	r.update(name, func(m *model) {
+		if i, ok := m.find(version); ok {
+			m.versions = slices.Delete(m.versions, i, i+1)
+		}
+		m.persisted = kept
+	})
 	return nil
 }
 
-// Labels reads the persisted label→version map of a model (empty when
-// none was ever persisted).
-func (r *Repo) Labels(name string) (map[string]int, error) {
-	if err := validName(name); err != nil {
-		return nil, err
-	}
-	b, err := os.ReadFile(filepath.Join(r.dir(name), labelsName))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return map[string]int{}, nil
-		}
-		return nil, fmt.Errorf("repo: %w", err)
-	}
-	labels := make(map[string]int)
-	if err := json.Unmarshal(b, &labels); err != nil {
-		return nil, fmt.Errorf("repo: labels of %q: %w", name, err)
-	}
-	return labels, nil
-}
-
-// PutLabels atomically persists a model's full label→version map, so a
-// node restart (or a cold reload) restores label routing exactly as
-// the operator left it.
+// PutLabels points each given label at its version and persists the
+// model's whole label map atomically, so a node restart (or a cold
+// reload) restores label routing exactly as the operator left it.
 func (r *Repo) PutLabels(name string, labels map[string]int) error {
 	if err := validName(name); err != nil {
 		return err
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	merged := make(map[string]int, len(labels))
+	r.idx.RLock()
+	if m := r.index[name]; m != nil {
+		maps.Copy(merged, m.persisted)
+	}
+	r.idx.RUnlock()
+	maps.Copy(merged, labels)
+	if err := r.writeLabels(name, merged); err != nil {
+		return err
+	}
+	r.update(name, func(m *model) { m.persisted = merged })
+	return nil
+}
+
+// writeLabels atomically writes a model's labels.json. Caller holds mu.
+func (r *Repo) writeLabels(name string, labels map[string]int) error {
 	b, err := json.Marshal(labels)
 	if err != nil {
 		return fmt.Errorf("repo: %w", err)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	dir := r.dir(name)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("repo: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, ".labels-*")
-	if err != nil {
-		return fmt.Errorf("repo: %w", err)
-	}
-	if _, err := tmp.Write(b); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("repo: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, labelsName)); err != nil {
-		os.Remove(tmp.Name())
+	if err := atomicWrite(dir, labelsName, b); err != nil {
 		return fmt.Errorf("repo: %w", err)
 	}
 	return nil
@@ -444,30 +598,24 @@ func (r *Repo) PutLabels(name string, labels map[string]int) error {
 
 // --- poll loop ---
 
-// Poller periodically rescans the repository and reports newly
-// published versions. It runs ONE goroutine, created by Repo.Poll and
-// torn down by Stop; a repository that is never polled costs zero
+// Poller periodically rescans the repository, so that versions and
+// labels written behind its back (rsync'd by an offline trainer) enter
+// the catalog. It runs ONE goroutine, created by Repo.Poll and torn
+// down by Stop; a repository that is never polled costs zero
 // goroutines.
 type Poller struct {
 	stop chan struct{}
 	done chan struct{}
 }
 
-// Poll starts a poll loop that invokes onNew with versions that
-// appeared since the previous scan (or since the initial seed scan).
-// Scan errors are swallowed — the next tick retries — so a transiently
-// unreadable directory cannot kill the loop.
-func (r *Repo) Poll(interval time.Duration, onNew func(added []Entry)) *Poller {
+// Poll starts a loop that runs Scan every interval. Scan errors are
+// swallowed — the next tick retries — so a transiently unreadable
+// directory cannot kill the loop, and the catalog keeps what it knew.
+func (r *Repo) Poll(interval time.Duration) *Poller {
 	if interval <= 0 {
 		interval = time.Second
 	}
 	p := &Poller{stop: make(chan struct{}), done: make(chan struct{})}
-	seen := make(map[string]bool)
-	if entries, err := r.Scan(); err == nil {
-		for _, e := range entries {
-			seen[e.Ref()] = true
-		}
-	}
 	go func() {
 		defer close(p.done)
 		t := time.NewTicker(interval)
@@ -477,20 +625,7 @@ func (r *Repo) Poll(interval time.Duration, onNew func(added []Entry)) *Poller {
 			case <-p.stop:
 				return
 			case <-t.C:
-			}
-			entries, err := r.Scan()
-			if err != nil {
-				continue
-			}
-			var added []Entry
-			for _, e := range entries {
-				if !seen[e.Ref()] {
-					seen[e.Ref()] = true
-					added = append(added, e)
-				}
-			}
-			if len(added) > 0 {
-				onNew(added)
+				_, _ = r.Scan()
 			}
 		}
 	}()

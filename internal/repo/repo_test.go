@@ -194,50 +194,54 @@ func TestLabelsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPollReportsNewVersions: versions and labels published behind a
+// repository's back (here by a second Repo over the same directory, as
+// an offline trainer would) enter its catalog at the next poll tick,
+// and a version deleted behind its back leaves it.
 func TestPollReportsNewVersions(t *testing.T) {
 	r := openTemp(t)
 	if _, err := r.Put("seed", 1, []byte("pre")); err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	var got []string
-	p := r.Poll(5*time.Millisecond, func(added []Entry) {
-		mu.Lock()
-		for _, e := range added {
-			got = append(got, e.Ref())
-		}
-		mu.Unlock()
-	})
+	p := r.Poll(5 * time.Millisecond)
 	defer p.Stop()
 
-	if _, err := r.Put("seed", 2, []byte("new")); err != nil {
+	trainer, err := Open(r.Root())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Put("fresh", 0, []byte("new-model")); err != nil {
+	if _, err := trainer.Put("seed", 2, []byte("new")); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		n := len(got)
-		mu.Unlock()
-		if n >= 2 {
-			break
+	if _, err := trainer.Put("fresh", 0, []byte("new-model")); err != nil {
+		t.Fatal(err)
+	}
+	if err := trainer.PutLabels("seed", map[string]int{"canary": 2}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor := func(what string, ok func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !ok(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("poller never saw %s", what)
+			}
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("poller never reported new versions: %v", got)
-		}
-		time.Sleep(time.Millisecond)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	seen := map[string]bool{}
-	for _, ref := range got {
-		seen[ref] = true
+	waitFor("the new versions", func() bool {
+		seed, _ := r.Versions("seed")
+		fresh, _ := r.Versions("fresh")
+		return len(seed) == 2 && len(fresh) == 1
+	})
+	if e, err := r.Resolve("seed@canary"); err != nil || e.Version != 2 {
+		t.Fatalf("polled label: %+v %v", e, err)
 	}
-	if !seen["seed@2"] || !seen["fresh@1"] || seen["seed@1"] {
-		t.Fatalf("poll diff wrong: %v", got)
+	if err := trainer.Delete("seed", 1); err != nil {
+		t.Fatal(err)
 	}
+	waitFor("the deletion", func() bool {
+		vs, _ := r.Versions("seed")
+		return len(vs) == 1 && vs[0].Version == 2
+	})
 }
 
 // TestReadDetectsCorruption: flipping one byte of a published zip on
@@ -357,5 +361,71 @@ func TestConcurrentPuts(t *testing.T) {
 	vs, err := r.Versions("hot")
 	if err != nil || len(vs) != 32 {
 		t.Fatalf("32 concurrent puts must land 32 distinct versions: %d %v", len(vs), err)
+	}
+}
+
+// TestCatalogFollowsWrites: Put, PutLabels and Delete update the
+// catalog in the same step as the disk (a fresh Open over the directory
+// agrees), with "stable" on the lowest version until one is persisted,
+// and deleting a version drops the labels that point at it.
+func TestCatalogFollowsWrites(t *testing.T) {
+	r := openTemp(t)
+	for v := 2; v <= 4; v++ {
+		if _, err := r.Put("m", v, []byte{byte(v)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resolve := func(ref string) int {
+		t.Helper()
+		e, err := r.Resolve(ref)
+		if err != nil {
+			return 0
+		}
+		return e.Version
+	}
+	agree := func(want map[string]int) {
+		t.Helper()
+		reopened, err := Open(r.Root())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rr := range []*Repo{r, reopened} {
+			if got, _ := rr.Labels("m"); !reflect.DeepEqual(got, want) {
+				t.Fatalf("labels %v, want %v", got, want)
+			}
+			if a, b := r.Entries(), rr.Entries(); !reflect.DeepEqual(a, b) {
+				t.Fatalf("entries %v, reopened %v", a, b)
+			}
+		}
+	}
+	if resolve("m") != 2 || resolve("m@stable") != 2 || resolve("m@v3") != 3 || resolve("m@1") != 0 || resolve("ghost") != 0 {
+		t.Fatal("an unlabeled model must resolve bare and stable to its lowest version")
+	}
+	agree(map[string]int{"stable": 2})
+
+	if err := r.PutLabels("m", map[string]int{"canary": 4}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.PutLabels("m", map[string]int{"stable": 3}); err != nil {
+		t.Fatal(err)
+	}
+	if resolve("m") != 3 || resolve("m@canary") != 4 {
+		t.Fatal("persisted labels must resolve without a scan")
+	}
+	agree(map[string]int{"stable": 3, "canary": 4})
+
+	if err := r.Delete("m", 3); err != nil {
+		t.Fatal(err)
+	}
+	if resolve("m") != 2 || resolve("m@3") != 0 {
+		t.Fatal("deleting the stable version must hand stable back to the lowest")
+	}
+	agree(map[string]int{"stable": 2, "canary": 4})
+
+	if err := r.Delete("m", 0); err != nil {
+		t.Fatal(err)
+	}
+	if resolve("m") != 0 || len(r.Entries()) != 0 {
+		t.Fatal("a deleted model must leave the catalog")
 	}
 }

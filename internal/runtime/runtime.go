@@ -442,16 +442,25 @@ func (rt *Runtime) register(p *plan.Plan, name string, version int, requireNewMo
 	return r, nil
 }
 
-// SetLabel atomically points a label ("stable", "canary", …) at an
-// installed version: requests resolving through the label switch to the
-// new version, while requests already in flight finish on the version
-// they resolved — a zero-downtime hot swap.
-func (rt *Runtime) SetLabel(name, label string, version int) error {
+// CheckLabel reports whether label can name a version: it must be
+// non-empty and must not read as a version number, which it would shadow.
+func CheckLabel(label string) error {
 	if label == "" {
 		return fmt.Errorf("%w: empty label", ErrInvalidInput)
 	}
 	if _, isNum := ParseVersion(label); isNum {
 		return fmt.Errorf("%w: label %q would shadow a version number", ErrInvalidInput, label)
+	}
+	return nil
+}
+
+// SetLabel atomically points a label ("stable", "canary", …) at an
+// installed version: requests resolving through the label switch to the
+// new version, while requests already in flight finish on the version
+// they resolved — a zero-downtime hot swap.
+func (rt *Runtime) SetLabel(name, label string, version int) error {
+	if err := CheckLabel(label); err != nil {
+		return err
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()

@@ -135,14 +135,15 @@ type Stats struct {
 // paid for everything that is not.
 type LifecycleStats struct {
 	// ResidentBytes is the measured marginal footprint of all warm
-	// models (dedup-aware: each model's delta at load time).
+	// versions (dedup-aware: each version's delta at load time).
 	ResidentBytes int64 `json:"resident_bytes"`
 	// BudgetBytes is the configured RAM budget (0 = unlimited).
 	BudgetBytes int64 `json:"budget_bytes"`
 	// Lazy reports whether startup preloading was disabled.
 	Lazy bool `json:"lazy"`
 
-	// Warm/Cold/Loading/Pinned count managed models by state.
+	// Warm/Loading/Pinned count resident versions by state; Cold
+	// counts the published versions that are not resident.
 	Warm    int `json:"warm"`
 	Cold    int `json:"cold"`
 	Loading int `json:"loading"`

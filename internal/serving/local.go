@@ -113,30 +113,40 @@ func (l *Local) Register(zip []byte, opts RegisterOptions) (RegisterResult, erro
 	if name == "" {
 		name, _ = runtime.SplitRef(p.Name)
 	}
-	// The footprint delta across compile+register is what this upload
+	res, err := l.Install(p, name, opts.Version, l.compile)
+	if err != nil {
+		return RegisterResult{}, err
+	}
+	if opts.Label != "" {
+		if err := l.rt.SetLabel(name, opts.Label, res.Version); err != nil {
+			return RegisterResult{}, err
+		}
+	}
+	return res, nil
+}
+
+// Install compiles an imported pipeline with co into the runtime's
+// stores and registers it as name@version (version <= 0 picks the next
+// free one), giving the plan's shared references back if registration
+// fails. It is the one install path: Register and the lifecycle tier's
+// loads both take it, so a RegisterResult's bytes mean one thing.
+func (l *Local) Install(p *pipeline.Pipeline, name string, version int, co oven.Options) (RegisterResult, error) {
+	// The footprint delta across compile+register is what this install
 	// actually cost the node; the rest of the plan's footprint was
 	// already resident — shared with earlier models. Concurrent
 	// registrations can blur the split, but the totals stay correct.
 	before := l.rt.MemBytes()
-	pl, err := oven.Compile(p, l.rt.ObjectStore(), l.compile)
+	pl, err := oven.Compile(p, l.rt.ObjectStore(), co)
 	if err != nil {
 		return RegisterResult{}, fmt.Errorf("%w: compiling: %v", ErrBadModel, err)
 	}
-	reg, err := l.rt.RegisterVersion(pl, name, opts.Version)
+	reg, err := l.rt.RegisterVersion(pl, name, version)
 	if err != nil {
-		oven.ReleasePlan(l.rt.ObjectStore(), l.compile.Plans, pl)
+		oven.ReleasePlan(l.rt.ObjectStore(), co.Plans, pl)
 		return RegisterResult{}, err
 	}
-	if opts.Label != "" {
-		if err := l.rt.SetLabel(name, opts.Label, reg.Version); err != nil {
-			return RegisterResult{}, err
-		}
-	}
 	res := RegisterResult{Name: reg.Name, Version: reg.Version, ID: reg.ID}
-	res.NewBytes = l.rt.MemBytes() - before
-	if res.NewBytes < 0 {
-		res.NewBytes = 0
-	}
+	res.NewBytes = max(l.rt.MemBytes()-before, 0)
 	if fp := planFootprint(pl); fp > res.NewBytes {
 		res.SharedBytes = fp - res.NewBytes
 	}

@@ -2,6 +2,7 @@ package text
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/maphash"
@@ -38,7 +39,8 @@ type Dict struct {
 	offs  []uint32 // term i is arena[offs[i]:offs[i+1]]; len Size()+1
 	keys  []uint64 // slot keys
 	vals  []int32  // slot term index + 1; 0 marks an empty slot
-	shift uint     // 64 - log2(len(keys))
+	shift uint32   // 64 - log2(len(keys))
+	parts int32    // the longest term, in parts (spaces + 1); 0 when empty
 	word  atomic.Pointer[wordIndex]
 }
 
@@ -69,7 +71,7 @@ func newDict(terms, arenaBytes int) *Dict {
 
 func (d *Dict) setTable(slots int) {
 	d.keys, d.vals = make([]uint64, slots), make([]int32, slots)
-	d.shift = uint(64 - bits.TrailingZeros(uint(slots)))
+	d.shift = uint32(64 - bits.TrailingZeros(uint(slots)))
 }
 
 // shortKey is the key of a term of at most 7 bytes: the term itself.
@@ -126,6 +128,7 @@ func (d *Dict) free(k uint64) uint64 {
 // i and returns its index. If the load would pass ½, it doubles the table
 // first and finds the term a new slot.
 func (d *Dict) push(i, k uint64) int32 {
+	d.parts = max(d.parts, int32(1+bytes.Count(d.arena[d.offs[len(d.offs)-1]:], []byte{' '})))
 	d.offs = append(d.offs, uint32(len(d.arena)))
 	n := len(d.offs) - 1
 	if 2*n > len(d.keys) {
@@ -144,6 +147,11 @@ func (d *Dict) push(i, k uint64) int32 {
 }
 
 func (d *Dict) term(ix int32) []byte { return d.arena[d.offs[ix]:d.offs[ix+1]] }
+
+// Parts returns the dictionary's longest term counted in parts, spaces
+// plus one (0 for an empty Dict): joining more tokens than that with
+// spaces gives no term, whatever their bytes.
+func (d *Dict) Parts() int { return int(d.parts) }
 
 // Size returns the number of terms.
 func (d *Dict) Size() int { return len(d.offs) - 1 }

@@ -125,13 +125,16 @@ type WordNgramConfig struct {
 
 // ExtractTokens emits dictionary indices of all word n-grams over tokens.
 // The scratch buffer joins multi-word keys without allocating; it is
-// returned for reuse.
+// returned for reuse. MaxN counts only up to the dictionary's longest
+// term, in parts: a longer gram can match no term, so an upload's MaxN
+// cannot make a document cost more than Parts() joins per token.
 func (c *WordNgramConfig) ExtractTokens(tokens []string, scratch []byte, emit func(idx int32)) []byte {
+	maxN := min(c.MaxN, c.Dict.Parts())
 	for i := range tokens {
 		if ix := c.Dict.Lookup(tokens[i]); ix >= 0 {
 			emit(ix)
 		}
-		for n := 2; n <= c.MaxN; n++ {
+		for n := 2; n <= maxN; n++ {
 			if i+n > len(tokens) {
 				break
 			}
@@ -187,7 +190,7 @@ type WordNgramStream struct {
 // dictionary's word index if no one has.
 func (w *WordNgramStream) Configure(cfg *WordNgramConfig) {
 	w.cfg, w.ix = cfg, cfg.Dict.wordIndex()
-	w.maxN = min(cfg.MaxN, w.ix.parts)
+	w.maxN = min(cfg.MaxN, cfg.Dict.Parts())
 	w.tuples = w.ix.keyable && w.maxN <= 3
 	need := max(w.maxN-1, 0)
 	if need > cap(w.ring) {

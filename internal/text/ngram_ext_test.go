@@ -305,3 +305,51 @@ func FuzzWordNgramSum(f *testing.F) {
 		}
 	})
 }
+
+// TestExtractTokensHugeMaxN: the oracle's word n-grams count n only up
+// to the dictionary's longest term, in parts. On every BuildSA word
+// dictionary, MaxN 10^9 emits what MaxN = Parts() does over corpus,
+// held-out and random documents and over 1,000-token ones, and no gram
+// it joins is longer than the document's Parts() longest tokens joined:
+// the scratch handed in with exactly that capacity is never regrown.
+func TestExtractTokensHugeMaxN(t *testing.T) {
+	sc := workload.SmallScale()
+	set, err := workload.BuildSA(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	docs := wordDocs(rng, sc, set)
+	corpus := slices.Concat(docs[:300]...)
+	for i := 0; i < 4; i++ {
+		doc := make([]string, 1000)
+		for k := range doc {
+			doc[k] = corpus[rng.Intn(len(corpus))]
+		}
+		docs = append(docs, doc)
+	}
+	for _, d := range set.WordDicts {
+		huge := text.WordNgramConfig{MaxN: 1_000_000_000, Dict: d}
+		exact := text.WordNgramConfig{MaxN: d.Parts(), Dict: d}
+		for _, doc := range docs {
+			lens := make([]int, len(doc))
+			for i, tok := range doc {
+				lens[i] = len(tok)
+			}
+			slices.Sort(lens)
+			bound := max(d.Parts()-1, 0)
+			for _, l := range lens[max(len(lens)-d.Parts(), 0):] {
+				bound += l
+			}
+			var got, want []int32
+			scratch := huge.ExtractTokens(doc, make([]byte, 0, bound), func(ix int32) { got = append(got, ix) })
+			exact.ExtractTokens(doc, nil, func(ix int32) { want = append(want, ix) })
+			if !slices.Equal(got, want) {
+				t.Fatalf("%d tokens: MaxN 10^9 emits %d indices, MaxN %d emits %d", len(doc), len(got), d.Parts(), len(want))
+			}
+			if cap(scratch) != bound {
+				t.Fatalf("%d tokens: a join outgrew %d bytes, the %d longest tokens joined", len(doc), bound, d.Parts())
+			}
+		}
+	}
+}

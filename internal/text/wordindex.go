@@ -24,7 +24,6 @@ import (
 type wordIndex struct {
 	side    *Dict    // parts that are no unigram term; nil when there are none
 	size    int32    // the Dict's Size(): the first side ID
-	parts   int      // the longest term, in parts; 0 for an empty Dict
 	keyable bool     // every ID fits in 20 bits: side, keys and vals are built
 	keys    []uint64 // slot keys
 	vals    []int32  // slot term index
@@ -66,7 +65,6 @@ func newWordIndex(d *Dict) *wordIndex {
 	for ix := int32(0); ix < x.size; ix++ {
 		t := d.term(ix)
 		np := 1 + bytes.Count(t, []byte{' '})
-		x.parts = max(x.parts, np)
 		if np == 1 {
 			continue
 		}
