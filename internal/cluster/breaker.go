@@ -32,9 +32,6 @@ type breaker struct {
 }
 
 func newBreaker(threshold int, cooldown time.Duration) *breaker {
-	if threshold <= 0 {
-		threshold = 3
-	}
 	if cooldown <= 0 {
 		cooldown = 2 * time.Second
 	}

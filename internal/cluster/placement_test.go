@@ -49,7 +49,7 @@ func TestProbeHysteresis(t *testing.T) {
 	var fail atomic.Bool
 	srv := flapServer(t, &fail)
 	var downs atomic.Int32
-	reg, err := newRegistry([]Member{{ID: "n0", Addr: srv.URL}}, http.DefaultClient, 50*time.Millisecond, 2, 0, 0)
+	reg, err := newRegistry([]Member{{ID: "n0", Addr: srv.URL}}, http.DefaultClient, 50*time.Millisecond, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestProbeFlappingUnderRace(t *testing.T) {
 	// The per-request probe timeout equals the interval — keep it far
 	// above loopback latency so a slow scheduler tick cannot fabricate
 	// the two consecutive transport failures this test forbids.
-	reg, err := newRegistry([]Member{{ID: "n0", Addr: srv.URL}}, http.DefaultClient, 25*time.Millisecond, 2, 0, 0)
+	reg, err := newRegistry([]Member{{ID: "n0", Addr: srv.URL}}, http.DefaultClient, 25*time.Millisecond, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

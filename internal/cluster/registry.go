@@ -93,9 +93,8 @@ type registry struct {
 	interval time.Duration
 	// maxFails is the hysteresis threshold M: consecutive failed probe
 	// rounds before a member is marked down.
-	maxFails    int
-	brThreshold int
-	brCooldown  time.Duration
+	maxFails   int
+	brCooldown time.Duration
 
 	// onDown, when set (before start), is invoked once per up→down
 	// transition with the member's ID — the rebalancer's pre-warm
@@ -113,7 +112,7 @@ type registry struct {
 
 // newRegistry builds the member set WITHOUT starting the probe loop;
 // call start once the owner has wired its callbacks.
-func newRegistry(members []Member, client *http.Client, interval time.Duration, maxFails, brThreshold int, brCooldown time.Duration) (*registry, error) {
+func newRegistry(members []Member, client *http.Client, interval time.Duration, maxFails int, brCooldown time.Duration) (*registry, error) {
 	if interval <= 0 {
 		interval = 500 * time.Millisecond
 	}
@@ -121,13 +120,12 @@ func newRegistry(members []Member, client *http.Client, interval time.Duration, 
 		maxFails = 2
 	}
 	r := &registry{
-		client:      client,
-		interval:    interval,
-		maxFails:    maxFails,
-		brThreshold: brThreshold,
-		brCooldown:  brCooldown,
-		members:     make(map[string]*memberState, len(members)),
-		stop:        make(chan struct{}),
+		client:     client,
+		interval:   interval,
+		maxFails:   maxFails,
+		brCooldown: brCooldown,
+		members:    make(map[string]*memberState, len(members)),
+		stop:       make(chan struct{}),
 	}
 	for _, m := range members {
 		if _, err := r.add(m); err != nil {
@@ -154,7 +152,7 @@ func (r *registry) add(m Member) (*memberState, error) {
 	if _, dup := r.members[m.ID]; dup {
 		return nil, fmt.Errorf("cluster: duplicate member id %q", m.ID)
 	}
-	ms := &memberState{Member: m, br: newBreaker(r.brThreshold, r.brCooldown)}
+	ms := &memberState{Member: m, br: newBreaker(breakerThreshold, r.brCooldown)}
 	ms.healthy.Store(true)
 	ms.ready.Store(true)
 	r.members[m.ID] = ms

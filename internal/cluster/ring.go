@@ -19,10 +19,10 @@ import (
 	"strconv"
 )
 
-// DefaultVNodes is the virtual-node count per member when the router
-// config leaves it zero: enough points that K-of-N ownership spreads
-// evenly for small fleets without making ring updates expensive.
-const DefaultVNodes = 64
+// defaultVNodes is the router's virtual-node count per member: enough
+// points that K-of-N ownership spreads evenly for small fleets without
+// making ring updates expensive.
+const defaultVNodes = 64
 
 // ringPoint is one virtual node on the hash circle.
 type ringPoint struct {
@@ -31,8 +31,8 @@ type ringPoint struct {
 }
 
 // Ring is a consistent-hash circle of node IDs. It is not
-// goroutine-safe; the router guards it (membership is static today,
-// but Remove keeps rebalancing cheap when it becomes dynamic).
+// goroutine-safe; the router guards it, and the rebalancer swaps in a
+// clone with members added or removed.
 type Ring struct {
 	vnodes int
 	points []ringPoint
@@ -40,10 +40,10 @@ type Ring struct {
 }
 
 // NewRing builds an empty ring with the given virtual-node count per
-// member (<= 0 picks DefaultVNodes).
+// member (<= 0 picks defaultVNodes).
 func NewRing(vnodes int) *Ring {
 	if vnodes <= 0 {
-		vnodes = DefaultVNodes
+		vnodes = defaultVNodes
 	}
 	return &Ring{vnodes: vnodes, nodes: make(map[string]bool)}
 }

@@ -30,41 +30,22 @@ type Config struct {
 	// sharding; K=N replicates everywhere (the black-box default the
 	// placement exists to avoid).
 	Replication int
-	// VNodes is the consistent-hash ring's virtual-node count per
-	// member (0 = DefaultVNodes).
-	VNodes int
 	// ProbeInterval is the health-check period (0 = 500ms).
 	ProbeInterval time.Duration
-	// BreakerThreshold consecutive node-level failures open a node's
-	// circuit (0 = 3); BreakerCooldown is how long it stays open
+	// BreakerCooldown is how long a node's open circuit stays open
 	// (0 = 2s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// ForwardTimeout bounds one proxied prediction attempt so a
-	// blackholed node costs a failover, not a hung request (0 = 30s; a
-	// sooner caller deadline on the context still wins).
-	ForwardTimeout time.Duration
-	// OpTimeout bounds catalog and lifecycle calls to one node
-	// (0 = 5s).
-	OpTimeout time.Duration
-	// ResolveTTL caches successful model-reference resolutions so the
-	// front end's cache-key lookup does not cost a remote catalog read
-	// per prediction (0 = 1s; label moves through THIS router
-	// invalidate immediately, moves through another router converge
-	// within the TTL).
-	ResolveTTL time.Duration
+	BreakerCooldown time.Duration
 	// RetryBudget bounds the total forward attempts one prediction may
 	// spend across replicas (0 = 3; 1 disables retries). Breaker-open
 	// owners are skipped without burning budget, so the budget is spent
 	// on nodes that actually answered — badly.
 	RetryBudget int
 	// RetryBackoff is the base of the jittered exponential backoff
-	// slept between attempts (0 = 5ms), capped at RetryBackoffMax
-	// (0 = 250ms) and always by the request deadline: a retry that
-	// cannot fit its backoff inside the deadline fails with
-	// ErrDeadlineExceeded instead of sleeping past it.
-	RetryBackoff    time.Duration
-	RetryBackoffMax time.Duration
+	// slept between attempts (0 = 5ms), capped at retryBackoffMax and
+	// always by the request deadline: a retry that cannot fit its
+	// backoff inside the deadline fails with ErrDeadlineExceeded
+	// instead of sleeping past it.
+	RetryBackoff time.Duration
 	// HedgeDelay, when > 0, arms hedged predictions: if the primary
 	// replica has not answered after this delay, a backup request
 	// fires to the next allowed replica and the first response wins
@@ -99,6 +80,27 @@ type Config struct {
 	Client *http.Client
 }
 
+// Router settings that no deployment tunes.
+const (
+	// breakerThreshold consecutive node-level failures open a node's
+	// circuit.
+	breakerThreshold = 3
+	// forwardTimeout bounds one proxied prediction attempt, so a
+	// blackholed node costs a failover, not a hung request (a sooner
+	// caller deadline on the context still wins).
+	forwardTimeout = 30 * time.Second
+	// opTimeout bounds catalog and lifecycle calls to one node.
+	opTimeout = 5 * time.Second
+	// resolveTTL is how long a successful model-reference resolution
+	// stays cached, so the front end's cache-key lookup does not cost a
+	// remote catalog read per prediction: label moves through this
+	// router invalidate at once, moves through another router converge
+	// within the TTL.
+	resolveTTL = time.Second
+	// retryBackoffMax caps the backoff between retry attempts.
+	retryBackoffMax = 250 * time.Millisecond
+)
+
 // Router is the cluster serving engine: it implements serving.Engine
 // by proxying every operation to the owner nodes the consistent-hash
 // ring places a model on. Failures at the node level (connection
@@ -111,10 +113,10 @@ type Router struct {
 	cfg Config
 
 	reg  *registry
-	mu   sync.RWMutex // guards ring (static today, dynamic tomorrow)
+	mu   sync.RWMutex // guards ring: the rebalancer swaps it as members join and leave
 	ring *Ring
 
-	// resolved caches successful reference resolutions for ResolveTTL.
+	// resolved caches successful reference resolutions for resolveTTL.
 	resolveMu sync.Mutex
 	resolved  map[string]resolveEntry
 
@@ -161,23 +163,11 @@ func NewRouter(members []Member, cfg Config) (*Router, error) {
 	}
 	// Replication is deliberately NOT clamped to the initial member
 	// count: membership is dynamic, and Owners clamps per-lookup.
-	if cfg.ForwardTimeout <= 0 {
-		cfg.ForwardTimeout = 30 * time.Second
-	}
-	if cfg.OpTimeout <= 0 {
-		cfg.OpTimeout = 5 * time.Second
-	}
-	if cfg.ResolveTTL <= 0 {
-		cfg.ResolveTTL = time.Second
-	}
 	if cfg.RetryBudget <= 0 {
 		cfg.RetryBudget = 3
 	}
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 5 * time.Millisecond
-	}
-	if cfg.RetryBackoffMax <= 0 {
-		cfg.RetryBackoffMax = 250 * time.Millisecond
 	}
 	if cfg.WarmthInterval == 0 {
 		cfg.WarmthInterval = time.Second
@@ -193,11 +183,11 @@ func NewRouter(members []Member, cfg Config) (*Router, error) {
 		tr.MaxIdleConnsPerHost = 128
 		cfg.Client = &http.Client{Transport: tr}
 	}
-	reg, err := newRegistry(members, cfg.Client, cfg.ProbeInterval, cfg.ProbeFailures, cfg.BreakerThreshold, cfg.BreakerCooldown)
+	reg, err := newRegistry(members, cfg.Client, cfg.ProbeInterval, cfg.ProbeFailures, cfg.BreakerCooldown)
 	if err != nil {
 		return nil, err
 	}
-	ring := NewRing(cfg.VNodes)
+	ring := NewRing(defaultVNodes)
 	for _, m := range reg.all() {
 		ring.Add(m.ID)
 	}
@@ -327,13 +317,13 @@ func (r *Router) noteOutcome(m *memberState, err error) {
 }
 
 // backoff sleeps the jittered exponential backoff before retry
-// `attempt` (1-based), capped at RetryBackoffMax and by the request
+// `attempt` (1-based), capped at retryBackoffMax and by the request
 // deadline: when the sleep cannot fit, it fails fast with
 // ErrDeadlineExceeded instead of burning the remaining budget asleep.
 func (r *Router) backoff(ctx context.Context, attempt int, deadline time.Time) error {
 	d := r.cfg.RetryBackoff << (attempt - 1)
-	if d > r.cfg.RetryBackoffMax || d <= 0 {
-		d = r.cfg.RetryBackoffMax
+	if d > retryBackoffMax || d <= 0 {
+		d = retryBackoffMax
 	}
 	// Full jitter in [d/2, d): retrying replicas of one overloaded
 	// model must not re-converge in lockstep.
@@ -528,7 +518,7 @@ func (r *Router) PredictBatch(ctx context.Context, model string, inputs []string
 }
 
 // forwardPredict POSTs one /predict to a node and maps the outcome.
-// Each attempt is bounded by ForwardTimeout (the caller's sooner
+// Each attempt is bounded by forwardTimeout (the caller's sooner
 // context deadline wins), so a blackholed node costs one failover.
 func (r *Router) forwardPredict(ctx context.Context, m *memberState, model, input string, opts serving.PredictOptions) ([]float32, error) {
 	m.forwards.Add(1)
@@ -541,7 +531,7 @@ func (r *Router) forwardPredict(ctx context.Context, m *memberState, model, inpu
 		body.DeadlineUnixNS = opts.Deadline.UnixNano()
 	}
 	raw, _ := json.Marshal(body)
-	fctx, cancel := context.WithTimeout(ctx, r.cfg.ForwardTimeout)
+	fctx, cancel := context.WithTimeout(ctx, forwardTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(fctx, http.MethodPost, m.Addr+"/predict", bytes.NewReader(raw))
 	if err != nil {
@@ -633,9 +623,9 @@ func (r *Router) Register(zip []byte, opts serving.RegisterOptions) (serving.Reg
 }
 
 // opDo runs one bounded management-plane request against a node: no
-// node may hang a catalog or lifecycle call past OpTimeout.
+// node may hang a catalog or lifecycle call past opTimeout.
 func (r *Router) opDo(method, url, contentType string, body []byte) (*http.Response, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.OpTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
 	defer cancel()
 	var rd io.Reader
 	if body != nil {
@@ -716,7 +706,7 @@ func (r *Router) Unregister(ref string) error {
 	name, _ := runtime.SplitRef(ref)
 	defer r.invalidateResolved(name)
 	members := r.reg.all()
-	// Concurrent fan-out: a fleet with hung nodes costs one OpTimeout,
+	// Concurrent fan-out: a fleet with hung nodes costs one opTimeout,
 	// not one per node.
 	results := make([]error, len(members))
 	var wg sync.WaitGroup
@@ -877,7 +867,7 @@ func (r *Router) ModelInfo(name string) (runtime.ModelInfo, error) {
 
 // invalidateResolved drops every cached resolution of one model name
 // (lifecycle operations through this router take effect immediately;
-// moves through another router converge within ResolveTTL).
+// moves through another router converge within resolveTTL).
 func (r *Router) invalidateResolved(name string) {
 	r.resolveMu.Lock()
 	for ref := range r.resolved {
@@ -892,7 +882,7 @@ func (r *Router) invalidateResolved(name string) {
 // owners' catalog view: bare names resolve through the "stable" label
 // (or a single installed version), explicit versions and labels
 // resolve directly, and nothing ever falls back to "latest".
-// Successful resolutions are cached for ResolveTTL so the front end's
+// Successful resolutions are cached for resolveTTL so the front end's
 // per-request cache-key lookup does not cost a remote catalog read per
 // prediction.
 func (r *Router) Resolve(ref string) (string, int, error) {
@@ -908,7 +898,7 @@ func (r *Router) Resolve(ref string) (string, int, error) {
 		return "", 0, err
 	}
 	r.resolveMu.Lock()
-	r.resolved[ref] = resolveEntry{name: name, version: version, expires: now.Add(r.cfg.ResolveTTL)}
+	r.resolved[ref] = resolveEntry{name: name, version: version, expires: now.Add(resolveTTL)}
 	r.resolveMu.Unlock()
 	return name, version, nil
 }

@@ -73,7 +73,7 @@ func (r *Router) warmthLoop() {
 }
 
 // pollWarmth refreshes every member's snapshot concurrently (bounded
-// by OpTimeout per request, like every management-plane call).
+// by opTimeout per request, like every management-plane call).
 func (r *Router) pollWarmth() {
 	var wg sync.WaitGroup
 	for _, m := range r.reg.all() {

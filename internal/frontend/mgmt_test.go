@@ -8,9 +8,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
+	"pretzel/internal/ops"
 	"pretzel/internal/oven"
 	"pretzel/internal/runtime"
 	"pretzel/internal/store"
@@ -173,6 +175,22 @@ func TestUploadRejectsGarbage(t *testing.T) {
 	}
 	if resp, _ = do(t, http.MethodPost, srv.URL+"/models?version=1", zip); resp.StatusCode != http.StatusConflict {
 		t.Fatalf("duplicate upload code=%d", resp.StatusCode)
+	}
+	// A word term of more than 8 parts is a bad model; 8 parts imports.
+	for parts, code := range map[int]int{9: http.StatusBadRequest, 8: http.StatusCreated} {
+		p := saPipe(t, fmt.Sprintf("parts%d", parts), 0)
+		word := p.Nodes[2].Op.(*ops.WordNgram)
+		word.Dict.Add(strings.TrimSuffix(strings.Repeat("nice ", parts), " "))
+		p.Nodes[3].Op.(*ops.Concat).Dims[1] = word.Dict.Size()
+		m := p.Nodes[4].Op.(*ops.LinearPredictor).Model
+		m.Weights = append(m.Weights, 1)
+		zip, err := p.ExportBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp, body := do(t, http.MethodPost, srv.URL+"/models", zip); resp.StatusCode != code {
+			t.Fatalf("word term of %d parts: code=%d body=%s, want %d", parts, resp.StatusCode, body, code)
+		}
 	}
 }
 

@@ -103,7 +103,8 @@ func TestRegisterBytesAgreeWithLocal(t *testing.T) {
 // TestWarmPredictAllocs: resolving each request against the catalog
 // and leasing its version adds no allocation to the warm path: a warm
 // Manager.Predict allocates no more than Local.Predict on the same
-// model.
+// model, and on either engine a reference through a version number or
+// a label allocates no more than the bare name.
 func TestWarmPredictAllocs(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := openRepo(t, dir).Put("sa", 0, buildZip(t, "sa", 0)); err != nil {
@@ -111,16 +112,30 @@ func TestWarmPredictAllocs(t *testing.T) {
 	}
 	m := newManager(t, dir, Config{LazyLoad: true})
 	predict(t, m, "sa")
+	if err := m.SetLabel("sa", "stable", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.inner.SetLabel("sa", "stable", 1); err != nil {
+		t.Fatal(err)
+	}
 	ctx := context.Background()
-	run := func(eng serving.Engine) float64 {
+	run := func(eng serving.Engine, ref string) float64 {
 		return testing.AllocsPerRun(200, func() {
-			if _, err := eng.Predict(ctx, "sa", "a nice product", serving.PredictOptions{}); err != nil {
+			if _, err := eng.Predict(ctx, ref, "a nice product", serving.PredictOptions{}); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	if mgr, local := run(m), run(m.inner); mgr > local {
+	if mgr, local := run(m, "sa"), run(m.inner, "sa"); mgr > local {
 		t.Fatalf("warm predict: manager %v allocs, local %v", mgr, local)
+	}
+	for _, eng := range []serving.Engine{m, m.inner} {
+		bare := run(eng, "sa")
+		for _, ref := range []string{"sa@1", "sa@stable"} {
+			if n := run(eng, ref); n > bare {
+				t.Fatalf("warm predict on %T: %s %v allocs, sa %v", eng, ref, n, bare)
+			}
+		}
 	}
 }
 

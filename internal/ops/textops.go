@@ -256,6 +256,13 @@ func init() {
 
 // --- WordNgram ---
 
+// maxWordParts bounds a WordNgram term at import, counted in parts
+// (spaces plus one). Each token costs the word stream one probe per part
+// and the ExtractTokens oracle one join per part, so the bound keeps an
+// upload's dictionary from making a document cost more; every trainer in
+// this repository emits terms of at most 3 parts.
+const maxWordParts = 8
+
 // WordNgram extracts dictionary-mapped word n-grams from tokens,
 // producing a sparse count vector.
 type WordNgram struct {
@@ -329,6 +336,9 @@ func init() {
 		d, err := text.ReadDict(r)
 		if err != nil {
 			return nil, err
+		}
+		if d.Parts() > maxWordParts {
+			return nil, fmt.Errorf("ops: WordNgram term of %d parts (limit %d)", d.Parts(), maxWordParts)
 		}
 		o.Dict = d
 		return o, nil

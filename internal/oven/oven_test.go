@@ -402,7 +402,7 @@ func TestCalibratorSunkIntoPredictor(t *testing.T) {
 }
 
 // TestWordIndexChargedAtCompile: Compile builds each word dictionary's
-// tuple index, so the Object Store's MemBytes (what lifecycle charges a
+// trie of term parts, so the Object Store's MemBytes (what lifecycle charges a
 // load) already holds it, and 1,000 predicts leave MemBytes unchanged.
 func TestWordIndexChargedAtCompile(t *testing.T) {
 	set, err := workload.BuildSA(workload.SmallScale())

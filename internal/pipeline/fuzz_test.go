@@ -139,6 +139,48 @@ func hugeMaxNGenericZip(tb testing.TB) []byte {
 	return b
 }
 
+// wordTermZip is fuzzZips's SA model with one more word term of the
+// given parts, "w w ... w", and its weight: with 9 parts, the seed
+// testdata/fuzz/FuzzImportBytes/nine-part-term, byte for byte.
+func wordTermZip(tb testing.TB, parts int) []byte {
+	tb.Helper()
+	p, err := pipeline.ImportBytes(fuzzZips(tb)[0])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	word := p.Nodes[2].Op.(*ops.WordNgram)
+	word.Dict.Add(strings.TrimSuffix(strings.Repeat("w ", parts), " "))
+	p.Nodes[3].Op.(*ops.Concat).Dims[1] = word.Dict.Size()
+	m := p.Nodes[4].Op.(*ops.LinearPredictor).Model
+	m.Weights = append(m.Weights, 0.5)
+	p.Stats.MaxVectorSize++
+	b, err := p.ExportBytes()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// TestImportWordTermParts: the nine-part-term seed fails the import on
+// its 9-part word term alone: the same model with an 8-part term imports
+// and compiles.
+func TestImportWordTermParts(t *testing.T) {
+	b := readSeed(t, "nine-part-term")
+	if !bytes.Equal(b, wordTermZip(t, 9)) {
+		t.Fatal("the nine-part-term seed is not wordTermZip's 9-part archive")
+	}
+	if _, err := pipeline.ImportBytes(b); err == nil || !strings.Contains(err.Error(), "WordNgram term of 9 parts (limit 8)") {
+		t.Fatalf("9-part term: import error %v", err)
+	}
+	p, err := pipeline.ImportBytes(wordTermZip(t, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := oven.Compile(p, store.New(), oven.DefaultOptions()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // readSeed returns the bytes of one committed FuzzImportBytes seed.
 func readSeed(t *testing.T, name string) []byte {
 	t.Helper()

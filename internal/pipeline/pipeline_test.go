@@ -356,13 +356,24 @@ func importNoPanic(t *testing.T, p *Pipeline) (err error) {
 
 // TestImportRejectsBadNgramConfigs: an n-gram config that would panic at
 // import (a negative shift in HashNgram.Dim) or on every predict (a
-// negative char gram length), or overflow int32 buckets, fails the
-// import; the edge configs that work still import.
+// negative char gram length), overflow int32 buckets, or hold a word
+// term of more than 8 parts fails the import; the edge configs that work
+// still import.
 func TestImportRejectsBadNgramConfigs(t *testing.T) {
 	charSA := func(minN, maxN int) *Pipeline {
 		p := buildSA(t)
 		c := p.Nodes[1].Op.(*ops.CharNgram)
 		c.MinN, c.MaxN = minN, maxN
+		return p
+	}
+	wordSA := func(parts int) *Pipeline {
+		p := buildSA(t)
+		w := p.Nodes[2].Op.(*ops.WordNgram)
+		w.Dict.Add(strings.TrimSuffix(strings.Repeat("nice ", parts), " "))
+		p.Nodes[3].Op.(*ops.Concat).Dims[1] = w.Dict.Size()
+		m := p.Nodes[4].Op.(*ops.LinearPredictor).Model
+		m.Weights = append(m.Weights, 1)
+		p.Stats.MaxVectorSize++
 		return p
 	}
 	for _, tc := range []struct {
@@ -371,6 +382,8 @@ func TestImportRejectsBadNgramConfigs(t *testing.T) {
 		msg  string // "" when the import must succeed
 	}{
 		{"char MinN -2", charSA(-2, 3), "MinN -2 is negative"},
+		{"word term of 9 parts", wordSA(9), "WordNgram term of 9 parts (limit 8)"},
+		{"word term of 8 parts", wordSA(8), ""},
 		{"hash Bits -1", buildHash(-1), "Bits -1 outside"},
 		{"hash Bits 32", buildHash(32), "Bits 32 outside"},
 		{"char MinN 0", charSA(0, 3), ""},

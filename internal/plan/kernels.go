@@ -108,7 +108,7 @@ func (k *SAHeadKernel) Run(ec *Exec, ins []*vector.Vector, out *vector.Vector) e
 // over the token list with the word block of the linear model folded in,
 // then bias + link. Concat never runs and the full feature vector is
 // never materialized. Each token's grams are probed on the word
-// dictionary's tuple index and weighted in one call
+// dictionary's trie of term parts and weighted in one call
 // (text.WordNgramStream.Sum), with the same float32 sum, bit for bit, as
 // adding the weights over WordNgram's emitted indices in stream order.
 type SATailKernel struct {

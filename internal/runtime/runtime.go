@@ -276,6 +276,11 @@ func SplitRef(s string) (name, ref string) {
 // "v2"); ok=false means the ref is a label.
 func ParseVersion(ref string) (int, bool) {
 	r := strings.TrimPrefix(ref, "v")
+	// A label returns here rather than through Atoi's error, which
+	// allocates: a warm predict on "name@stable" costs what "name" does.
+	if digits := strings.TrimPrefix(r, "+"); digits == "" || strings.TrimLeft(digits, "0123456789") != "" {
+		return 0, false
+	}
 	n, err := strconv.Atoi(r)
 	if err != nil || n <= 0 {
 		return 0, false

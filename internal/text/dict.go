@@ -30,10 +30,9 @@ import (
 // byte, and a key match is verified against the arena. The hash only
 // picks where a probe starts; a term's identity is its bytes.
 //
-// The Dict's one pointer is to its word index, which keys its multi-word
-// terms by tuples of token IDs (WordNgramStream's fast path). It is built
-// once, the first time the Dict serves word n-grams (IndexWords), and is
-// freed with the Dict.
+// The Dict's one pointer is to its word index, a trie over the parts of
+// its terms (WordNgramStream's path). It is built once, the first time
+// the Dict serves word n-grams (IndexWords), and is freed with the Dict.
 type Dict struct {
 	arena []byte   // the terms, in index order
 	offs  []uint32 // term i is arena[offs[i]:offs[i+1]]; len Size()+1

@@ -157,72 +157,51 @@ func (c *WordNgramConfig) ExtractTokens(tokens []string, scratch []byte, emit fu
 // (the streaming path used by fused stages, where tokens are produced by
 // TokenizeFunc and never materialized as strings).
 //
-// It works on the dictionary's word index: a token's ID is its unigram
-// index, or else its place among the parts of multi-word terms, and the
-// stream keeps the IDs of the last two tokens, so an n-gram is one
-// integer probe, and a token that is in no term skips all of its
-// n-grams. It joins token bytes and looks the gram up in the Dict
-// instead (the fallback) when the index cannot key the grams: a term of
-// more than 3 parts within MaxN, or 2^20 IDs or more. A token with a space
-// in it, which TokenizeFunc never emits, moves the rest of the document
-// to the fallback too. Either way it emits what ExtractTokens does, and
-// MaxN counts only up to the dictionary's longest term, in parts: a
-// longer gram can match no term.
+// It walks the dictionary's word index, a trie over the parts of its
+// terms, and keeps one node per n: the node of the last n tokens, or -1
+// when they begin no term. Each n-gram that ends at a token is then one
+// probe from the previous token's node one n shorter; a token that is in
+// no term ends all of its grams, and a token with spaces in it walks one
+// probe per part. It emits what ExtractTokens does for any bytes and any
+// MaxN, and MaxN counts only up to the dictionary's longest term, in
+// parts: a longer gram can match no term.
 type WordNgramStream struct {
-	cfg    *WordNgramConfig
-	ix     *wordIndex
-	maxN   int  // cfg.MaxN, at most the longest term's parts
-	tuples bool // the index keys every gram up to maxN
-	joined bool // this document takes the fallback
-	// p1 and p2 are the IDs of the last two tokens on the index; -1 for a
-	// token that is in no term, and before the document's start.
-	p1, p2 int32
-
-	ring [][]byte // the fallback's copies of the last maxN-1 tokens
-	n    int      // tokens seen
-	dead int      // the fallback's last token known to be in no term; -1 if none
-	key  []byte
+	cfg   *WordNgramConfig
+	ix    *wordIndex
+	nodes []int32 // nodes[n-1] is the node of the last n tokens, or -1
 }
 
 // Configure re-targets the stream at a new configuration, reusing the
-// token ring storage when possible (lets an executor keep one stream for
-// all plans it runs, allocation-free in steady state). It builds the
+// node storage when possible (lets an executor keep one stream for all
+// plans it runs, allocation-free in steady state). It builds the
 // dictionary's word index if no one has.
 func (w *WordNgramStream) Configure(cfg *WordNgramConfig) {
 	w.cfg, w.ix = cfg, cfg.Dict.wordIndex()
-	w.maxN = min(cfg.MaxN, cfg.Dict.Parts())
-	w.tuples = w.ix.keyable && w.maxN <= 3
-	need := max(w.maxN-1, 0)
-	if need > cap(w.ring) {
-		w.ring = append(w.ring[:cap(w.ring)], make([][]byte, need-cap(w.ring))...)
+	n := max(min(cfg.MaxN, cfg.Dict.Parts()), 1)
+	if n > cap(w.nodes) {
+		w.nodes = make([]int32, n)
 	}
-	w.ring = w.ring[:need]
+	w.nodes = w.nodes[:n]
 	w.Reset()
 }
 
 // Reset prepares the stream for a new document.
 func (w *WordNgramStream) Reset() {
-	w.joined = !w.tuples
-	w.p1, w.p2, w.n, w.dead = -1, -1, 0, -1
+	for n := range w.nodes {
+		w.nodes[n] = -1
+	}
 }
 
 // Push consumes the next token (valid only during the call) and emits the
 // indices of every n-gram ending at this token: the unigram first, then
 // n = 2, 3, ...
 func (w *WordNgramStream) Push(tok []byte, emit func(idx int32)) {
-	if w.join(tok) {
-		w.pushJoined(tok, emit)
-		return
-	}
-	uni, bi, tri := w.next(tok)
-	if uni >= 0 {
-		emit(uni)
-	}
-	if bi >= 0 {
-		emit(bi)
-	}
-	if tri >= 0 {
-		emit(tri)
+	w.step(tok)
+	size := uint32(w.ix.size)
+	for _, node := range w.nodes {
+		if uint32(node) < size {
+			emit(node)
+		}
 	}
 }
 
@@ -231,98 +210,43 @@ func (w *WordNgramStream) Push(tok []byte, emit func(idx int32)) {
 // is bit-identical to adding the weights in a Push callback: the word
 // block of a linear model pushed down into the featurizer (§4.1).
 func (w *WordNgramStream) Sum(tok []byte, wt []float32, acc float32) float32 {
-	if w.join(tok) {
-		w.pushJoined(tok, func(ix int32) { acc += wt[ix] })
-		return acc
-	}
-	uni, bi, tri := w.next(tok)
-	if uni >= 0 {
-		acc += wt[uni]
-	}
-	if bi >= 0 {
-		acc += wt[bi]
-	}
-	if tri >= 0 {
-		acc += wt[tri]
+	w.step(tok)
+	size := uint32(w.ix.size)
+	for _, node := range w.nodes {
+		if uint32(node) < size {
+			acc += wt[node]
+		}
 	}
 	return acc
 }
 
-// join reports whether tok takes the fallback. A token with a space in it
-// moves the document there when a gram can span two tokens: the ring then
-// gets back the bytes of the tokens the IDs name, and a token without an
-// ID becomes dead, as no gram through it can match.
-func (w *WordNgramStream) join(tok []byte) bool {
-	if w.joined {
-		return true
+// step moves each node one n up, taking the edge by the token's first
+// part, and then, for a token with spaces in it, walks every node down
+// each further part until no node is left.
+func (w *WordNgramStream) step(tok []byte) {
+	x, d, nodes := w.ix, w.cfg.Dict, w.nodes
+	part, rest, more := tok, tok, false
+	if sp := bytes.IndexByte(tok, ' '); sp >= 0 {
+		part, rest, more = tok[:sp], tok[sp+1:], true
 	}
-	if w.maxN < 2 || bytes.IndexByte(tok, ' ') < 0 {
-		return false
+	q := d.LookupBytes(part)
+	if q < 0 {
+		q = x.sideID(part)
 	}
-	w.joined = true
-	ids := [2]int32{w.p1, w.p2}
-	for k, id := range ids[:len(w.ring)] {
-		pos := w.n - 1 - k
-		if pos < 0 {
-			break
+	for n := len(nodes) - 1; n > 0; n-- {
+		nodes[n] = x.child(nodes[n-1], q)
+	}
+	nodes[0] = q
+	for live := true; more && live; {
+		part, rest, more = bytes.Cut(rest, []byte{' '})
+		if q, live = d.LookupBytes(part), false; q < 0 {
+			q = x.sideID(part)
 		}
-		if id < 0 {
-			w.dead = max(w.dead, pos)
-			continue
-		}
-		slot := &w.ring[pos%len(w.ring)]
-		*slot = append((*slot)[:0], w.ix.part(w.cfg.Dict, id)...)
-	}
-	return true
-}
-
-// next consumes a token without a space on the index and returns the
-// indices of its unigram, and of the 2- and 3-gram that end at it, or -1.
-func (w *WordNgramStream) next(tok []byte) (uni, bi, tri int32) {
-	uni, bi, tri = w.cfg.Dict.LookupBytes(tok), -1, -1
-	if w.maxN < 2 {
-		return
-	}
-	id := uni
-	if id < 0 {
-		id = w.ix.sideID(tok)
-	}
-	p1, p2 := w.p1, w.p2
-	w.p1, w.p2 = id, p1
-	w.n++
-	if id < 0 || p1 < 0 {
-		return
-	}
-	bi = w.ix.find(2<<60 | uint64(p1) | uint64(id)<<idBits)
-	if w.maxN >= 3 && p2 >= 0 {
-		tri = w.ix.find(3<<60 | uint64(p2) | uint64(p1)<<idBits | uint64(id)<<(2*idBits))
-	}
-	return
-}
-
-// pushJoined is Push on joined bytes: each gram's key is the last n-1
-// tokens and this one, joined with spaces, looked up in the Dict.
-func (w *WordNgramStream) pushJoined(tok []byte, emit func(idx int32)) {
-	if ix := w.cfg.Dict.LookupBytes(tok); ix >= 0 {
-		emit(ix)
-	}
-	ringN := len(w.ring)
-	for n := 2; n <= w.maxN && n-1 <= w.n && w.n-(n-1) > w.dead; n++ {
-		w.key = w.key[:0]
-		for k := n - 1; k >= 1; k-- {
-			w.key = append(w.key, w.ring[(w.n-k)%ringN]...)
-			w.key = append(w.key, ' ')
-		}
-		w.key = append(w.key, tok...)
-		if ix := w.cfg.Dict.LookupBytes(w.key); ix >= 0 {
-			emit(ix)
+		for n, p := range nodes {
+			nodes[n] = x.child(p, q)
+			live = live || nodes[n] >= 0
 		}
 	}
-	if ringN > 0 {
-		slot := &w.ring[w.n%ringN]
-		*slot = append((*slot)[:0], tok...)
-	}
-	w.n++
 }
 
 // ObserveWordNgrams feeds word n-grams of a token sequence into a builder.

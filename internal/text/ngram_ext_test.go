@@ -204,19 +204,17 @@ func loadBenchWords() {
 }
 
 // BenchmarkWordNgramSum: the word block of an SA tail over one held-out
-// 300-word review, MaxN 3, per review: Sum on the word index, Push on the
-// index with a weight-adding callback, and Sum on the joined-bytes
-// fallback (the path every gram took before the index).
+// 300-word review, MaxN 3, per review: Sum, and Push with a
+// weight-adding callback.
 func BenchmarkWordNgramSum(b *testing.B) {
 	benchWords.once.Do(loadBenchWords)
 	cfg := text.WordNgramConfig{MaxN: 3, Dict: benchWords.dict}
 	w := varied(rand.New(rand.NewSource(1)), cfg.Dict.Size())
 	revs := benchWords.reviews
 	for _, bc := range []struct {
-		name   string
-		joined bool
-		push   bool
-	}{{"index", false, false}, {"push", false, true}, {"joined", true, false}} {
+		name string
+		push bool
+	}{{"index", false}, {"push", true}} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var s text.WordNgramStream
@@ -225,9 +223,6 @@ func BenchmarkWordNgramSum(b *testing.B) {
 			emit := func(ix int32) { acc += w[ix] }
 			for i := 0; i < b.N; i++ {
 				s.Reset()
-				if bc.joined {
-					s.Joined()
-				}
 				for _, tok := range revs[i%len(revs)] {
 					if bc.push {
 						s.Push(tok, emit)
@@ -241,16 +236,31 @@ func BenchmarkWordNgramSum(b *testing.B) {
 	}
 }
 
+// joinedSum is the reference for WordNgramStream.Sum: for each token in
+// order, acc plus w[ix] for each n = 1 to min(MaxN, Parts()) whose last
+// n tokens, joined with spaces, are the term ix (the unigram even when
+// MaxN is below 1).
+func joinedSum(cfg *text.WordNgramConfig, tokens []string, w []float32, acc float32) float32 {
+	maxN := max(min(cfg.MaxN, cfg.Dict.Parts()), 1)
+	for i := range tokens {
+		for n := 1; n <= maxN && n <= i+1; n++ {
+			if ix := cfg.Dict.Lookup(strings.Join(tokens[i+1-n:i+1], " ")); ix >= 0 {
+				acc += w[ix]
+			}
+		}
+	}
+	return acc
+}
+
 // FuzzWordNgramSum: for any tokens (toks split at '\n', so a token may
-// hold a space, be empty or be any bytes), any dictionary and MaxN 0-5,
-// Sum on the word index returns the float32 bits of adding the weights
-// in a Push callback, on the index and on the joined-bytes fallback, and
-// Push emits the indices ExtractTokens emits (in stream order, not
-// ExtractTokens' order, so as a multiset). The dictionary holds the terms
-// (split at '\n') and the 1-3 grams that start at every fourth token, so
-// grams hit, the second and third of each four tokens are parts of
-// multi-word terms only, and the fourth is in no term unless the terms
-// name it.
+// hold a space, be empty or be any bytes), any dictionary and MaxN 0-9,
+// Sum returns the float32 bits of adding the weights in a Push callback
+// and of joinedSum, the joined-bytes reference, and Push emits the
+// indices ExtractTokens emits (in stream order, not ExtractTokens' order,
+// so as a multiset). The dictionary holds the terms (split at '\n') and
+// the 1-3 grams that start at every fourth token, so grams hit, the
+// second and third of each four tokens are parts of multi-word terms
+// only, and the fourth is in no term unless the terms name it.
 func FuzzWordNgramSum(f *testing.F) {
 	f.Fuzz(func(t *testing.T, toks, terms []byte, maxN int) {
 		tokens := bytes.Split(toks[:min(len(toks), 512)], []byte{'\n'})
@@ -272,7 +282,7 @@ func FuzzWordNgramSum(f *testing.F) {
 		for i := range w {
 			w[i] = float32(1-2*(i&1)) / float32(i+3)
 		}
-		cfg := text.WordNgramConfig{MaxN: int(uint(maxN) % 6), Dict: d}
+		cfg := text.WordNgramConfig{MaxN: int(uint(maxN) % 10), Dict: d}
 
 		var s text.WordNgramStream
 		s.Configure(&cfg)
@@ -280,21 +290,13 @@ func FuzzWordNgramSum(f *testing.F) {
 		for _, tok := range tokens {
 			sum = s.Sum(tok, w, sum)
 		}
-		push := func(joined bool) (float32, []int32) {
-			s.Reset()
-			if joined {
-				s.Joined()
-			}
-			acc, ixs := float32(0.1), []int32(nil)
-			for _, tok := range tokens {
-				s.Push(tok, func(ix int32) { acc += w[ix]; ixs = append(ixs, ix) })
-			}
-			return acc, ixs
+		s.Reset()
+		push, ixs := float32(0.1), []int32(nil)
+		for _, tok := range tokens {
+			s.Push(tok, func(ix int32) { push += w[ix]; ixs = append(ixs, ix) })
 		}
-		onIndex, ixs := push(false)
-		joined, jixs := push(true)
-		if math.Float32bits(sum) != math.Float32bits(onIndex) || math.Float32bits(sum) != math.Float32bits(joined) || !slices.Equal(ixs, jixs) {
-			t.Fatalf("MaxN %d, tokens %q: Sum %v; Push %v %v on the index, %v %v joined", cfg.MaxN, strs, sum, onIndex, ixs, joined, jixs)
+		if ref := joinedSum(&cfg, strs, w, 0.1); math.Float32bits(sum) != math.Float32bits(push) || math.Float32bits(sum) != math.Float32bits(ref) {
+			t.Fatalf("MaxN %d, tokens %q: Sum %v, Push %v %v, joined reference %v", cfg.MaxN, strs, sum, push, ixs, ref)
 		}
 		var want []int32
 		cfg.ExtractTokens(strs, nil, func(ix int32) { want = append(want, ix) })

@@ -328,18 +328,16 @@ func TestWordNgramStreamReset(t *testing.T) {
 }
 
 // TestWordNgramStreamCapsMaxN: MaxN counts only up to the dictionary's
-// longest term, in parts, so a MaxN an upload sets to 2^30 holds as many
-// tokens as the terms have parts less one, on the index and on the
-// fallback alike, and still emits every gram.
+// longest term, in parts, so a MaxN an upload sets to 2^30 keeps as many
+// nodes as the terms have parts, and still emits every gram.
 func TestWordNgramStreamCapsMaxN(t *testing.T) {
 	for _, tc := range []struct {
-		terms   []string
-		ring    int
-		onIndex bool
+		terms []string
+		nodes int
 	}{
-		{[]string{"a", "a b"}, 1, true},
-		{[]string{"a", "a b", "a b a"}, 2, true},
-		{[]string{"a b a b", "b a"}, 3, false},
+		{[]string{"a", "a b"}, 2},
+		{[]string{"a", "a b", "a b a"}, 3},
+		{[]string{"a b a b", "b a"}, 4},
 	} {
 		d := NewDict()
 		for _, term := range tc.terms {
@@ -348,8 +346,8 @@ func TestWordNgramStreamCapsMaxN(t *testing.T) {
 		cfg := &WordNgramConfig{MaxN: 1 << 30, Dict: d}
 		var s WordNgramStream
 		s.Configure(cfg)
-		if len(s.ring) != tc.ring || cap(s.ring) != tc.ring || s.OnIndex() != tc.onIndex {
-			t.Fatalf("terms %q: ring of %d (cap %d), on the index %v; want %d, %v", tc.terms, len(s.ring), cap(s.ring), s.OnIndex(), tc.ring, tc.onIndex)
+		if len(s.nodes) != tc.nodes || cap(s.nodes) != tc.nodes {
+			t.Fatalf("terms %q: %d nodes (cap %d), want %d", tc.terms, len(s.nodes), cap(s.nodes), tc.nodes)
 		}
 		var got []int32
 		for _, tok := range []string{"a", "b", "a", "b"} {

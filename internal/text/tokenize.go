@@ -18,11 +18,11 @@
 // from the token bytes, the table is probed in line, and the weight is
 // added in place, in the callback style's order, so the float32 sum is
 // the same bit for bit. The word side (WordNgramStream.Sum, for the word
-// block) keys each multi-word term by the tuple of its parts' token IDs
-// in an index the Dict builds once and keeps behind its one pointer, so
-// a word n-gram is one integer probe; it joins token bytes only where the
-// index cannot key the grams. The string paths (ExtractTokens), which
-// the unoptimized pipeline.Run oracle takes, stay on Dict.Lookup.
+// block) walks a trie over the parts of the dictionary's terms, which the
+// Dict builds once and keeps behind its one pointer, so each word n-gram
+// is one integer probe from the gram one token shorter, for any bytes and
+// any MaxN. The string paths (ExtractTokens), which the unoptimized
+// pipeline.Run oracle takes, stay on Dict.Lookup.
 package text
 
 // asciiLower maps a byte to lowercase ASCII.

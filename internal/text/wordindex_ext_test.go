@@ -19,7 +19,7 @@ import (
 // corpus reviews, the 200 held-out ones, and 100 random documents whose
 // tokens are dictionary parts, whole terms, corpus words and random bytes
 // (UTF-8, 0x00, 0xFF, non-word bytes and spaces: TokenizeFunc never emits
-// a token with a space, so those take the fallback).
+// a token with a space, so those walk the word index part by part).
 func wordDocs(rng *rand.Rand, sc workload.Scale, set *workload.SASet) [][]string {
 	var docs [][]string
 	for _, r := range dataset.NewReviewCorpus(sc.CorpusVocab, sc.Seed).Generate(100, sc.ReviewLength) {
@@ -60,8 +60,8 @@ func wordDocs(rng *rand.Rand, sc workload.Scale, set *workload.SASet) [][]string
 }
 
 // TestWordKernelsMatchOps: on the six word dictionaries of the seeded SA
-// workload, for MaxN 1, 2 and 3, every dictionary is on the word index,
-// and on corpus, held-out and random documents:
+// workload, for MaxN 1, 2 and 3, on corpus, held-out and random
+// documents:
 //   - SATailKernel, both on a tokens input and tokenizing the text
 //     itself, returns ops.WordNgram's features scored by ops.LinearPredictor
 //     (the weights are multiples of 1/8, so every order of adding them
@@ -90,10 +90,6 @@ func TestWordKernelsMatchOps(t *testing.T) {
 		const bias = 0.375
 		for maxN := 1; maxN <= 3; maxN++ {
 			cfg := text.WordNgramConfig{MaxN: maxN, Dict: d}
-			var s text.WordNgramStream
-			if s.Configure(&cfg); !s.OnIndex() {
-				t.Fatalf("word dictionary %d, MaxN %d: takes the joined-bytes fallback", v, maxN)
-			}
 			wordOp := &ops.WordNgram{MaxN: maxN, Dict: d}
 			scorer := &ops.LinearPredictor{Model: &ml.LinearModel{Kind: ml.LinearRegression, Weights: w, Bias: bias}}
 			tail := &plan.SATailKernel{Word: cfg, Weights: w, Bias: bias, Link: ml.LinearRegression}
@@ -166,9 +162,9 @@ func TestWordKernelsMatchOps(t *testing.T) {
 
 // TestWordNgramSumMatchesPush: on the six word dictionaries of the seeded
 // SA workload, for MaxN 1 to 4, Sum returns the float32 bits of adding
-// weights of mixed sign and magnitude in a Push callback, on the index
-// and on the joined-bytes fallback, over corpus, held-out and random
-// documents.
+// weights of mixed sign and magnitude in a Push callback and of
+// joinedSum, the joined-bytes reference, over corpus, held-out and
+// random documents.
 func TestWordNgramSumMatchesPush(t *testing.T) {
 	sc := workload.SmallScale()
 	set, err := workload.BuildSA(sc)
@@ -183,16 +179,6 @@ func TestWordNgramSumMatchesPush(t *testing.T) {
 		for maxN := 1; maxN <= 4; maxN++ {
 			cfg := text.WordNgramConfig{MaxN: maxN, Dict: d}
 			s.Configure(&cfg)
-			push := func(doc []string, joined bool, acc float32) float32 {
-				s.Reset()
-				if joined {
-					s.Joined()
-				}
-				for _, tok := range doc {
-					s.Push([]byte(tok), func(ix int32) { acc += w[ix] })
-				}
-				return acc
-			}
 			for _, doc := range docs {
 				acc := float32(rng.NormFloat64())
 				s.Reset()
@@ -200,9 +186,13 @@ func TestWordNgramSumMatchesPush(t *testing.T) {
 				for _, tok := range doc {
 					sum = s.Sum([]byte(tok), w, sum)
 				}
-				onIndex, joined := push(doc, false, acc), push(doc, true, acc)
-				if math.Float32bits(sum) != math.Float32bits(onIndex) || math.Float32bits(sum) != math.Float32bits(joined) {
-					t.Fatalf("dict %d, MaxN %d, tokens %q: Sum %v, Push %v on the index, %v joined", v, maxN, doc, sum, onIndex, joined)
+				s.Reset()
+				push := acc
+				for _, tok := range doc {
+					s.Push([]byte(tok), func(ix int32) { push += w[ix] })
+				}
+				if ref := joinedSum(&cfg, doc, w, acc); math.Float32bits(sum) != math.Float32bits(push) || math.Float32bits(sum) != math.Float32bits(ref) {
+					t.Fatalf("dict %d, MaxN %d, tokens %q: Sum %v, Push %v, joined reference %v", v, maxN, doc, sum, push, ref)
 				}
 			}
 		}
