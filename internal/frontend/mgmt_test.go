@@ -14,7 +14,9 @@ import (
 
 	"pretzel/internal/ops"
 	"pretzel/internal/oven"
+	"pretzel/internal/pipeline"
 	"pretzel/internal/runtime"
+	"pretzel/internal/schema"
 	"pretzel/internal/store"
 )
 
@@ -190,6 +192,24 @@ func TestUploadRejectsGarbage(t *testing.T) {
 		}
 		if resp, body := do(t, http.MethodPost, srv.URL+"/models", zip); resp.StatusCode != code {
 			t.Fatalf("word term of %d parts: code=%d body=%s, want %d", parts, resp.StatusCode, body, code)
+		}
+	}
+	// A ParseFloats Dim outside 1..65536 is a bad model; 65536 imports.
+	for dim, code := range map[int]int{-5: http.StatusBadRequest, 65537: http.StatusBadRequest, 65536: http.StatusCreated} {
+		p := &pipeline.Pipeline{
+			Name:        fmt.Sprintf("dim%d", dim),
+			InputSchema: schema.Text("Line"),
+			Nodes: []pipeline.Node{
+				{Op: &ops.ParseFloats{Sep: ',', Dim: dim}, Inputs: []int{pipeline.InputID}},
+				{Op: &ops.Imputer{Fill: &ops.Floats{V: []float32{0}}}, Inputs: []int{0}},
+			},
+		}
+		zip, err := p.ExportBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp, body := do(t, http.MethodPost, srv.URL+"/models", zip); resp.StatusCode != code {
+			t.Fatalf("ParseFloats dim %d: code=%d body=%s, want %d", dim, resp.StatusCode, body, code)
 		}
 	}
 }

@@ -104,7 +104,9 @@ func TestRegisterBytesAgreeWithLocal(t *testing.T) {
 // and leasing its version adds no allocation to the warm path: a warm
 // Manager.Predict allocates no more than Local.Predict on the same
 // model, and on either engine a reference through a version number or
-// a label allocates no more than the bare name.
+// a label allocates no more than the bare name. Under the race detector
+// every predict still runs, for the detector, but the counts are not
+// compared: sync.Pool drops items at random there.
 func TestWarmPredictAllocs(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := openRepo(t, dir).Put("sa", 0, buildZip(t, "sa", 0)); err != nil {
@@ -126,13 +128,13 @@ func TestWarmPredictAllocs(t *testing.T) {
 			}
 		})
 	}
-	if mgr, local := run(m, "sa"), run(m.inner, "sa"); mgr > local {
+	if mgr, local := run(m, "sa"), run(m.inner, "sa"); mgr > local && !raceEnabled {
 		t.Fatalf("warm predict: manager %v allocs, local %v", mgr, local)
 	}
 	for _, eng := range []serving.Engine{m, m.inner} {
 		bare := run(eng, "sa")
 		for _, ref := range []string{"sa@1", "sa@stable"} {
-			if n := run(eng, ref); n > bare {
+			if n := run(eng, ref); n > bare && !raceEnabled {
 				t.Fatalf("warm predict on %T: %s %v allocs, sa %v", eng, ref, n, bare)
 			}
 		}

@@ -75,6 +75,12 @@ func takeFloats(kind string, ps []Param, n int) ([]*Floats, error) {
 
 // --- ParseFloats ---
 
+// maxParseDim bounds ParseFloats.Dim at import. Dim sizes the output
+// vector of every predict, so an upload must not set it past what a
+// line can fill: a 1 MiB /predict body holds about 512k fields, and the
+// AC trainers emit 40.
+const maxParseDim = 1 << 16
+
 // ParseFloats parses a separator-delimited numeric line into a dense
 // vector (the structured-input front of AC pipelines).
 type ParseFloats struct {
@@ -111,17 +117,70 @@ func (o *ParseFloats) Transform(in []*vector.Vector, out *vector.Vector) error {
 		for j < len(line) && line[j] != o.Sep {
 			j++
 		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(line[i:j]), 32)
+		v, err := parseField(line[i:j])
 		if err != nil {
 			return fmt.Errorf("ops: ParseFloats field %d: %w", f, err)
 		}
-		d[f] = float32(v)
+		d[f] = v
 		i = j + 1
 		if j >= len(line) && f < o.Dim-1 {
 			return fmt.Errorf("ops: ParseFloats needs %d fields, line has %d", o.Dim, f+1)
 		}
 	}
 	return nil
+}
+
+// pow10f32 holds the powers of ten that float32 represents exactly:
+// 10^10 = 2^10·5^10 with 5^10 < 2^24, while 5^11 needs 26 bits.
+var pow10f32 = [...]float32{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10}
+
+// parseField returns what strconv.ParseFloat(strings.TrimSpace(s), 32)
+// does, bit for bit and error for error. A plain decimal (an optional
+// sign, then digits with at most one dot) whose digits make an integer
+// m ≤ 2^24 with at most 10 of them after the dot takes the fast path:
+// m and 10^frac are both exact in float32, so the one division rounds
+// once, as strconv does (Clinger's fast path). Anything else (exponents,
+// inf and nan, spaces, underscores, longer mantissas, more fraction
+// digits, empty fields) goes to strconv.
+func parseField(s string) (float32, error) {
+	// 19 bytes hold at most 19 digits, which m cannot overflow.
+	if len(s) == 0 || len(s) > 19 {
+		return parseSlow(s)
+	}
+	i, sign := 0, uint32(0)
+	if s[0] == '-' {
+		sign = 1 << 31 // set on the quotient's bits, so "-0" reads -0
+	}
+	if s[0] == '+' || s[0] == '-' {
+		i = 1
+	}
+	m, dot := uint64(0), -1
+	for k := i; k < len(s); k++ {
+		c := s[k] - '0'
+		if c > 9 {
+			if s[k] != '.' || dot >= 0 {
+				return parseSlow(s)
+			}
+			dot = k
+			continue
+		}
+		m = m*10 + uint64(c)
+	}
+	digits, frac := len(s)-i, 0
+	if dot >= 0 {
+		digits, frac = digits-1, len(s)-dot-1
+	}
+	if digits == 0 || m > 1<<24 || frac >= len(pow10f32) {
+		return parseSlow(s)
+	}
+	v := float32(m) / pow10f32[frac]
+	return math.Float32frombits(math.Float32bits(v) | sign), nil
+}
+
+// parseSlow is parseField's general path.
+func parseSlow(s string) (float32, error) {
+	v, err := strconv.ParseFloat(strings.TrimSpace(s), 32)
+	return float32(v), err
 }
 
 // Params implements Op.
@@ -141,7 +200,13 @@ func (o *ParseFloats) WriteParams(w io.Writer) error { return writeJSONFrame(w, 
 func init() {
 	register("ParseFloats", func(r io.Reader) (Op, error) {
 		o := &ParseFloats{}
-		return o, readJSONFrame(r, o)
+		if err := readJSONFrame(r, o); err != nil {
+			return nil, err
+		}
+		if o.Dim < 1 || o.Dim > maxParseDim {
+			return nil, fmt.Errorf("ops: ParseFloats dim %d outside 1..%d", o.Dim, maxParseDim)
+		}
+		return o, nil
 	})
 }
 

@@ -12,6 +12,7 @@ import (
 	"pretzel/internal/oven"
 	"pretzel/internal/pipeline"
 	"pretzel/internal/plan"
+	"pretzel/internal/schema"
 	"pretzel/internal/store"
 	"pretzel/internal/vector"
 	"pretzel/internal/workload"
@@ -178,6 +179,75 @@ func TestImportWordTermParts(t *testing.T) {
 	}
 	if _, err := oven.Compile(p, store.New(), oven.DefaultOptions()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// parseDimZip is ParseFloats → Imputer with the given Dim: with Dim -5
+// and 65,537, the seeds testdata/fuzz/FuzzImportBytes/parsefloats-neg-dim
+// and parsefloats-huge-dim, byte for byte. The Imputer takes any width,
+// so ParseFloats's own bound alone decides the import.
+func parseDimZip(tb testing.TB, dim int) []byte {
+	tb.Helper()
+	p := &pipeline.Pipeline{
+		Name:        "parsedim",
+		InputSchema: schema.Text("Line"),
+		Stats:       pipeline.Stats{MaxVectorSize: max(dim, 1)},
+		Nodes: []pipeline.Node{
+			{Op: &ops.ParseFloats{Sep: ',', Dim: dim}, Inputs: []int{pipeline.InputID}},
+			{Op: &ops.Imputer{Fill: &ops.Floats{V: []float32{0}}}, Inputs: []int{0}},
+		},
+	}
+	b, err := p.ExportBytes()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// TestImportParseFloatsDim: an upload's ParseFloats.Dim imports only in
+// 1..65,536. A negative Dim panics every predict, 0 parses nothing, and
+// a larger one sizes every predict's vector past what a /predict body
+// can fill. At both ends of the range the model compiles and parses a
+// line of Dim fields.
+func TestImportParseFloatsDim(t *testing.T) {
+	for name, dim := range map[string]int{"parsefloats-neg-dim": -5, "parsefloats-huge-dim": 65537} {
+		if !bytes.Equal(readSeed(t, name), parseDimZip(t, dim)) {
+			t.Fatalf("the %s seed is not parseDimZip's Dim %d archive", name, dim)
+		}
+	}
+	ec := &plan.Exec{Pool: vector.NewPool()}
+	for _, tc := range []struct {
+		dim int
+		msg string // "" when the import must succeed
+	}{
+		{-5, "ParseFloats dim -5 outside 1..65536"},
+		{0, "ParseFloats dim 0 outside 1..65536"},
+		{65537, "ParseFloats dim 65537 outside 1..65536"},
+		{1, ""},
+		{65536, ""},
+	} {
+		p, err := pipeline.ImportBytes(parseDimZip(t, tc.dim))
+		if tc.msg != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.msg) {
+				t.Fatalf("dim %d: import error %v, want %q", tc.dim, err, tc.msg)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("dim %d: %v", tc.dim, err)
+		}
+		pl, err := oven.Compile(p, store.New(), oven.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, out := vector.New(0), vector.New(0)
+		in.SetText(strings.TrimSuffix(strings.Repeat("1.5,", tc.dim), ","))
+		if err := plan.RunPlan(pl, ec, in, out); err != nil {
+			t.Fatalf("dim %d: %v", tc.dim, err)
+		}
+		if len(out.Dense) != tc.dim || out.Dense[tc.dim-1] != 1.5 {
+			t.Fatalf("dim %d: output of %d, last %v", tc.dim, len(out.Dense), out.Dense[len(out.Dense)-1])
+		}
 	}
 }
 
