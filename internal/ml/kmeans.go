@@ -150,18 +150,14 @@ func ReadKMeans(r io.Reader) (*KMeans, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("ml: kmeans header: %w", err)
 	}
-	kk := binary.LittleEndian.Uint32(hdr[0:])
-	dim := binary.LittleEndian.Uint32(hdr[4:])
+	kk := int64(binary.LittleEndian.Uint32(hdr[0:]))
+	dim := int64(binary.LittleEndian.Uint32(hdr[4:]))
 	if kk == 0 || kk > 1<<16 || dim > 1<<24 {
 		return nil, fmt.Errorf("ml: implausible kmeans shape %dx%d", kk, dim)
 	}
-	buf := make([]byte, 4*kk*dim)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	cs, err := ReadFloats(r, kk*dim)
+	if err != nil {
 		return nil, fmt.Errorf("ml: kmeans centroids: %w", err)
-	}
-	cs := make([]float32, kk*dim)
-	for i := range cs {
-		cs[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
 	}
 	return &KMeans{K: int(kk), Dim: int(dim), Centroids: cs}, nil
 }

@@ -193,13 +193,9 @@ func ReadLinearModel(r io.Reader) (*LinearModel, error) {
 	if dim > 1<<28 {
 		return nil, fmt.Errorf("ml: implausible weight count %d", dim)
 	}
-	buf := make([]byte, 4*dim)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	ws, err := ReadFloats(r, int64(dim))
+	if err != nil {
 		return nil, fmt.Errorf("ml: linear weights: %w", err)
-	}
-	ws := make([]float32, dim)
-	for i := range ws {
-		ws[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
 	}
 	return &LinearModel{Kind: kind, Bias: bias, Weights: ws}, nil
 }

@@ -5,6 +5,8 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -313,6 +315,45 @@ func TestForestRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadForest(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty forest read must error")
+	}
+}
+
+// TestReadForestRefusesUnwalkableTrees: ReadForest refuses a tree that
+// Predict or LeafIndex could not walk to a leaf, or whose leaf ordinals
+// fall outside its leaf block.
+func TestReadForestRefusesUnwalkableTrees(t *testing.T) {
+	leaf := func(ord int32) TreeNode { return TreeNode{Feature: -1, Left: ord} }
+	split := func(l, r int32) TreeNode { return TreeNode{Feature: 0, Left: l, Right: r} }
+	for name, tc := range map[string]struct {
+		nodes  []TreeNode
+		leaves int32
+		msg    string
+	}{
+		"empty":          {nil, 1, "empty tree"},
+		"self loop":      {[]TreeNode{split(0, 0)}, 1, "node 0: child 0 outside (0, 1)"},
+		"back edge":      {[]TreeNode{split(1, 2), split(0, 2), leaf(0)}, 1, "node 1: child 0 outside (1, 3)"},
+		"past the end":   {[]TreeNode{split(1, 3), leaf(0), leaf(1)}, 2, "node 0: child 3 outside (0, 3)"},
+		"negative leaf":  {[]TreeNode{leaf(-1)}, 1, "node 0: leaf ordinal -1 outside [0, 1)"},
+		"leaf past last": {[]TreeNode{split(1, 2), leaf(0), leaf(2)}, 2, "node 2: leaf ordinal 2 outside [0, 2)"},
+		"no leaves":      {[]TreeNode{leaf(0)}, 0, "0 leaves in 1 nodes"},
+		"too many":       {[]TreeNode{leaf(0)}, 1 << 30, "1073741824 leaves in 1 nodes"},
+	} {
+		var buf bytes.Buffer
+		f := &Forest{Trees: []*Tree{{Nodes: tc.nodes, Leaves: tc.leaves}}}
+		if _, err := f.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadForest(&buf); err == nil || !strings.Contains(err.Error(), tc.msg) {
+			t.Errorf("%s: error %v, want %q", name, err, tc.msg)
+		}
+	}
+	var buf bytes.Buffer
+	ok := &Forest{Trees: []*Tree{{Nodes: []TreeNode{split(1, 2), leaf(1), leaf(0)}, Leaves: 2}}}
+	if _, err := ok.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadForest(&buf); err != nil {
+		t.Fatalf("a walkable tree: %v", err)
 	}
 }
 
@@ -630,4 +671,36 @@ func argMax(x []float32) int {
 		}
 	}
 	return bi
+}
+
+// TestReadBytes: ReadBytes refuses a size past what a bytes.Reader holds
+// before allocating, allocates at most about readStep past what a plain
+// reader has delivered, and reads a payload of several steps whole.
+func TestReadBytes(t *testing.T) {
+	src := make([]byte, 3*readStep+5)
+	for i := range src {
+		src[i] = byte(i * 7)
+	}
+	plain := func(b []byte) io.Reader { return struct{ io.Reader }{bytes.NewReader(b)} }
+	for name, r := range map[string]io.Reader{"bytes.Reader": bytes.NewReader(src), "plain": plain(src)} {
+		got, err := ReadBytes(r, int64(len(src)))
+		if err != nil || !bytes.Equal(got, src) {
+			t.Fatalf("%s: read %d bytes, err %v", name, len(got), err)
+		}
+	}
+	for name, r := range map[string]io.Reader{"bytes.Reader": bytes.NewReader(src[:10]), "plain": plain(src[:10])} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadBytes(r, 1<<40)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: 2^40 bytes read from 10", name)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > readStep+64<<10 {
+			t.Fatalf("%s: allocated %d bytes for 10", name, n)
+		}
+	}
+	if _, err := ReadBytes(bytes.NewReader(nil), -1); err == nil {
+		t.Fatal("a negative size must error")
+	}
 }

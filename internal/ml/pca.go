@@ -151,22 +151,14 @@ func ReadPCA(r io.Reader) (*PCA, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("ml: pca header: %w", err)
 	}
-	k := binary.LittleEndian.Uint32(hdr[0:])
-	dim := binary.LittleEndian.Uint32(hdr[4:])
+	k := int64(binary.LittleEndian.Uint32(hdr[0:]))
+	dim := int64(binary.LittleEndian.Uint32(hdr[4:]))
 	if k == 0 || k > 1<<16 || dim > 1<<24 {
 		return nil, fmt.Errorf("ml: implausible pca shape %dx%d", k, dim)
 	}
-	buf := make([]byte, 4*(dim+k*dim))
-	if _, err := io.ReadFull(r, buf); err != nil {
+	fs, err := ReadFloats(r, dim+k*dim)
+	if err != nil {
 		return nil, fmt.Errorf("ml: pca payload: %w", err)
 	}
-	p := &PCA{K: int(k), Dim: int(dim), Mean: make([]float32, dim), Components: make([]float32, k*dim)}
-	for i := range p.Mean {
-		p.Mean[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
-	}
-	off := 4 * int(dim)
-	for i := range p.Components {
-		p.Components[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[off+4*i:]))
-	}
-	return p, nil
+	return &PCA{K: int(k), Dim: int(dim), Mean: fs[:dim:dim], Components: fs[dim:]}, nil
 }

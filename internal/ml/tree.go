@@ -344,8 +344,8 @@ func ReadForest(r io.Reader) (*Forest, error) {
 			return nil, fmt.Errorf("ml: implausible node count %d", nn)
 		}
 		t := &Tree{Leaves: int32(binary.LittleEndian.Uint32(hdr[4:]))}
-		buf := make([]byte, 20*nn)
-		if _, err := io.ReadFull(r, buf); err != nil {
+		buf, err := ReadBytes(r, 20*int64(nn))
+		if err != nil {
 			return nil, fmt.Errorf("ml: tree %d nodes: %w", ti, err)
 		}
 		t.Nodes = make([]TreeNode, nn)
@@ -358,7 +358,40 @@ func ReadForest(r io.Reader) (*Forest, error) {
 				Value:     math.Float32frombits(binary.LittleEndian.Uint32(buf[20*i+16:])),
 			}
 		}
+		if err := t.check(); err != nil {
+			return nil, fmt.Errorf("ml: tree %d: %w", ti, err)
+		}
 		f.Trees = append(f.Trees, t)
 	}
 	return f, nil
+}
+
+// check refuses a tree that scoring could not walk: Predict and
+// LeafIndex follow child indices until a leaf, so a cycle would never
+// end and an index past the nodes would panic. A trained tree appends
+// its children after their parent, so every internal node's children
+// lie strictly after it, and its leaves hold the ordinals 0..Leaves-1,
+// which the tree featurizer adds to the tree's offset.
+func (t *Tree) check() error {
+	n := len(t.Nodes)
+	if n == 0 {
+		return fmt.Errorf("empty tree")
+	}
+	if t.Leaves < 1 || int(t.Leaves) > n {
+		return fmt.Errorf("%d leaves in %d nodes", t.Leaves, n)
+	}
+	for i, nd := range t.Nodes {
+		if nd.Feature < 0 {
+			if nd.Left < 0 || nd.Left >= t.Leaves {
+				return fmt.Errorf("node %d: leaf ordinal %d outside [0, %d)", i, nd.Left, t.Leaves)
+			}
+			continue
+		}
+		for _, c := range [2]int32{nd.Left, nd.Right} {
+			if int(c) <= i || int(c) >= n {
+				return fmt.Errorf("node %d: child %d outside (%d, %d)", i, c, i, n)
+			}
+		}
+	}
+	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"pretzel/internal/linalg"
 	"pretzel/internal/ml"
 	"pretzel/internal/schema"
 	"pretzel/internal/vector"
@@ -502,65 +501,5 @@ func init() {
 		}
 		o.Model = m
 		return o, nil
-	})
-}
-
-// --- Calibrator ---
-
-// Calibrator applies Platt scaling (sigmoid of an affine transform) to a
-// raw scalar score.
-type Calibrator struct {
-	A, B float32
-}
-
-// Info implements Op.
-func (o *Calibrator) Info() Info {
-	return Info{Kind: "Calibrator", NInputs: 1, MemoryBound: true, Predictor: true}
-}
-
-// OutSchema implements Op.
-func (o *Calibrator) OutSchema(in []*schema.Schema) (*schema.Schema, error) {
-	if len(in) != 1 {
-		return nil, errInputs("Calibrator", 1, len(in))
-	}
-	c, err := in[0].Single()
-	if err != nil {
-		return nil, err
-	}
-	if c.Kind != schema.ColScalar && !(c.Kind == schema.ColVector && c.Dim == 1) {
-		return nil, &schema.MismatchError{Op: "Calibrator", Want: schema.ColScalar, Got: c.Kind}
-	}
-	return schema.Scalar("calibrated"), nil
-}
-
-// Transform implements Op.
-func (o *Calibrator) Transform(in []*vector.Vector, out *vector.Vector) error {
-	if len(in) != 1 || in[0].Kind != vector.KindDense || len(in[0].Dense) < 1 {
-		return fmt.Errorf("ops: Calibrator needs one scalar input")
-	}
-	x := in[0].Dense[0]
-	d := out.UseDense(1)
-	d[0] = linalg.Sigmoid(o.A*x + o.B)
-	return nil
-}
-
-// Params implements Op.
-func (o *Calibrator) Params() []Param { return nil }
-
-// SetParams implements Op.
-func (o *Calibrator) SetParams(ps []Param) error {
-	if len(ps) != 0 {
-		return fmt.Errorf("ops: Calibrator takes no params")
-	}
-	return nil
-}
-
-// WriteParams implements Op.
-func (o *Calibrator) WriteParams(w io.Writer) error { return writeJSONFrame(w, o) }
-
-func init() {
-	register("Calibrator", func(r io.Reader) (Op, error) {
-		o := &Calibrator{}
-		return o, readJSONFrame(r, o)
 	})
 }

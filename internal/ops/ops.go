@@ -1,11 +1,12 @@
 // Package ops implements the ML.Net-style logical operators that trained
 // pipelines are composed of. PRETZEL supports "about two dozen" operators
-// (§5); this package provides the equivalent set: text featurizers
-// (tokenizer, dictionary and hashing n-grams), vector transformations
-// (concat, normalizers, scalers, imputer, one-hot, bucketizer, clip,
-// feature selection), dimensionality reduction and clustering transforms
-// (PCA, KMeans, tree featurizer) and predictors (linear models, trees,
-// forests, multi-class forests, calibrators).
+// (§5); this package registers the ones the repository's two workloads
+// are built from. SA: tokenizer, dictionary char and word n-grams,
+// concat and a linear predictor. AC: a numeric line parser, imputer and
+// mean-variance scaler, PCA, KMeans and tree featurizer transforms, and
+// forest predictors (regression and multi-class). The hashing n-gram is
+// the one registered kind no trainer emits. A model file that names any
+// other kind is refused.
 //
 // Every operator carries the annotations the Oven optimizer matches on
 // (§4.1.2: "transformation classes are annotated (e.g., 1-to-1, 1-to-n,

@@ -66,27 +66,6 @@ func roundTrip(t *testing.T, op Op) Op {
 	return got
 }
 
-func TestCSVSelect(t *testing.T) {
-	op := &CSVSelect{Sep: ',', Field: 1}
-	out := vector.New(0)
-	if err := op.Transform([]*vector.Vector{textVec(`id1,"hello, world",3`)}, out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Text != "hello, world" {
-		t.Fatalf("got %q", out.Text)
-	}
-	if err := op.Transform([]*vector.Vector{textVec("only")}, out); err == nil {
-		t.Fatal("field out of range must error")
-	}
-	if _, err := op.OutSchema([]*schema.Schema{schema.Text("line")}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := op.OutSchema([]*schema.Schema{schema.Vector("v", 3, false)}); err == nil {
-		t.Fatal("schema mismatch must error")
-	}
-	roundTrip(t, op)
-}
-
 func TestTokenizerOp(t *testing.T) {
 	op := &Tokenizer{}
 	out := vector.New(0)
@@ -217,28 +196,6 @@ func TestConcatOp(t *testing.T) {
 	roundTrip(t, op)
 }
 
-func TestL2NormalizerOp(t *testing.T) {
-	op := &L2Normalizer{}
-	out := vector.New(0)
-	if err := op.Transform([]*vector.Vector{denseVec(3, 4)}, out); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(float64(out.L2Norm())-1) > 1e-5 {
-		t.Fatalf("norm %v", out.L2Norm())
-	}
-	// Zero vector must not NaN.
-	if err := op.Transform([]*vector.Vector{denseVec(0, 0)}, out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Dense[0] != 0 {
-		t.Fatal("zero vector")
-	}
-	if !op.Info().Breaker {
-		t.Fatal("L2Normalizer must be a pipeline breaker")
-	}
-	roundTrip(t, op)
-}
-
 func TestMeanVarScalerOp(t *testing.T) {
 	op := &MeanVarScaler{Mean: &Floats{V: []float32{1, 2}}, Std: &Floats{V: []float32{2, 0}}}
 	out := vector.New(0)
@@ -270,49 +227,6 @@ func TestImputerOp(t *testing.T) {
 	roundTrip(t, op)
 }
 
-func TestBucketizerOp(t *testing.T) {
-	// 2 dims, 3 buckets -> 2 bounds per dim.
-	op := &Bucketizer{NumBuckets: 3, Bounds: &Floats{V: []float32{0, 1, 10, 20}}}
-	out := vector.New(0)
-	if err := op.Transform([]*vector.Vector{denseVec(0.5, 25)}, out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Dense[0] != 1 || out.Dense[1] != 2 {
-		t.Fatalf("buckets: %v", out.Dense)
-	}
-	if err := op.Transform([]*vector.Vector{denseVec(-1, 5)}, out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Dense[0] != 0 || out.Dense[1] != 0 {
-		t.Fatalf("buckets: %v", out.Dense)
-	}
-	roundTrip(t, op)
-}
-
-func TestClipOp(t *testing.T) {
-	op := &Clip{Lo: -1, Hi: 1}
-	out := vector.New(0)
-	if err := op.Transform([]*vector.Vector{denseVec(-5, 0.5, 7)}, out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Dense[0] != -1 || out.Dense[1] != 0.5 || out.Dense[2] != 1 {
-		t.Fatalf("clip: %v", out.Dense)
-	}
-	roundTrip(t, op)
-}
-
-func TestFeatureSelectOp(t *testing.T) {
-	op := &FeatureSelect{Indices: []int32{2, 0}}
-	out := vector.New(0)
-	if err := op.Transform([]*vector.Vector{denseVec(10, 20, 30)}, out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Dense[0] != 30 || out.Dense[1] != 10 {
-		t.Fatalf("select: %v", out.Dense)
-	}
-	roundTrip(t, op)
-}
-
 func TestParseFloatsOp(t *testing.T) {
 	op := &ParseFloats{Sep: ',', Dim: 3}
 	out := vector.New(0)
@@ -324,6 +238,12 @@ func TestParseFloatsOp(t *testing.T) {
 	}
 	if err := op.Transform([]*vector.Vector{textVec("1,2")}, out); err == nil {
 		t.Fatal("missing fields must error")
+	}
+	for _, line := range []string{"1,2,3,4", "1,2,3,"} {
+		err := op.Transform([]*vector.Vector{textVec(line)}, out)
+		if err == nil || !strings.Contains(err.Error(), "needs 3 fields, line has 4") {
+			t.Fatalf("%q: error %v, want too many fields", line, err)
+		}
 	}
 	if err := op.Transform([]*vector.Vector{textVec("a,b,c")}, out); err == nil {
 		t.Fatal("garbage must error")
@@ -433,15 +353,6 @@ func TestMLOps(t *testing.T) {
 		t.Fatal("multiclass out dim")
 	}
 	roundTrip(t, mop)
-
-	cal := &Calibrator{A: 1, B: 0}
-	if err := cal.Transform([]*vector.Vector{denseVec(0)}, out); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(float64(out.Dense[0])-0.5) > 1e-5 {
-		t.Fatalf("calibrated %v", out.Dense[0])
-	}
-	roundTrip(t, cal)
 }
 
 func TestParamSharing(t *testing.T) {
@@ -471,7 +382,7 @@ func TestParamSharing(t *testing.T) {
 }
 
 func TestSetParamsArityErrors(t *testing.T) {
-	for _, op := range []Op{&Tokenizer{}, &Concat{}, &Clip{}, &CSVSelect{}, &HashNgram{}, &FeatureSelect{}, &ParseFloats{}, &L2Normalizer{}, &Calibrator{}} {
+	for _, op := range []Op{&Tokenizer{}, &Concat{}, &HashNgram{}, &ParseFloats{}} {
 		if err := op.SetParams([]Param{&Floats{}}); err == nil {
 			t.Fatalf("%s: extra param must error", op.Info().Kind)
 		}
@@ -490,19 +401,18 @@ func TestReadUnknownKind(t *testing.T) {
 
 func TestKindsRegistered(t *testing.T) {
 	want := []string{
-		"CSVSelect", "Tokenizer", "CharNgram", "WordNgram", "HashNgram",
-		"Concat", "L2Normalizer", "MeanVarScaler", "Imputer", "Bucketizer",
-		"Clip", "FeatureSelect", "ParseFloats", "PCATransform",
-		"KMeansTransform", "TreeFeaturize", "LinearPredictor",
-		"ForestPredictor", "MultiClassPredictor", "Calibrator",
+		"Tokenizer", "CharNgram", "WordNgram", "HashNgram",
+		"Concat", "MeanVarScaler", "Imputer", "ParseFloats",
+		"PCATransform", "KMeansTransform", "TreeFeaturize",
+		"LinearPredictor", "ForestPredictor", "MultiClassPredictor",
 	}
 	for _, k := range want {
 		if registry[k] == nil {
 			t.Fatalf("operator %s not registered", k)
 		}
 	}
-	if len(registry) < 20 {
-		t.Fatalf("expected ~two dozen operators, have %d", len(registry))
+	if len(registry) != len(want) {
+		t.Fatalf("%d operators registered, want the %d above", len(registry), len(want))
 	}
 }
 
@@ -523,10 +433,10 @@ func TestChecksumIncludesConfig(t *testing.T) {
 	if identity(t, a) == identity(t, b) {
 		t.Fatal("Concat identity must depend on Dims")
 	}
-	c1 := &Clip{Lo: 0, Hi: 1}
-	c2 := &Clip{Lo: 0, Hi: 2}
-	if identity(t, c1) == identity(t, c2) {
-		t.Fatal("Clip identity must depend on bounds")
+	p1 := &ParseFloats{Sep: ',', Dim: 3}
+	p2 := &ParseFloats{Sep: ',', Dim: 4}
+	if identity(t, p1) == identity(t, p2) {
+		t.Fatal("ParseFloats identity must depend on Dim")
 	}
 	h1 := &HashNgram{Bits: 8, Word: true}
 	h2 := &HashNgram{Bits: 9, Word: true}

@@ -32,6 +32,9 @@ func refParseFloats(sep byte, dim int, line string, d []float32) error {
 			return fmt.Errorf("ops: ParseFloats needs %d fields, line has %d", dim, f+1)
 		}
 	}
+	if fields := strings.Count(line, string(sep)) + 1; fields > dim {
+		return fmt.Errorf("ops: ParseFloats needs %d fields, line has %d", dim, fields)
+	}
 	return nil
 }
 

@@ -5,8 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 
+	"pretzel/internal/ml"
 	"pretzel/internal/schema"
 	"pretzel/internal/text"
 	"pretzel/internal/vector"
@@ -37,85 +37,11 @@ func readJSONFrame(r io.Reader, v any) error {
 	if n > 1<<24 {
 		return fmt.Errorf("ops: implausible config size %d", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	buf, err := ml.ReadBytes(r, int64(n))
+	if err != nil {
 		return err
 	}
 	return json.Unmarshal(buf, v)
-}
-
-// --- CSVSelect ---
-
-// CSVSelect parses a separated-values line and selects one field as text
-// (Flour's CSV.FromText(...).WithSchema(...).Select(col)).
-type CSVSelect struct {
-	Sep   byte
-	Field int
-}
-
-// Info implements Op.
-func (o *CSVSelect) Info() Info {
-	return Info{Kind: "CSVSelect", NInputs: 1, MemoryBound: true}
-}
-
-// OutSchema implements Op.
-func (o *CSVSelect) OutSchema(in []*schema.Schema) (*schema.Schema, error) {
-	if len(in) != 1 {
-		return nil, errInputs("CSVSelect", 1, len(in))
-	}
-	if err := in[0].CheckKind("CSVSelect", schema.ColText); err != nil {
-		return nil, err
-	}
-	return schema.Text("field"), nil
-}
-
-// Transform implements Op.
-func (o *CSVSelect) Transform(in []*vector.Vector, out *vector.Vector) error {
-	if len(in) != 1 || in[0].Kind != vector.KindText {
-		return fmt.Errorf("ops: CSVSelect needs one text input")
-	}
-	line := in[0].Text
-	// Scan to the o.Field-th separator-delimited field, honouring simple
-	// double-quote escaping.
-	idx := 0
-	start := 0
-	inQuote := false
-	for i := 0; i <= len(line); i++ {
-		if i < len(line) && line[i] == '"' {
-			inQuote = !inQuote
-			continue
-		}
-		if i == len(line) || (line[i] == o.Sep && !inQuote) {
-			if idx == o.Field {
-				out.SetText(strings.Trim(line[start:i], `"`))
-				return nil
-			}
-			idx++
-			start = i + 1
-		}
-	}
-	return fmt.Errorf("ops: CSVSelect field %d out of range (line has %d fields)", o.Field, idx)
-}
-
-// Params implements Op (no shareable parameters).
-func (o *CSVSelect) Params() []Param { return nil }
-
-// SetParams implements Op.
-func (o *CSVSelect) SetParams(ps []Param) error {
-	if len(ps) != 0 {
-		return fmt.Errorf("ops: CSVSelect takes no params")
-	}
-	return nil
-}
-
-// WriteParams implements Op.
-func (o *CSVSelect) WriteParams(w io.Writer) error { return writeJSONFrame(w, o) }
-
-func init() {
-	register("CSVSelect", func(r io.Reader) (Op, error) {
-		o := &CSVSelect{}
-		return o, readJSONFrame(r, o)
-	})
 }
 
 // --- Tokenizer ---

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 
+	"pretzel/internal/ml"
 	"pretzel/internal/schema"
 	"pretzel/internal/vector"
 )
@@ -46,15 +47,11 @@ func readFloats(r io.Reader) (*Floats, error) {
 	if n > 1<<26 {
 		return nil, fmt.Errorf("ops: implausible float count %d", n)
 	}
-	buf := make([]byte, 4*n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	v, err := ml.ReadFloats(r, int64(n))
+	if err != nil {
 		return nil, err
 	}
-	f := &Floats{V: make([]float32, n)}
-	for i := range f.V {
-		f.V[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
-	}
-	return f, nil
+	return &Floats{V: v}, nil
 }
 
 // takeFloats validates and extracts n *Floats params.
@@ -104,7 +101,8 @@ func (o *ParseFloats) OutSchema(in []*schema.Schema) (*schema.Schema, error) {
 	return schema.Vector("features", o.Dim, false), nil
 }
 
-// Transform implements Op.
+// Transform implements Op. The line must hold exactly Dim fields: a
+// trailing separator counts as one more, empty field.
 func (o *ParseFloats) Transform(in []*vector.Vector, out *vector.Vector) error {
 	if len(in) != 1 || in[0].Kind != vector.KindText {
 		return fmt.Errorf("ops: ParseFloats needs one text input")
@@ -126,6 +124,9 @@ func (o *ParseFloats) Transform(in []*vector.Vector, out *vector.Vector) error {
 		if j >= len(line) && f < o.Dim-1 {
 			return fmt.Errorf("ops: ParseFloats needs %d fields, line has %d", o.Dim, f+1)
 		}
+	}
+	if i <= len(line) { // field Dim-1 ended at a separator
+		return fmt.Errorf("ops: ParseFloats needs %d fields, line has %d", o.Dim, o.Dim+1+strings.Count(line[i:], string(o.Sep)))
 	}
 	return nil
 }
@@ -321,68 +322,6 @@ func init() {
 	})
 }
 
-// --- L2Normalizer ---
-
-// L2Normalizer scales a vector to unit Euclidean norm. It requires the
-// complete vector (an n-to-1 aggregation over coordinates), so it is a
-// pipeline breaker (§4.1.2: "a Normalizer requires the L2 norm of the
-// complete vector").
-type L2Normalizer struct{}
-
-// Info implements Op.
-func (o *L2Normalizer) Info() Info {
-	return Info{Kind: "L2Normalizer", NInputs: 1, Breaker: true, MemoryBound: true}
-}
-
-// OutSchema implements Op.
-func (o *L2Normalizer) OutSchema(in []*schema.Schema) (*schema.Schema, error) {
-	if len(in) != 1 {
-		return nil, errInputs("L2Normalizer", 1, len(in))
-	}
-	c, err := in[0].Single()
-	if err != nil {
-		return nil, err
-	}
-	if c.Kind != schema.ColVector {
-		return nil, &schema.MismatchError{Op: "L2Normalizer", Want: schema.ColVector, Got: c.Kind}
-	}
-	return in[0], nil
-}
-
-// Transform implements Op.
-func (o *L2Normalizer) Transform(in []*vector.Vector, out *vector.Vector) error {
-	if len(in) != 1 || (in[0].Kind != vector.KindDense && in[0].Kind != vector.KindSparse) {
-		return fmt.Errorf("ops: L2Normalizer needs one vector input")
-	}
-	out.CopyFrom(in[0])
-	n := out.L2Norm()
-	if n > 0 {
-		out.Scale(1 / n)
-	}
-	return nil
-}
-
-// Params implements Op.
-func (o *L2Normalizer) Params() []Param { return nil }
-
-// SetParams implements Op.
-func (o *L2Normalizer) SetParams(ps []Param) error {
-	if len(ps) != 0 {
-		return fmt.Errorf("ops: L2Normalizer takes no params")
-	}
-	return nil
-}
-
-// WriteParams implements Op.
-func (o *L2Normalizer) WriteParams(w io.Writer) error { return writeJSONFrame(w, o) }
-
-func init() {
-	register("L2Normalizer", func(r io.Reader) (Op, error) {
-		o := &L2Normalizer{}
-		return o, readJSONFrame(r, o)
-	})
-}
-
 // --- MeanVarScaler ---
 
 // MeanVarScaler standardizes each coordinate: (x - mean) / std, with
@@ -473,6 +412,11 @@ func init() {
 		if o.Std, err = readFloats(r); err != nil {
 			return nil, err
 		}
+		// OutSchema checks Mean against the input dim; Transform
+		// reslices Std to it too.
+		if len(o.Std.V) != len(o.Mean.V) {
+			return nil, fmt.Errorf("ops: MeanVarScaler has %d means and %d stds", len(o.Mean.V), len(o.Std.V))
+		}
 		return o, nil
 	})
 }
@@ -555,218 +499,5 @@ func init() {
 			return nil, err
 		}
 		return o, nil
-	})
-}
-
-// --- Bucketizer ---
-
-// Bucketizer maps each coordinate to the index of its quantile bucket
-// (boundaries estimated at training time), a common tree-model front.
-type Bucketizer struct {
-	NumBuckets int
-	Bounds     *Floats `json:"-"` // Dim*(NumBuckets-1) boundaries, row-major
-}
-
-// Info implements Op.
-func (o *Bucketizer) Info() Info {
-	return Info{Kind: "Bucketizer", NInputs: 1, MemoryBound: true}
-}
-
-// OutSchema implements Op.
-func (o *Bucketizer) OutSchema(in []*schema.Schema) (*schema.Schema, error) {
-	if len(in) != 1 {
-		return nil, errInputs("Bucketizer", 1, len(in))
-	}
-	c, err := in[0].Single()
-	if err != nil {
-		return nil, err
-	}
-	if c.Kind != schema.ColVector {
-		return nil, &schema.MismatchError{Op: "Bucketizer", Want: schema.ColVector, Got: c.Kind}
-	}
-	return in[0], nil
-}
-
-// Transform implements Op.
-func (o *Bucketizer) Transform(in []*vector.Vector, out *vector.Vector) error {
-	if len(in) != 1 || in[0].Kind != vector.KindDense {
-		return fmt.Errorf("ops: Bucketizer needs one dense input")
-	}
-	x := in[0].Dense
-	nb := o.NumBuckets - 1
-	d := out.UseDense(len(x))
-	for i := range x {
-		bounds := o.Bounds.V[i*nb : (i+1)*nb]
-		b := 0
-		for b < nb && x[i] > bounds[b] {
-			b++
-		}
-		d[i] = float32(b)
-	}
-	return nil
-}
-
-// Params implements Op.
-func (o *Bucketizer) Params() []Param { return []Param{o.Bounds} }
-
-// SetParams implements Op.
-func (o *Bucketizer) SetParams(ps []Param) error {
-	fs, err := takeFloats("Bucketizer", ps, 1)
-	if err != nil {
-		return err
-	}
-	o.Bounds = fs[0]
-	return nil
-}
-
-// WriteParams implements Op.
-func (o *Bucketizer) WriteParams(w io.Writer) error {
-	if err := writeJSONFrame(w, o); err != nil {
-		return err
-	}
-	return writeFloats(w, o.Bounds)
-}
-
-func init() {
-	register("Bucketizer", func(r io.Reader) (Op, error) {
-		o := &Bucketizer{}
-		if err := readJSONFrame(r, o); err != nil {
-			return nil, err
-		}
-		var err error
-		if o.Bounds, err = readFloats(r); err != nil {
-			return nil, err
-		}
-		return o, nil
-	})
-}
-
-// --- Clip ---
-
-// Clip clamps every coordinate into [Lo, Hi].
-type Clip struct {
-	Lo, Hi float32
-}
-
-// Info implements Op.
-func (o *Clip) Info() Info {
-	return Info{Kind: "Clip", NInputs: 1, MemoryBound: true}
-}
-
-// OutSchema implements Op.
-func (o *Clip) OutSchema(in []*schema.Schema) (*schema.Schema, error) {
-	if len(in) != 1 {
-		return nil, errInputs("Clip", 1, len(in))
-	}
-	c, err := in[0].Single()
-	if err != nil {
-		return nil, err
-	}
-	if c.Kind != schema.ColVector {
-		return nil, &schema.MismatchError{Op: "Clip", Want: schema.ColVector, Got: c.Kind}
-	}
-	return in[0], nil
-}
-
-// Transform implements Op.
-func (o *Clip) Transform(in []*vector.Vector, out *vector.Vector) error {
-	if len(in) != 1 || in[0].Kind != vector.KindDense {
-		return fmt.Errorf("ops: Clip needs one dense input")
-	}
-	x := in[0].Dense
-	d := out.UseDense(len(x))[:len(x)]
-	lo, hi := o.Lo, o.Hi
-	for i, v := range x {
-		if v < lo {
-			v = lo
-		} else if v > hi {
-			v = hi
-		}
-		d[i] = v
-	}
-	return nil
-}
-
-// Params implements Op.
-func (o *Clip) Params() []Param { return nil }
-
-// SetParams implements Op.
-func (o *Clip) SetParams(ps []Param) error {
-	if len(ps) != 0 {
-		return fmt.Errorf("ops: Clip takes no params")
-	}
-	return nil
-}
-
-// WriteParams implements Op.
-func (o *Clip) WriteParams(w io.Writer) error { return writeJSONFrame(w, o) }
-
-func init() {
-	register("Clip", func(r io.Reader) (Op, error) {
-		o := &Clip{}
-		return o, readJSONFrame(r, o)
-	})
-}
-
-// --- FeatureSelect ---
-
-// FeatureSelect projects a dense vector onto a fixed index subset.
-type FeatureSelect struct {
-	Indices []int32
-}
-
-// Info implements Op.
-func (o *FeatureSelect) Info() Info {
-	return Info{Kind: "FeatureSelect", NInputs: 1, MemoryBound: true}
-}
-
-// OutSchema implements Op.
-func (o *FeatureSelect) OutSchema(in []*schema.Schema) (*schema.Schema, error) {
-	if len(in) != 1 {
-		return nil, errInputs("FeatureSelect", 1, len(in))
-	}
-	c, err := in[0].Single()
-	if err != nil {
-		return nil, err
-	}
-	if c.Kind != schema.ColVector {
-		return nil, &schema.MismatchError{Op: "FeatureSelect", Want: schema.ColVector, Got: c.Kind}
-	}
-	return schema.Vector("selected", len(o.Indices), false), nil
-}
-
-// Transform implements Op.
-func (o *FeatureSelect) Transform(in []*vector.Vector, out *vector.Vector) error {
-	if len(in) != 1 || in[0].Kind != vector.KindDense {
-		return fmt.Errorf("ops: FeatureSelect needs one dense input")
-	}
-	x := in[0].Dense
-	d := out.UseDense(len(o.Indices))
-	for i, ix := range o.Indices {
-		if int(ix) < len(x) {
-			d[i] = x[ix]
-		}
-	}
-	return nil
-}
-
-// Params implements Op.
-func (o *FeatureSelect) Params() []Param { return nil }
-
-// SetParams implements Op.
-func (o *FeatureSelect) SetParams(ps []Param) error {
-	if len(ps) != 0 {
-		return fmt.Errorf("ops: FeatureSelect takes no params")
-	}
-	return nil
-}
-
-// WriteParams implements Op.
-func (o *FeatureSelect) WriteParams(w io.Writer) error { return writeJSONFrame(w, o) }
-
-func init() {
-	register("FeatureSelect", func(r io.Reader) (Op, error) {
-		o := &FeatureSelect{}
-		return o, readJSONFrame(r, o)
 	})
 }

@@ -368,14 +368,12 @@ func computeStageSchema(n *snode) error {
 // k (stage inputs were validated in step 1; this only recomputes shapes).
 func inputPlaceholder(op ops.Op, k int) *schema.Schema {
 	switch t := op.(type) {
-	case *ops.Tokenizer, *ops.CSVSelect, *ops.ParseFloats:
+	case *ops.Tokenizer, *ops.ParseFloats:
 		return schema.Text("in")
 	case *ops.CharNgram, *ops.WordNgram, *ops.HashNgram:
 		return schema.Tokens("in")
 	case *ops.Concat:
 		return schema.Vector("in", t.Dims[k], true)
-	case *ops.Calibrator:
-		return schema.Scalar("in")
 	default:
 		return schema.Vector("in", 0, false)
 	}

@@ -8,7 +8,7 @@
 //	InputGraphValidatorStep   (3 rules)  schema propagation + validation
 //	StageGraphBuilderStep     (2 rules)  cut at pipeline breakers, fuse
 //	                                     memory-bound chains
-//	StageGraphOptimizerStep   (9 rules)  CSE, inlining, linear-model
+//	StageGraphOptimizerStep   (8 rules)  CSE, inlining, linear-model
 //	                                     pushdown through Concat, ...
 //	OutputGraphValidatorStep  (5 rules)  stage schemas, sparsity and
 //	                                     vectorization labels, out caps

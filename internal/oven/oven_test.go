@@ -387,20 +387,6 @@ func TestPlanExecReusesAcc(t *testing.T) {
 	}
 }
 
-func TestCalibratorSunkIntoPredictor(t *testing.T) {
-	p := buildSA(t, "sa", 0)
-	// Append a calibrator after the linear predictor.
-	p.Nodes = append(p.Nodes, pipeline.Node{Op: &ops.Calibrator{A: 1, B: 0}, Inputs: []int{4}})
-	pl, err := Compile(p, store.New(), Options{Materialization: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Calibrator should be fused into the scorer stage, keeping 2 stages.
-	if len(pl.Stages) != 2 {
-		t.Fatalf("stages=%d, want calibrator sunk", len(pl.Stages))
-	}
-}
-
 // TestWordIndexChargedAtCompile: Compile builds each word dictionary's
 // trie of term parts, so the Object Store's MemBytes (what lifecycle charges a
 // load) already holds it, and 1,000 predicts leave MemBytes unchanged.

@@ -113,13 +113,12 @@ func buildStep(p *pipeline.Pipeline) step {
 	}}
 }
 
-// --- Step 3: StageGraphOptimizerStep (9 rules) ---
+// --- Step 3: StageGraphOptimizerStep (8 rules) ---
 
 func optimizerStep(opts Options) step {
 	return step{name: "StageGraphOptimizer", rules: []rule{
 		{name: "DeadStageElimination", apply: ruleDeadStageElimination},
 		{name: "MergeEqualStages", apply: ruleMergeEqualStages},
-		{name: "SinkCalibrator", apply: ruleSinkCalibrator},
 		{name: "MergeFeaturizersForMaterialization", apply: func(g *graphIR) (bool, error) {
 			if !opts.Materialization {
 				return false, nil
@@ -199,28 +198,6 @@ func ruleMergeEqualStages(g *graphIR) (bool, error) {
 			g.remove(b)
 			return true, nil
 		}
-	}
-	return false, nil
-}
-
-// ruleSinkCalibrator fuses a Calibrator stage into its producing
-// predictor stage.
-func ruleSinkCalibrator(g *graphIR) (bool, error) {
-	for _, c := range g.nodes {
-		if !c.kindsAre("Calibrator") || len(c.inputs) != 1 || c.inputs[0] == nil {
-			continue
-		}
-		p := c.inputs[0]
-		if p.pushed || len(g.consumers(p)) != 1 {
-			continue
-		}
-		p.ops = append(p.ops, c.ops...)
-		g.replaceInput(c, p)
-		if g.output == c {
-			g.output = p
-		}
-		g.remove(c)
-		return true, nil
 	}
 	return false, nil
 }
@@ -400,9 +377,9 @@ func ruleIsolateComputeBound(g *graphIR) (bool, error) {
 			if !op.Info().ComputeBound {
 				continue
 			}
-			// A compute-bound op may stay fused with its scoring chain
-			// (e.g. LinearPredictor + Calibrator): isolation only applies
-			// against featurization transforms.
+			// A compute-bound op stays fused when every other op in its
+			// stage is a predictor: isolation only applies against
+			// featurization transforms.
 			hasNonPredictor := false
 			for j, o := range n.ops {
 				if j != i && !o.Info().Predictor {

@@ -350,3 +350,45 @@ func TestImportHugeMaxN(t *testing.T) {
 		}
 	}
 }
+
+// renamed is an operator exported under another kind's name.
+type renamed struct {
+	ops.Op
+	kind string
+}
+
+func (r renamed) Info() ops.Info {
+	i := r.Op.Info()
+	i.Kind = r.kind
+	return i
+}
+
+// unknownKindZip is fuzzZips's SA model with its LinearPredictor
+// exported as a Calibrator, a kind ops does not register: the seed
+// testdata/fuzz/FuzzImportBytes/unknown-kind, byte for byte.
+func unknownKindZip(tb testing.TB) []byte {
+	tb.Helper()
+	p, err := pipeline.ImportBytes(fuzzZips(tb)[0])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p.Nodes[4].Op = renamed{p.Nodes[4].Op, "Calibrator"}
+	b, err := p.ExportBytes()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// TestImportUnknownKind: the unknown-kind seed fails the import on the
+// kind its manifest names, although its parameters are a valid
+// LinearPredictor's.
+func TestImportUnknownKind(t *testing.T) {
+	b := readSeed(t, "unknown-kind")
+	if !bytes.Equal(b, unknownKindZip(t)) {
+		t.Fatal("the unknown-kind seed is not unknownKindZip's archive")
+	}
+	if _, err := pipeline.ImportBytes(b); err == nil || !strings.Contains(err.Error(), `ops: unknown operator kind "Calibrator"`) {
+		t.Fatalf("import error %v", err)
+	}
+}

@@ -3,6 +3,7 @@ package plan
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -179,20 +180,21 @@ func TestFeaturizeKernelMatchesOps(t *testing.T) {
 }
 
 func TestGenericKernelChain(t *testing.T) {
+	// The AC head: parse, fill NaN, standardize.
 	k := &GenericKernel{Fused: []ops.Op{
 		&ops.ParseFloats{Sep: ',', Dim: 3},
-		&ops.Clip{Lo: 0, Hi: 1},
-		&ops.L2Normalizer{},
+		&ops.Imputer{Fill: &ops.Floats{V: []float32{9, 6, 9}}},
+		&ops.MeanVarScaler{Mean: &ops.Floats{V: []float32{1, 2, 0.5}}, Std: &ops.Floats{V: []float32{2, 0, 0.5}}},
 	}}
 	ec := &Exec{Pool: vector.NewPool()}
 	in, out := vector.New(0), vector.New(0)
-	in.SetText("2,0.6,0.8")
+	in.SetText("3,nan,1.5")
 	if err := k.Run(ec, []*vector.Vector{in}, out); err != nil {
 		t.Fatal(err)
 	}
-	// clip -> (1,0.6,0.8), normalize -> unit norm
-	if n := out.L2Norm(); n < 0.999 || n > 1.001 {
-		t.Fatalf("norm %v", n)
+	// impute -> (3,6,1.5), scale -> ((3-1)/2, (6-2)/1, (1.5-0.5)/0.5)
+	if want := []float32{1, 4, 2}; !slices.Equal(out.Dense, want) {
+		t.Fatalf("got %v, want %v", out.Dense, want)
 	}
 	// Error propagation names the op.
 	in.SetText("not,numbers,here")

@@ -12,7 +12,6 @@ package vector
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 )
@@ -279,36 +278,6 @@ func (v *Vector) Clone() *Vector {
 	c := &Vector{}
 	c.CopyFrom(v)
 	return c
-}
-
-// L2Norm returns the Euclidean norm of a dense or sparse vector.
-func (v *Vector) L2Norm() float32 {
-	var s float64
-	switch v.Kind {
-	case KindDense:
-		for _, x := range v.Dense {
-			s += float64(x) * float64(x)
-		}
-	case KindSparse:
-		for _, x := range v.Val {
-			s += float64(x) * float64(x)
-		}
-	}
-	return float32(math.Sqrt(s))
-}
-
-// Scale multiplies every stored value by f.
-func (v *Vector) Scale(f float32) {
-	switch v.Kind {
-	case KindDense:
-		for i := range v.Dense {
-			v.Dense[i] *= f
-		}
-	case KindSparse:
-		for i := range v.Val {
-			v.Val[i] *= f
-		}
-	}
 }
 
 // Equal reports whether two vectors hold the same logical value.

@@ -118,7 +118,7 @@ func BuildAC(sc Scale) (*ACSet, error) {
 		// Branch 1: PCA (all variants).
 		nodes = append(nodes, pipeline.Node{Op: &ops.PCATransform{Model: pca}, Inputs: []int{scaledIdx}})
 		branchOuts = append(branchOuts, len(nodes)-1)
-		branchDims = append(branchDims, pcaK)
+		branchDims = append(branchDims, pca.K) // TrainPCA caps K at the input dim
 
 		// Branch 2: KMeans (variants >= 1).
 		if variant >= 1 {
@@ -187,8 +187,8 @@ func BuildAC(sc Scale) (*ACSet, error) {
 		for k, x := range bx {
 			f := make([]float32, 0, featDim)
 			buf := make([]float32, featDim)
-			pca.Project(x, buf[:pcaK])
-			f = append(f, buf[:pcaK]...)
+			pca.Project(x, buf[:pca.K])
+			f = append(f, buf[:pca.K]...)
 			for _, nd := range nodes[3:concatIdx] {
 				switch op := nd.Op.(type) {
 				case *ops.KMeansTransform:
