@@ -2,9 +2,10 @@
 // physical stages. Compute-bound operations are written in an explicitly
 // bounds-check-eliminated, multi-accumulator style — 4- or 8-wide blocks
 // walked by re-slicing (so every index is provably in range) with a
-// remainder tail — which is the reproduction of PRETZEL's "vectorizable"
-// label on dense compute-bound transformations (§4.1.2,
-// OutputGraphValidatorStep): the Go compiler keeps the accumulators in
+// remainder tail — which stands in for PRETZEL's "vectorizable" label
+// on dense compute-bound transformations (§4.1.2,
+// OutputGraphValidatorStep): every such kernel takes this form, so no
+// stage needs the label. The Go compiler keeps the accumulators in
 // registers and the independent lanes expose instruction-level
 // parallelism the scalar form hides.
 //

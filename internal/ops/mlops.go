@@ -19,7 +19,7 @@ type PCATransform struct {
 
 // Info implements Op.
 func (o *PCATransform) Info() Info {
-	return Info{Kind: "PCATransform", NInputs: 1, ComputeBound: true}
+	return Info{Kind: "PCATransform", NInputs: 1}
 }
 
 // OutSchema implements Op.
@@ -100,7 +100,7 @@ type KMeansTransform struct {
 
 // Info implements Op.
 func (o *KMeansTransform) Info() Info {
-	return Info{Kind: "KMeansTransform", NInputs: 1, ComputeBound: true}
+	return Info{Kind: "KMeansTransform", NInputs: 1}
 }
 
 // OutSchema implements Op.
@@ -187,7 +187,7 @@ func NewTreeFeaturize(f *ml.Forest) *TreeFeaturize {
 
 // Info implements Op.
 func (o *TreeFeaturize) Info() Info {
-	return Info{Kind: "TreeFeaturize", NInputs: 1, ComputeBound: true}
+	return Info{Kind: "TreeFeaturize", NInputs: 1}
 }
 
 // OutSchema implements Op.
@@ -269,7 +269,7 @@ type LinearPredictor struct {
 
 // Info implements Op.
 func (o *LinearPredictor) Info() Info {
-	return Info{Kind: "LinearPredictor", NInputs: 1, ComputeBound: true, Commutative: true, Predictor: true}
+	return Info{Kind: "LinearPredictor", NInputs: 1}
 }
 
 // OutSchema implements Op.
@@ -358,7 +358,7 @@ type ForestPredictor struct {
 
 // Info implements Op.
 func (o *ForestPredictor) Info() Info {
-	return Info{Kind: "ForestPredictor", NInputs: 1, ComputeBound: true, Predictor: true}
+	return Info{Kind: "ForestPredictor", NInputs: 1}
 }
 
 // OutSchema implements Op.
@@ -436,7 +436,7 @@ type MultiClassPredictor struct {
 
 // Info implements Op.
 func (o *MultiClassPredictor) Info() Info {
-	return Info{Kind: "MultiClassPredictor", NInputs: 1, ComputeBound: true}
+	return Info{Kind: "MultiClassPredictor", NInputs: 1}
 }
 
 // OutSchema implements Op.

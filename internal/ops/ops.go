@@ -1,17 +1,17 @@
 // Package ops implements the ML.Net-style logical operators that trained
 // pipelines are composed of. PRETZEL supports "about two dozen" operators
 // (§5); this package registers the ones the repository's two workloads
-// are built from. SA: tokenizer, dictionary char and word n-grams,
-// concat and a linear predictor. AC: a numeric line parser, imputer and
-// mean-variance scaler, PCA, KMeans and tree featurizer transforms, and
-// forest predictors (regression and multi-class). The hashing n-gram is
-// the one registered kind no trainer emits. A model file that names any
-// other kind is refused.
+// are built from, and no other: 13 kinds. SA: tokenizer, dictionary
+// char and word n-grams, concat and a linear predictor. AC: a numeric
+// line parser, imputer and mean-variance scaler, PCA, KMeans and tree
+// featurizer transforms, and forest predictors (regression and
+// multi-class). A model file that names any other kind is refused.
 //
 // Every operator carries the annotations the Oven optimizer matches on
 // (§4.1.2: "transformation classes are annotated (e.g., 1-to-1, 1-to-n,
 // memory-bound, compute-bound, commutative and associative) to ease the
-// optimization process").
+// optimization process"): its arity, whether it breaks the pipeline,
+// and whether it is memory-bound. Those are the ones a rule reads.
 package ops
 
 import (
@@ -43,13 +43,10 @@ type Info struct {
 	NInputs int  // number of inputs (1 for most; >1 for Concat)
 	Breaker bool // pipeline breaker: needs its input fully materialized
 
-	// Cost-model annotations driving stage fusion.
-	MemoryBound  bool // pipelined with neighbours in one pass (fusable)
-	ComputeBound bool // isolated for blocked/vectorized execution
-
-	// Algebraic annotations.
-	Commutative bool // model can be pushed through Concat (dot product)
-	Predictor   bool // final scorer of a pipeline
+	// Cost-model annotation driving stage fusion: a memory-bound
+	// operator is pipelined with its neighbours in one pass; any other
+	// operator is compute-bound and keeps a stage of its own.
+	MemoryBound bool
 }
 
 // Op is one trained pipeline operator.

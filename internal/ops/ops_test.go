@@ -135,25 +135,6 @@ func TestWordNgramOp(t *testing.T) {
 	roundTrip(t, op)
 }
 
-func TestHashNgramOp(t *testing.T) {
-	op := &HashNgram{Bits: 8, Word: true}
-	out := vector.New(0)
-	if err := op.Transform([]*vector.Vector{tokensVec("a", "b", "a")}, out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Dim != 256 {
-		t.Fatal("dim")
-	}
-	var total float32
-	for _, v := range out.Val {
-		total += v
-	}
-	if total != 3 {
-		t.Fatalf("total mass %v, want 3", total)
-	}
-	roundTrip(t, op)
-}
-
 func TestConcatOp(t *testing.T) {
 	op := &Concat{Dims: []int{2, 3}}
 	if op.Dim() != 5 {
@@ -335,9 +316,6 @@ func TestMLOps(t *testing.T) {
 	if out.Dense[0] > 0.01 {
 		t.Fatalf("sparse logistic score %v", out.Dense[0])
 	}
-	if !lp.Info().Commutative || !lp.Info().Predictor {
-		t.Fatal("LinearPredictor annotations")
-	}
 	roundTrip(t, lp)
 
 	ys := []int{0, 1, 0, 1, 0, 1}
@@ -382,7 +360,7 @@ func TestParamSharing(t *testing.T) {
 }
 
 func TestSetParamsArityErrors(t *testing.T) {
-	for _, op := range []Op{&Tokenizer{}, &Concat{}, &HashNgram{}, &ParseFloats{}} {
+	for _, op := range []Op{&Tokenizer{}, &Concat{}, &ParseFloats{}} {
 		if err := op.SetParams([]Param{&Floats{}}); err == nil {
 			t.Fatalf("%s: extra param must error", op.Info().Kind)
 		}
@@ -401,7 +379,7 @@ func TestReadUnknownKind(t *testing.T) {
 
 func TestKindsRegistered(t *testing.T) {
 	want := []string{
-		"Tokenizer", "CharNgram", "WordNgram", "HashNgram",
+		"Tokenizer", "CharNgram", "WordNgram",
 		"Concat", "MeanVarScaler", "Imputer", "ParseFloats",
 		"PCATransform", "KMeansTransform", "TreeFeaturize",
 		"LinearPredictor", "ForestPredictor", "MultiClassPredictor",
@@ -437,11 +415,6 @@ func TestChecksumIncludesConfig(t *testing.T) {
 	p2 := &ParseFloats{Sep: ',', Dim: 4}
 	if identity(t, p1) == identity(t, p2) {
 		t.Fatal("ParseFloats identity must depend on Dim")
-	}
-	h1 := &HashNgram{Bits: 8, Word: true}
-	h2 := &HashNgram{Bits: 9, Word: true}
-	if identity(t, h1) == identity(t, h2) {
-		t.Fatal("HashNgram identity must depend on Bits")
 	}
 }
 

@@ -58,30 +58,16 @@ func producedOps(tb testing.TB) map[string]ops.Op {
 	return got
 }
 
-// unproduced lists the registered kinds that no workload builder emits,
-// each with the reason it is still registered.
-var unproduced = map[string]string{
-	"HashNgram": "deleting it also deletes text.HashNgramConfig and CI's hash/fnv allowance for internal/text/ngram.go, a change of its own",
-}
-
 // TestRegistryIsProduced: the registered kinds are exactly the kinds
-// the workload builders emit plus those on unproduced, and nothing on
-// unproduced is emitted.
+// the workload builders emit.
 func TestRegistryIsProduced(t *testing.T) {
-	produced := producedOps(t)
 	var want []string
-	for k := range produced {
-		if _, ok := unproduced[k]; ok {
-			t.Errorf("%s is emitted by a builder: take it off unproduced", k)
-		}
-		want = append(want, k)
-	}
-	for k := range unproduced {
+	for k := range producedOps(t) {
 		want = append(want, k)
 	}
 	slices.Sort(want)
 	if got := ops.Kinds(); !slices.Equal(got, want) {
-		t.Fatalf("registered kinds %v, want the produced and unproduced kinds %v", got, want)
+		t.Fatalf("registered kinds %v, want the produced kinds %v", got, want)
 	}
 }
 
@@ -155,13 +141,11 @@ func writeParams(tb testing.TB, op ops.Op) []byte {
 }
 
 // seedCorpus returns FuzzReadOp's seeds by name: for each registered
-// kind, the parameters of its produced operator (HashNgram's are built
-// here), and every hostile payload. A seed's first byte is its kind's
-// index in ops.Kinds.
+// kind, the parameters of its produced operator, and every hostile
+// payload. A seed's first byte is its kind's index in ops.Kinds.
 func seedCorpus(tb testing.TB) map[string][]byte {
 	tb.Helper()
 	produced := producedOps(tb)
-	produced["HashNgram"] = &ops.HashNgram{Bits: 8, Word: true, MaxN: 2}
 	kinds := ops.Kinds()
 	seed := func(kind string, b []byte) []byte {
 		return append([]byte{byte(slices.Index(kinds, kind))}, b...)

@@ -270,73 +270,3 @@ func init() {
 		return o, nil
 	})
 }
-
-// --- HashNgram ---
-
-// HashNgram is the dictionary-free hashing featurizer over tokens.
-type HashNgram struct {
-	Bits int
-	Word bool
-	MaxN int
-}
-
-// Info implements Op.
-func (o *HashNgram) Info() Info {
-	return Info{Kind: "HashNgram", NInputs: 1, MemoryBound: true}
-}
-
-// Dim returns the output dimensionality.
-func (o *HashNgram) Dim() int { return 1 << o.Bits }
-
-// OutSchema implements Op.
-func (o *HashNgram) OutSchema(in []*schema.Schema) (*schema.Schema, error) {
-	if len(in) != 1 {
-		return nil, errInputs("HashNgram", 1, len(in))
-	}
-	if err := in[0].CheckKind("HashNgram", schema.ColTokens); err != nil {
-		return nil, err
-	}
-	return schema.Vector("hngrams", o.Dim(), true), nil
-}
-
-// Transform implements Op.
-func (o *HashNgram) Transform(in []*vector.Vector, out *vector.Vector) error {
-	if len(in) != 1 || in[0].Kind != vector.KindTokens {
-		return fmt.Errorf("ops: HashNgram needs one tokens input")
-	}
-	out.UseSparse(o.Dim())
-	cfg := text.HashNgramConfig{Bits: o.Bits, Word: o.Word, MaxN: o.MaxN}
-	for _, tok := range in[0].Tokens {
-		cfg.HashToken([]byte(tok), func(ix int32) { out.AppendSparse(ix, 1) })
-	}
-	out.SortSparse()
-	return nil
-}
-
-// Params implements Op.
-func (o *HashNgram) Params() []Param { return nil }
-
-// SetParams implements Op.
-func (o *HashNgram) SetParams(ps []Param) error {
-	if len(ps) != 0 {
-		return fmt.Errorf("ops: HashNgram takes no params")
-	}
-	return nil
-}
-
-// WriteParams implements Op.
-func (o *HashNgram) WriteParams(w io.Writer) error { return writeJSONFrame(w, o) }
-
-func init() {
-	register("HashNgram", func(r io.Reader) (Op, error) {
-		o := &HashNgram{}
-		if err := readJSONFrame(r, o); err != nil {
-			return nil, err
-		}
-		// Buckets are int32 indices: 1<<Bits must be a positive int32.
-		if o.Bits < 0 || o.Bits > 31 {
-			return nil, fmt.Errorf("ops: HashNgram Bits %d outside 0..31", o.Bits)
-		}
-		return o, nil
-	})
-}

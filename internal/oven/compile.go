@@ -96,20 +96,14 @@ func Compile(p *pipeline.Pipeline, objStore *store.ObjectStore, opts Options) (*
 		}
 	}
 
-	g := &graphIR{opts: opts, objStore: objStore, stats: planStats{
-		maxVecSize: p.Stats.MaxVectorSize,
-		avgTokens:  p.Stats.AvgTokens,
-		sparse:     p.Stats.SparseOutput,
-	}, opDigests: make(map[ops.Op][sha256.Size]byte)}
-
 	// Steps 2–4.
-	if err := buildStep(p).run(g); err != nil {
-		return nil, err
+	g := newGraph(p, objStore, opts)
+	for _, st := range []step{buildStep(), optimizerStep(opts)} {
+		if err := st.run(g); err != nil {
+			return nil, err
+		}
 	}
-	if err := optimizerStep(opts).run(g); err != nil {
-		return nil, err
-	}
-	if err := outputStep().run(g); err != nil {
+	if err := validateOutput(g); err != nil {
 		return nil, err
 	}
 
@@ -230,82 +224,26 @@ func (g *graphIR) stageSignature(n *snode, inputs []int) plan.Sig {
 	return sig
 }
 
-// --- Step 4: OutputGraphValidatorStep (5 rules) ---
+// --- Step 4: OutputGraphValidatorStep ---
 
-func outputStep() step {
-	done := false
-	return step{name: "OutputGraphValidator", rules: []rule{
-		{name: "ComputeStageSchemas", apply: func(g *graphIR) (bool, error) {
-			if done {
-				return false, nil
-			}
-			order, err := g.topo()
-			if err != nil {
-				return false, err
-			}
-			for _, n := range order {
-				if err := computeStageSchema(n); err != nil {
-					return false, err
-				}
-			}
-			return false, nil // labelling rules do not rewrite the graph
-		}},
-		{name: "LabelSparsity", apply: func(g *graphIR) (bool, error) {
-			if done {
-				return false, nil
-			}
-			for _, n := range g.nodes {
-				if n.schema != nil {
-					if c, err := n.schema.Single(); err == nil {
-						n.sparse = c.Sparse
-					}
-				}
-			}
-			return false, nil
-		}},
-		{name: "LabelVectorizable", apply: func(g *graphIR) (bool, error) {
-			if done {
-				return false, nil
-			}
-			for _, n := range g.nodes {
-				compute := false
-				for _, op := range n.ops {
-					if op.Info().ComputeBound {
-						compute = true
-					}
-				}
-				n.vectorizable = compute && !n.sparse
-			}
-			return false, nil
-		}},
-		{name: "ComputeOutCaps", apply: func(g *graphIR) (bool, error) {
-			if done {
-				return false, nil
-			}
-			for _, n := range g.nodes {
-				n.outCap = outCapOf(n)
-			}
-			return false, nil
-		}},
-		{name: "FinalValidation", apply: func(g *graphIR) (bool, error) {
-			if done {
-				return false, nil
-			}
-			done = true
-			if g.output == nil {
-				return false, fmt.Errorf("no output stage")
-			}
-			if _, err := g.topo(); err != nil {
-				return false, err
-			}
-			for _, n := range g.nodes {
-				if len(n.ops) == 0 {
-					return false, fmt.Errorf("empty stage survived optimization")
-				}
-			}
-			return false, nil
-		}},
-	}}
+// validateOutput labels every stage with its output schema and pool
+// capacity, then validates the final stage graph. It rewrites nothing,
+// so it is one pass rather than a fixpoint step.
+func validateOutput(g *graphIR) error {
+	order, err := g.topo()
+	if err != nil {
+		return fmt.Errorf("oven: OutputGraphValidator: %w", err)
+	}
+	for _, n := range order {
+		if len(n.ops) == 0 {
+			return fmt.Errorf("oven: OutputGraphValidator: empty stage survived optimization")
+		}
+		if err := computeStageSchema(n); err != nil {
+			return fmt.Errorf("oven: OutputGraphValidator: %w", err)
+		}
+		n.outCap = outCapOf(n)
+	}
+	return nil
 }
 
 // computeStageSchema derives the output schema of a stage.
@@ -370,7 +308,7 @@ func inputPlaceholder(op ops.Op, k int) *schema.Schema {
 	switch t := op.(type) {
 	case *ops.Tokenizer, *ops.ParseFloats:
 		return schema.Text("in")
-	case *ops.CharNgram, *ops.WordNgram, *ops.HashNgram:
+	case *ops.CharNgram, *ops.WordNgram:
 		return schema.Tokens("in")
 	case *ops.Concat:
 		return schema.Vector("in", t.Dims[k], true)
@@ -516,17 +454,7 @@ func assemble(p *pipeline.Pipeline, g *graphIR) (*plan.Plan, error) {
 	for i, n := range order {
 		index[n] = i
 	}
-	inputIsText := false
-	if p.InputSchema != nil {
-		if c, err := p.InputSchema.Single(); err == nil && c.Kind == schema.ColText {
-			inputIsText = true
-		}
-	}
-	pl := &plan.Plan{
-		Name:        p.Name,
-		MaxVecSize:  g.stats.maxVecSize,
-		InputIsText: inputIsText,
-	}
+	pl := &plan.Plan{Name: p.Name}
 	// On any failure the stage references interned so far must go back
 	// to the plan store, or they leak refcounts no plan owns.
 	fail := func(err error) (*plan.Plan, error) {

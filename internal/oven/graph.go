@@ -2,16 +2,22 @@
 // (§4.1.2). Compilation takes a trained pipeline (authored via Flour or
 // imported from a model file), interns its parameters in the Object
 // Store, rewrites the transformation graph into a stage graph through
-// four rule-based steps run to fixpoint, and maps each logical stage onto
-// a physical kernel built at compile time:
+// four rule-based steps, and maps each logical stage onto a physical
+// kernel built at compile time:
 //
 //	InputGraphValidatorStep   (3 rules)  schema propagation + validation
-//	StageGraphBuilderStep     (2 rules)  cut at pipeline breakers, fuse
-//	                                     memory-bound chains
-//	StageGraphOptimizerStep   (8 rules)  CSE, inlining, linear-model
-//	                                     pushdown through Concat, ...
-//	OutputGraphValidatorStep  (5 rules)  stage schemas, sparsity and
-//	                                     vectorization labels, out caps
+//	StageGraphBuilderStep     (1 rule)   one stage per operator, then
+//	                                     fuse memory-bound chains
+//	StageGraphOptimizerStep   (5 rules)  CSE, featurizer merging, linear-
+//	                                     model pushdown through Concat,
+//	                                     prefix and single-op inlining
+//	OutputGraphValidatorStep  (1 pass)   stage schemas, out caps, final
+//	                                     validation
+//
+// Only steps 2 and 3 rewrite the graph, and each iterates its rules
+// until a pass leaves the graph unchanged. Every rule fires on some
+// graph that step 1 accepts; a rule no such graph can trigger is not
+// kept.
 package oven
 
 import (
@@ -23,6 +29,7 @@ import (
 
 	"pretzel/internal/ml"
 	"pretzel/internal/ops"
+	"pretzel/internal/pipeline"
 	"pretzel/internal/schema"
 	"pretzel/internal/store"
 )
@@ -40,10 +47,8 @@ type snode struct {
 	finisher bool
 
 	// Output labels (OutputGraphValidatorStep).
-	schema       *schema.Schema
-	sparse       bool
-	vectorizable bool
-	outCap       int
+	schema *schema.Schema
+	outCap int
 
 	materializable bool
 }
@@ -53,12 +58,32 @@ type graphIR struct {
 	nodes    []*snode // insertion order; topo recomputed on demand
 	output   *snode
 	opts     Options
-	stats    planStats
 	objStore *store.ObjectStore // may be nil
 
 	// opDigests memoizes operator digests for the duration of one
 	// compile: CSE and every stage signature ask for them.
 	opDigests map[ops.Op][sha256.Size]byte
+}
+
+// newGraph builds the initial stage graph of a validated pipeline, one
+// stage per operator (StageGraphBuilderStep's BuildInitialStages).
+func newGraph(p *pipeline.Pipeline, objStore *store.ObjectStore, opts Options) *graphIR {
+	g := &graphIR{opts: opts, objStore: objStore, opDigests: make(map[ops.Op][sha256.Size]byte)}
+	byNode := make([]*snode, len(p.Nodes))
+	for i, n := range p.Nodes {
+		sn := &snode{ops: []ops.Op{n.Op}}
+		for _, src := range n.Inputs {
+			if src == pipeline.InputID {
+				sn.inputs = append(sn.inputs, nil)
+			} else {
+				sn.inputs = append(sn.inputs, byNode[src])
+			}
+		}
+		byNode[i] = sn
+		g.nodes = append(g.nodes, sn)
+	}
+	g.output = byNode[p.Output()]
+	return g
 }
 
 // opDigest returns the memoized content digest of op: SHA-256 over its
@@ -101,13 +126,6 @@ func writeStr(w io.Writer, s string) {
 	binary.LittleEndian.PutUint64(b8[:], uint64(len(s)))
 	w.Write(b8[:])
 	io.WriteString(w, s)
-}
-
-// planStats carries training statistics into compilation.
-type planStats struct {
-	maxVecSize int
-	avgTokens  float64
-	sparse     bool
 }
 
 // consumers returns the stages reading from n.

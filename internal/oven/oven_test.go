@@ -140,9 +140,6 @@ func TestCompileSAPushdownTwoStages(t *testing.T) {
 	if pl.Stages[0].Kern.Kind() != "sa-head" || pl.Stages[1].Kern.Kind() != "sa-tail" {
 		t.Fatalf("kernels: %s, %s", pl.Stages[0].Kern.Kind(), pl.Stages[1].Kern.Kind())
 	}
-	if !pl.InputIsText {
-		t.Fatal("input must be text")
-	}
 }
 
 func TestCompiledSAMatchesReference(t *testing.T) {

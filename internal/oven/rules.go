@@ -2,6 +2,7 @@ package oven
 
 import (
 	"fmt"
+	"slices"
 
 	"pretzel/internal/ops"
 	"pretzel/internal/pipeline"
@@ -17,16 +18,13 @@ func validateInput(p *pipeline.Pipeline) error {
 	// Rules 1+2 — schema propagation and per-transformation validation:
 	// Validate propagates schemas edge-by-edge and each operator's
 	// OutSchema enforces its input kinds.
-	if _, err := p.Validate(); err != nil {
+	out, err := p.Validate()
+	if err != nil {
 		return fmt.Errorf("oven: input validation: %w", err)
 	}
 	// Rule 3 — graph validation: the DAG must end in a predictor-like
 	// output (a scalar or a probability vector) and every node must be
 	// reachable from the output.
-	out, err := p.Validate()
-	if err != nil {
-		return err
-	}
 	c, err := out.Single()
 	if err != nil {
 		return fmt.Errorf("oven: graph validation: output must be a single column: %w", err)
@@ -57,32 +55,10 @@ func validateInput(p *pipeline.Pipeline) error {
 
 // --- Step 2: StageGraphBuilderStep ---
 
-// buildStep returns the two stage-graph-builder rules. buildInitial runs
-// once (it is a no-op afterwards); fuseMemoryBound runs to fixpoint.
-func buildStep(p *pipeline.Pipeline) step {
-	built := false
+// buildStep returns the stage-graph-builder rule that runs to fixpoint
+// over the initial stages newGraph builds.
+func buildStep() step {
 	return step{name: "StageGraphBuilder", rules: []rule{
-		{name: "BuildInitialStages", apply: func(g *graphIR) (bool, error) {
-			if built {
-				return false, nil
-			}
-			built = true
-			byNode := make([]*snode, len(p.Nodes))
-			for i, n := range p.Nodes {
-				sn := &snode{ops: []ops.Op{n.Op}}
-				for _, src := range n.Inputs {
-					if src == pipeline.InputID {
-						sn.inputs = append(sn.inputs, nil)
-					} else {
-						sn.inputs = append(sn.inputs, byNode[src])
-					}
-				}
-				byNode[i] = sn
-				g.nodes = append(g.nodes, sn)
-			}
-			g.output = byNode[p.Output()]
-			return true, nil
-		}},
 		// FuseMemoryBoundChains pipelines memory-intensive 1-to-1
 		// transformations into a single pass over the data (the
 		// Tupleware-style hybrid policy): A -> B fuse when A is
@@ -113,11 +89,15 @@ func buildStep(p *pipeline.Pipeline) step {
 	}}
 }
 
-// --- Step 3: StageGraphOptimizerStep (8 rules) ---
+// --- Step 3: StageGraphOptimizerStep (5 rules) ---
 
+// optimizerStep returns the five optimizer rules. None of them strands a
+// stage (step 1 refuses a node the output cannot reach), empties one, or
+// fuses a compute-bound operator beside another (every fusing rule joins
+// memory-bound stages only), so the step needs no dead-stage, empty-stage
+// or isolation rule.
 func optimizerStep(opts Options) step {
 	return step{name: "StageGraphOptimizer", rules: []rule{
-		{name: "DeadStageElimination", apply: ruleDeadStageElimination},
 		{name: "MergeEqualStages", apply: ruleMergeEqualStages},
 		{name: "MergeFeaturizersForMaterialization", apply: func(g *graphIR) (bool, error) {
 			if !opts.Materialization {
@@ -134,37 +114,9 @@ func optimizerStep(opts Options) step {
 			}
 			return rulePushLinearThroughConcat(g)
 		}},
-		{name: "RemoveEmptyStages", apply: ruleRemoveEmptyStages},
 		{name: "SharedPrefixInline", apply: ruleSharedPrefixInline},
 		{name: "InlineSingleTransformStages", apply: ruleInlineSingleTransform},
-		{name: "IsolateComputeBound", apply: ruleIsolateComputeBound},
 	}}
-}
-
-// ruleDeadStageElimination removes stages unreachable from the output
-// ("removing unnecessary branches", common sub-expression elimination's
-// cleanup companion).
-func ruleDeadStageElimination(g *graphIR) (bool, error) {
-	reach := map[*snode]bool{}
-	var mark func(n *snode)
-	mark = func(n *snode) {
-		if n == nil || reach[n] {
-			return
-		}
-		reach[n] = true
-		for _, in := range n.inputs {
-			mark(in)
-		}
-	}
-	mark(g.output)
-	changed := false
-	for i := len(g.nodes) - 1; i >= 0; i-- {
-		if !reach[g.nodes[i]] {
-			g.nodes = append(g.nodes[:i], g.nodes[i+1:]...)
-			changed = true
-		}
-	}
-	return changed, nil
 }
 
 // ruleMergeEqualStages merges stages containing equal transformations
@@ -227,9 +179,11 @@ func rulePushLinearThroughConcat(g *graphIR) (bool, error) {
 		if len(branches) != len(concat.Dims) {
 			continue
 		}
+		// A branch read twice (MergeEqualStages joined two equal ones)
+		// would be chained onto itself below.
 		pushable := true
-		for _, b := range branches {
-			if b == nil || b.pushed || !isPushableBranch(b) {
+		for i, b := range branches {
+			if b == nil || b.pushed || !isPushableBranch(b) || slices.Contains(branches[:i], b) {
 				pushable = false
 				break
 			}
@@ -269,22 +223,6 @@ func rulePushLinearThroughConcat(g *graphIR) (bool, error) {
 func isPushableBranch(n *snode) bool {
 	return n.kindsAre("CharNgram") || n.kindsAre("WordNgram") ||
 		n.kindsAre("Tokenizer", "CharNgram") || n.kindsAre("Tokenizer", "WordNgram")
-}
-
-// ruleRemoveEmptyStages drops stages whose op lists other rules emptied.
-func ruleRemoveEmptyStages(g *graphIR) (bool, error) {
-	changed := false
-	for i := len(g.nodes) - 1; i >= 0; i-- {
-		n := g.nodes[i]
-		if len(n.ops) == 0 && n != g.output {
-			if len(n.inputs) == 1 {
-				g.replaceInput(n, n.inputs[0])
-			}
-			g.nodes = append(g.nodes[:i], g.nodes[i+1:]...)
-			changed = true
-		}
-	}
-	return changed, nil
 }
 
 // ruleSharedPrefixInline pipelines a shared prefix stage (e.g. Tokenizer)
@@ -360,51 +298,6 @@ func ruleInlineSingleTransform(g *graphIR) (bool, error) {
 		b.inputs = a.inputs
 		g.remove(a)
 		return true, nil
-	}
-	return false, nil
-}
-
-// ruleIsolateComputeBound splits compute-bound transformations out of
-// multi-op stages so they execute one-at-a-time with vectorized kernels
-// (§4.1.2: "compute-intensive transformations are executed one-at-a-time
-// so that SIMD vectorization can be exploited").
-func ruleIsolateComputeBound(g *graphIR) (bool, error) {
-	for _, n := range g.nodes {
-		if len(n.ops) < 2 || n.pushed {
-			continue
-		}
-		for i, op := range n.ops {
-			if !op.Info().ComputeBound {
-				continue
-			}
-			// A compute-bound op stays fused when every other op in its
-			// stage is a predictor: isolation only applies against
-			// featurization transforms.
-			hasNonPredictor := false
-			for j, o := range n.ops {
-				if j != i && !o.Info().Predictor {
-					hasNonPredictor = true
-					break
-				}
-			}
-			if !hasNonPredictor {
-				continue
-			}
-			// Split [0:i] | [i] | [i+1:]; here we split off the head
-			// compute op and let fixpoint iteration handle the rest.
-			if i == 0 {
-				head := &snode{ops: []ops.Op{op}, inputs: n.inputs}
-				n.ops = append([]ops.Op{}, n.ops[1:]...)
-				n.inputs = []*snode{head}
-				g.nodes = append(g.nodes, head)
-			} else {
-				pre := &snode{ops: append([]ops.Op{}, n.ops[:i]...), inputs: n.inputs}
-				n.ops = append([]ops.Op{}, n.ops[i:]...)
-				n.inputs = []*snode{pre}
-				g.nodes = append(g.nodes, pre)
-			}
-			return true, nil
-		}
 	}
 	return false, nil
 }

@@ -324,19 +324,6 @@ func TestImportRejectsDuplicateTerms(t *testing.T) {
 	}
 }
 
-// buildHash constructs Tokenizer -> HashNgram(bits) -> LinearPredictor.
-func buildHash(bits int) *Pipeline {
-	return &Pipeline{
-		Name:        "hash-test",
-		InputSchema: schema.Text("Text"),
-		Nodes: []Node{
-			{Op: &ops.Tokenizer{}, Inputs: []int{InputID}},
-			{Op: &ops.HashNgram{Bits: bits, Word: true}, Inputs: []int{0}},
-			{Op: &ops.LinearPredictor{Model: &ml.LinearModel{Kind: ml.LogisticRegression, Weights: make([]float32, 1)}}, Inputs: []int{1}},
-		},
-	}
-}
-
 // importNoPanic exports p and imports it back, turning a panic into a
 // test failure.
 func importNoPanic(t *testing.T, p *Pipeline) (err error) {
@@ -354,11 +341,10 @@ func importNoPanic(t *testing.T, p *Pipeline) (err error) {
 	return err
 }
 
-// TestImportRejectsBadNgramConfigs: an n-gram config that would panic at
-// import (a negative shift in HashNgram.Dim) or on every predict (a
-// negative char gram length), overflow int32 buckets, or hold a word
-// term of more than 8 parts fails the import; the edge configs that work
-// still import.
+// TestImportRejectsBadNgramConfigs: an n-gram config that would panic on
+// every predict (a negative char gram length) or hold a word term of
+// more than 8 parts fails the import; the edge configs that work still
+// import.
 func TestImportRejectsBadNgramConfigs(t *testing.T) {
 	charSA := func(minN, maxN int) *Pipeline {
 		p := buildSA(t)
@@ -384,11 +370,8 @@ func TestImportRejectsBadNgramConfigs(t *testing.T) {
 		{"char MinN -2", charSA(-2, 3), "MinN -2 is negative"},
 		{"word term of 9 parts", wordSA(9), "WordNgram term of 9 parts (limit 8)"},
 		{"word term of 8 parts", wordSA(8), ""},
-		{"hash Bits -1", buildHash(-1), "Bits -1 outside"},
-		{"hash Bits 32", buildHash(32), "Bits 32 outside"},
 		{"char MinN 0", charSA(0, 3), ""},
 		{"char MaxN < MinN", charSA(3, 2), ""},
-		{"hash Bits 0", buildHash(0), ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := importNoPanic(t, tc.p)

@@ -268,10 +268,6 @@ type Plan struct {
 	Name string
 	// Stages in topological order; the last stage produces the output.
 	Stages []*Stage
-	// MaxVecSize is the training statistic used to size vector requests.
-	MaxVecSize int
-	// InputIsText records the expected input kind for the FrontEnd.
-	InputIsText bool
 	// Interned lists the canonical parameter instances this plan
 	// interned into the Object Store at compile time (one entry per
 	// intern call, duplicates included). The lifecycle tier releases

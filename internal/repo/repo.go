@@ -76,9 +76,7 @@ type manifest struct {
 type Entry struct {
 	Name    string
 	Version int
-	Path    string
 	Bytes   int64
-	ModTime time.Time
 }
 
 // Ref formats the entry as a "name@version" model reference.
@@ -233,17 +231,16 @@ func (r *Repo) versions(name string) ([]Entry, error) {
 		if err != nil || v <= 0 {
 			continue
 		}
-		path := r.zipPath(name, v)
-		fi, err := os.Stat(path)
+		fi, err := os.Stat(r.zipPath(name, v))
 		if err != nil {
 			continue // publish in progress or crashed before rename
 		}
 		hasV1 = hasV1 || v == 1
-		out = append(out, Entry{Name: name, Version: v, Path: path, Bytes: fi.Size(), ModTime: fi.ModTime()})
+		out = append(out, Entry{Name: name, Version: v, Bytes: fi.Size()})
 	}
 	if !hasV1 {
 		if fi, err := os.Stat(r.legacyPath(name)); err == nil && !fi.IsDir() {
-			out = append(out, Entry{Name: name, Version: 1, Path: r.legacyPath(name), Bytes: fi.Size(), ModTime: fi.ModTime()})
+			out = append(out, Entry{Name: name, Version: 1, Bytes: fi.Size()})
 		}
 	}
 	sortEntries(out)
@@ -465,7 +462,7 @@ func (r *Repo) Put(name string, version int, zip []byte) (Entry, error) {
 	if err != nil {
 		return storageErr("publishing", err)
 	}
-	e := Entry{Name: name, Version: version, Path: final, Bytes: fi.Size(), ModTime: fi.ModTime()}
+	e := Entry{Name: name, Version: version, Bytes: fi.Size()}
 	r.update(name, func(m *model) {
 		if i, ok := m.find(version); ok {
 			m.versions[i] = e

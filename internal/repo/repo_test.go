@@ -116,8 +116,11 @@ func TestLegacyFlatLayout(t *testing.T) {
 	if err != nil || len(entries) != 2 || entries[0].Ref() != "old@1" || entries[1].Ref() != "old@2" {
 		t.Fatalf("flat version 1 must stay listed beside old@2: %v %v", entries, err)
 	}
-	if vs, err := r.Versions("old"); err != nil || len(vs) != 2 || vs[0].Path != filepath.Join(r.Root(), "old.zip") {
+	if vs, err := r.Versions("old"); err != nil || len(vs) != 2 {
 		t.Fatalf("versions after put over legacy: %v %v", vs, err)
+	}
+	if b, err := r.Read("old", 1); err != nil || string(b) != "legacy" {
+		t.Fatalf("old@1 after put over legacy: %q %v", b, err)
 	}
 	// Deleting version 1 still removes the flat file.
 	if err := r.Delete("old", 1); err != nil {
@@ -136,8 +139,11 @@ func TestLegacyFlatLayout(t *testing.T) {
 	if _, err := r.Put("old", 1, []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	if vs, _ := r.Versions("old"); len(vs) != 2 || vs[0].Path == filepath.Join(r.Root(), "old.zip") {
-		t.Fatalf("versioned old@1 must shadow the flat file: %v", vs)
+	if vs, _ := r.Versions("old"); len(vs) != 2 {
+		t.Fatalf("versions after publishing old@1: %v", vs)
+	}
+	if b, err := r.Read("old", 1); err != nil || string(b) != "v1" {
+		t.Fatalf("versioned old@1 must shadow the flat file: %q %v", b, err)
 	}
 }
 
@@ -258,12 +264,13 @@ func TestReadDetectsCorruption(t *testing.T) {
 		t.Fatalf("pristine read %q %v", b, err)
 	}
 	// Flip one byte in place.
-	raw, err := os.ReadFile(e.Path)
+	path := r.zipPath(e.Name, e.Version)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw[0] ^= 0xff
-	if err := os.WriteFile(e.Path, raw, 0o644); err != nil {
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, err = r.Read("sa", 1)

@@ -3,7 +3,6 @@ package text
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/fnv"
 )
 
 // CharNgramConfig parameterizes character n-gram extraction. Character
@@ -268,37 +267,4 @@ func ObserveWordNgrams(b *DictBuilder, tokens []string, maxN int, scratch []byte
 		}
 	}
 	return scratch
-}
-
-// HashNgramConfig is the dictionary-free hashing featurizer: n-grams are
-// mapped to 1<<Bits buckets with FNV-1a (ML.Net's HashingVectorizer).
-type HashNgramConfig struct {
-	Bits int // output dimension = 1<<Bits
-	Word bool
-	MaxN int
-}
-
-// Dim returns the output dimensionality.
-func (c *HashNgramConfig) Dim() int { return 1 << c.Bits }
-
-// HashToken emits the bucket of one token (word mode) or of its char
-// n-grams (char mode).
-func (c *HashNgramConfig) HashToken(tok []byte, emit func(idx int32)) {
-	mask := uint64(c.Dim() - 1)
-	if c.Word {
-		h := fnv.New64a()
-		h.Write(tok)
-		emit(int32(h.Sum64() & mask))
-		return
-	}
-	for n := 2; n <= c.MaxN; n++ {
-		if len(tok) < n {
-			break
-		}
-		for i := 0; i+n <= len(tok); i++ {
-			h := fnv.New64a()
-			h.Write(tok[i : i+n])
-			emit(int32(h.Sum64() & mask))
-		}
-	}
 }

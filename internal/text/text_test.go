@@ -375,34 +375,6 @@ func TestObserveCharNgrams(t *testing.T) {
 	}
 }
 
-func TestHashNgram(t *testing.T) {
-	word := &HashNgramConfig{Bits: 8, Word: true}
-	if word.Dim() != 256 {
-		t.Fatal("dim")
-	}
-	var a, b []int32
-	word.HashToken([]byte("hello"), func(ix int32) { a = append(a, ix) })
-	word.HashToken([]byte("hello"), func(ix int32) { b = append(b, ix) })
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("hashing must be deterministic")
-	}
-	if len(a) != 1 || a[0] < 0 || a[0] >= 256 {
-		t.Fatalf("bucket out of range: %v", a)
-	}
-	ch := &HashNgramConfig{Bits: 6, MaxN: 3}
-	var got []int32
-	ch.HashToken([]byte("abcd"), func(ix int32) { got = append(got, ix) })
-	// 3 bigrams + 2 trigrams = 5 grams
-	if len(got) != 5 {
-		t.Fatalf("char gram count = %d, want 5", len(got))
-	}
-	for _, ix := range got {
-		if ix < 0 || ix >= 64 {
-			t.Fatalf("bucket out of range: %d", ix)
-		}
-	}
-}
-
 func TestTokenizeZeroAlloc(t *testing.T) {
 	s := "the quick brown fox jumps over the lazy dog"
 	buf := make([]byte, 0, 32)
