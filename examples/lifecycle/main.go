@@ -1,14 +1,18 @@
 // Lifecycle: the versioned model lifecycle with an atomic hot swap.
-// Registers sentiment@1 (label "stable"), serves traffic, installs
-// sentiment@2 as a canary, moves "stable" to it with zero failed
-// in-flight requests, then drains and removes version 1 — the
-// TF-Serving-style servable flow on top of PRETZEL's white-box runtime.
+// Publishes sentiment@1 into an on-disk model repository, serves
+// traffic on the bare name, publishes sentiment@2 as a canary, moves
+// "stable" to it with zero failed in-flight requests, then drains and
+// removes version 1 — the TF-Serving-style servable flow on top of
+// PRETZEL's white-box runtime. The repository keeps the versions and
+// the labels; the lifecycle manager over it moves labels and loads
+// exactly the version each reference resolves to.
 package main
 
 import (
 	"context"
 	"fmt"
 	"log"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,16 +20,15 @@ import (
 	"pretzel"
 	"pretzel/internal/ml"
 	"pretzel/internal/ops"
-	"pretzel/internal/oven"
 	"pretzel/internal/pipeline"
 	"pretzel/internal/schema"
 	"pretzel/internal/text"
 )
 
-// buildPlan compiles a tiny sentiment pipeline; bump differentiates the
+// buildZip exports a tiny sentiment pipeline; bump differentiates the
 // model weights between versions while the dictionaries stay shared
 // through the Object Store.
-func buildPlan(objStore *pretzel.ObjectStore, bump float32) *pretzel.Plan {
+func buildZip(bump float32) []byte {
 	cb, wb := text.NewDictBuilder(), text.NewDictBuilder()
 	for _, doc := range []string{"nice product great wonderful", "bad refund awful broken"} {
 		toks := text.Tokenize(doc, nil)
@@ -50,25 +53,38 @@ func buildPlan(objStore *pretzel.ObjectStore, bump float32) *pretzel.Plan {
 			{Op: &ops.LinearPredictor{Model: &ml.LinearModel{Kind: ml.LogisticRegression, Weights: weights}}, Inputs: []int{3}},
 		},
 	}
-	pl, err := oven.Compile(p, objStore, oven.DefaultOptions())
+	zip, err := p.ExportBytes()
 	if err != nil {
 		log.Fatal(err)
 	}
-	return pl
+	return zip
 }
 
 func main() {
-	objStore := pretzel.NewObjectStore()
-	rt := pretzel.NewRuntime(objStore, pretzel.RuntimeConfig{Executors: 4})
-	defer rt.Close()
+	dir, err := os.MkdirTemp("", "pretzel-lifecycle-")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	models, err := pretzel.OpenModelRepo(dir)
+	if err != nil {
+		log.Fatal(err)
+	}
+	rt := pretzel.NewRuntime(pretzel.NewObjectStore(), pretzel.RuntimeConfig{Executors: 4})
+	mgr, err := pretzel.NewLifecycleManager(pretzel.NewLocalEngine(rt, nil), models, pretzel.LifecycleConfig{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer mgr.Close()
 
-	// 1. Install version 1; the first version takes the "stable" label.
-	if _, err := rt.RegisterVersion(buildPlan(objStore, 0), "sentiment", 1); err != nil {
+	// 1. Publish version 1. With no "stable" label persisted, the bare
+	// name resolves to the lowest version present.
+	if _, err := mgr.Register(buildZip(0), pretzel.RegisterOptions{Name: "sentiment"}); err != nil {
 		log.Fatal(err)
 	}
 
-	// 2. Serve traffic against the bare name (resolves via "stable")
-	// while the rollout happens underneath.
+	// 2. Serve traffic against the bare name while the rollout happens
+	// underneath.
 	var served, failed atomic.Int64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -76,16 +92,13 @@ func main() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			in, out := pretzel.NewVector(), pretzel.NewVector()
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				in.SetText("a nice product")
-				err := rt.PredictRequest(pretzel.Request{Ctx: context.Background(), Model: "sentiment", In: in, Out: out})
-				if err != nil {
+				if _, err := mgr.Predict(context.Background(), "sentiment", "a nice product", pretzel.PredictOptions{}); err != nil {
 					failed.Add(1)
 				} else {
 					served.Add(1)
@@ -94,34 +107,32 @@ func main() {
 		}()
 	}
 
-	// 3. Canary version 2: installed and addressable as sentiment@2 or
+	// 3. Canary version 2: published and addressable as sentiment@2 or
 	// sentiment@canary, but bare-name traffic still hits version 1.
 	time.Sleep(20 * time.Millisecond) // let version-1 traffic flow
-	if _, err := rt.RegisterVersion(buildPlan(objStore, 2), "sentiment", 2); err != nil {
-		log.Fatal(err)
-	}
-	if err := rt.SetLabel("sentiment", "canary", 2); err != nil {
+	if _, err := mgr.Register(buildZip(2), pretzel.RegisterOptions{Name: "sentiment", Label: "canary"}); err != nil {
 		log.Fatal(err)
 	}
 
 	// 4. Hot swap: move "stable" to version 2. In-flight requests
 	// finish on version 1; new ones resolve to version 2. No request
 	// ever fails.
-	if err := rt.SetLabel("sentiment", pretzel.LabelStable, 2); err != nil {
+	if err := mgr.SetLabel("sentiment", pretzel.LabelStable, 2); err != nil {
 		log.Fatal(err)
 	}
 
 	// 5. Retire version 1: Unregister drains its in-flight work first,
-	// then releases the parameters and stages only version 1 held.
+	// releases the parameters and stages only version 1 held and
+	// deletes it from the repository.
 	time.Sleep(20 * time.Millisecond) // let version-2 traffic flow
-	if err := rt.Unregister("sentiment@1"); err != nil {
+	if err := mgr.Unregister("sentiment@1"); err != nil {
 		log.Fatal(err)
 	}
 	close(stop)
 	wg.Wait()
 
 	fmt.Printf("served %d requests across the swap, %d failed\n", served.Load(), failed.Load())
-	info, err := rt.ModelInfo("sentiment")
+	info, err := mgr.ModelInfo("sentiment")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -133,5 +144,8 @@ func main() {
 		}
 		fmt.Printf("  version %d: %d stages, %d stage executions recorded\n",
 			v.Version, len(v.Stages), total)
+	}
+	if failed.Load() != 0 {
+		log.Fatalf("%d requests failed across the swap", failed.Load())
 	}
 }

@@ -491,7 +491,7 @@ func TestRouterRegisterBadParams(t *testing.T) {
 }
 
 func TestRouterLifecycle(t *testing.T) {
-	_, router := newCluster(t, 3, 2)
+	_, router := newLifecycleCluster(t, 3, 2) // labels live in the nodes' repositories
 	zip := exportPipe(t, "sa-life")
 	reg, err := router.Register(zip, serving.RegisterOptions{})
 	if err != nil {

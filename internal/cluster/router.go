@@ -10,6 +10,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -263,6 +264,10 @@ func mapRemoteStatus(code int, msg string) error {
 		return fmt.Errorf("%w: %s", runtime.ErrDeadlineExceeded, msg)
 	case http.StatusBadRequest:
 		return fmt.Errorf("%w: %s", runtime.ErrInvalidInput, msg)
+	case http.StatusNotImplemented:
+		// A capability the node lacks (labels without a repository) is
+		// no fault of the node's.
+		return fmt.Errorf("%w: %s", serving.ErrUnsupported, msg)
 	default:
 		return nodeErr{err: fmt.Errorf("cluster: node status %d: %s", code, msg), fault: true}
 	}
@@ -878,10 +883,8 @@ func (r *Router) invalidateResolved(name string) {
 	r.resolveMu.Unlock()
 }
 
-// Resolve mirrors the runtime's reference semantics against the
-// owners' catalog view: bare names resolve through the "stable" label
-// (or a single installed version), explicit versions and labels
-// resolve directly, and nothing ever falls back to "latest".
+// Resolve applies runtime.SelectVersion to the owners' catalog view:
+// the labels and versions one owner reports.
 // Successful resolutions are cached for resolveTTL so the front end's
 // per-request cache-key lookup does not cost a remote catalog read per
 // prediction.
@@ -909,15 +912,18 @@ func (r *Router) resolveRemote(ref string) (string, int, error) {
 	if err != nil {
 		return "", 0, err
 	}
-	installed := make(map[int]struct{}, len(info.Versions))
-	for _, vi := range info.Versions {
-		installed[vi.Version] = struct{}{}
+	// A node lists its versions ascending.
+	lowest := func() int {
+		if len(info.Versions) == 0 {
+			return 0
+		}
+		return info.Versions[0].Version
 	}
-	v, err := runtime.ResolveVersion(name, rest, info.Labels, installed)
-	if err != nil {
-		return "", 0, err
+	v, ok := runtime.SelectVersion(rest, info.Labels, lowest)
+	if ok && slices.ContainsFunc(info.Versions, func(vi runtime.VersionInfo) bool { return vi.Version == v }) {
+		return name, v, nil
 	}
-	return name, v, nil
+	return "", 0, fmt.Errorf("%w: %q has no version %q", runtime.ErrModelNotFound, name, rest)
 }
 
 // --- ops ---

@@ -160,19 +160,6 @@ func sqrt(x float64) float64 {
 	return z
 }
 
-func TestSplits(t *testing.T) {
-	rs := NewReviewCorpus(100, 2).Generate(10, 20)
-	tr, te := SplitReviews(rs, 0.8)
-	if len(tr) != 8 || len(te) != 2 {
-		t.Fatalf("review split %d/%d", len(tr), len(te))
-	}
-	recs := NewRecordGen(5, 2).Generate(10)
-	trr, ter := SplitRecords(recs, 0.5)
-	if len(trr) != 5 || len(ter) != 5 {
-		t.Fatalf("record split %d/%d", len(trr), len(ter))
-	}
-}
-
 func TestSmallVocabClamp(t *testing.T) {
 	c := NewReviewCorpus(1, 5) // clamped to 16
 	r := c.Next(1)             // clamped to 4

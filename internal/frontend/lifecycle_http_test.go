@@ -20,9 +20,9 @@ import (
 	"pretzel/internal/store"
 )
 
-// lifecycleFE builds a front end over a lifecycle manager with the
-// given models published to a fresh on-disk repository.
-func lifecycleFE(t testing.TB, cfg lifecycle.Config, names ...string) (*Server, *lifecycle.Manager) {
+// lifecycleFE builds a front end with fcfg over a lifecycle manager
+// with the given models published to a fresh on-disk repository.
+func lifecycleFE(t testing.TB, cfg lifecycle.Config, fcfg Config, names ...string) (*Server, *lifecycle.Manager) {
 	t.Helper()
 	r, err := repo.Open(t.TempDir())
 	if err != nil {
@@ -44,11 +44,11 @@ func lifecycleFE(t testing.TB, cfg lifecycle.Config, names ...string) (*Server, 
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { mgr.Close() })
-	return New(mgr, Config{}), mgr
+	return New(mgr, fcfg), mgr
 }
 
 func TestMgmtLifecycleStateAndStatz(t *testing.T) {
-	fe, _ := lifecycleFE(t, lifecycle.Config{LazyLoad: true, RAMBudget: 1 << 30}, "warmy", "coldy")
+	fe, _ := lifecycleFE(t, lifecycle.Config{LazyLoad: true, RAMBudget: 1 << 30}, Config{}, "warmy", "coldy")
 	srv := httptest.NewServer(fe)
 	defer srv.Close()
 
@@ -121,7 +121,7 @@ func TestMgmtLifecycleStateAndStatz(t *testing.T) {
 }
 
 func TestMgmtPinEndpoint(t *testing.T) {
-	fe, mgr := lifecycleFE(t, lifecycle.Config{LazyLoad: true}, "sa")
+	fe, mgr := lifecycleFE(t, lifecycle.Config{LazyLoad: true}, Config{}, "sa")
 	srv := httptest.NewServer(fe)
 	defer srv.Close()
 
@@ -183,7 +183,7 @@ func TestMgmtPinEndpoint(t *testing.T) {
 // resolve to version 2 exactly as it does once the model is warm, not
 // 404 as an unknown label.
 func TestColdVersionRefThroughResultCache(t *testing.T) {
-	_, mgr := lifecycleFE(t, lifecycle.Config{LazyLoad: true}, "m", "m") // versions 1 and 2
+	_, mgr := lifecycleFE(t, lifecycle.Config{LazyLoad: true}, Config{}, "m", "m") // versions 1 and 2
 	srv := httptest.NewServer(New(mgr, Config{CacheEntries: 16}))
 	defer srv.Close()
 

@@ -24,14 +24,12 @@
 package frontend
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"time"
 
-	"pretzel/internal/repo"
 	"pretzel/internal/runtime"
 	"pretzel/internal/serving"
 )
@@ -106,7 +104,8 @@ type RegisterResponse = serving.RegisterResult
 //
 //	name    override the pipeline's embedded name
 //	version install as this version (default: next free)
-//	label   point this label at the new version after install
+//	label   point this label at the new version after install (501,
+//	        with nothing installed, on a node with no model repository)
 func (s *Server) handleModelUpload(w http.ResponseWriter, r *http.Request) {
 	maxBytes := s.cfg.MaxUploadBytes
 	if maxBytes <= 0 {
@@ -130,19 +129,15 @@ func (s *Server) handleModelUpload(w http.ResponseWriter, r *http.Request) {
 	}
 	reg, err := s.eng.Register(raw, opts)
 	if err != nil {
-		if errors.Is(err, serving.ErrBadModel) || errors.Is(err, runtime.ErrInvalidInput) ||
-			errors.Is(err, runtime.ErrModelNotFound) || errors.Is(err, runtime.ErrOverloaded) ||
-			errors.Is(err, runtime.ErrClosed) || errors.Is(err, serving.ErrNotReady) ||
-			errors.Is(err, repo.ErrStorage) {
-			// Typed failures keep their proper status — in particular an
-			// unavailable engine (closed runtime, unreachable owner
-			// nodes) is 503, not a bogus "conflict" the client would
-			// never retry.
-			writeErr(w, err)
-			return
+		// Typed failures keep their proper status — in particular an
+		// unavailable engine (closed runtime, unreachable owner nodes)
+		// is 503, not a bogus "conflict" the client would never retry.
+		// Anything untyped (duplicate version, …) is a conflict.
+		status := statusFor(err)
+		if status == http.StatusInternalServerError {
+			status = http.StatusConflict
 		}
-		// Anything else (duplicate version, …) is a conflict.
-		writeJSON(w, http.StatusConflict, errorBody{Error: err.Error()})
+		writeJSON(w, status, errorBody{Error: err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusCreated, reg)

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"pretzel/internal/lifecycle"
 	"pretzel/internal/ops"
 	"pretzel/internal/oven"
 	"pretzel/internal/pipeline"
@@ -49,10 +50,21 @@ func do(t testing.TB, method, url string, body []byte) (*http.Response, []byte) 
 	return resp, buf.Bytes()
 }
 
+// managedServer builds a FrontEnd over a lifecycle manager on an empty
+// model repository: the node pretzel-server builds, where labels live.
+func managedServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
+	fe, _ := lifecycleFE(t, lifecycle.Config{}, cfg)
+	srv := httptest.NewServer(fe)
+	t.Cleanup(srv.Close)
+	return fe, srv
+}
+
 // TestManagementRoundTrip uploads a model zip, lists it, serves
-// traffic, inspects the per-stage white-box counters, and deletes it.
+// traffic, inspects the per-stage white-box counters, moves labels and
+// deletes it.
 func TestManagementRoundTrip(t *testing.T) {
-	_, srv := emptyServer(t)
+	_, srv := managedServer(t, Config{})
 
 	zip, err := saPipe(t, "uploaded", 0).ExportBytes()
 	if err != nil {
@@ -72,7 +84,7 @@ func TestManagementRoundTrip(t *testing.T) {
 		t.Fatalf("register response %+v", reg)
 	}
 
-	// List → the model is present with its stable label.
+	// List → the model is present, its lowest version as "stable".
 	resp, body = do(t, http.MethodGet, srv.URL+"/models", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("list code=%d", resp.StatusCode)
@@ -346,10 +358,35 @@ func TestStatzMatCache(t *testing.T) {
 	}
 }
 
-// TestHotSwapOverHTTP registers v2, moves "stable" and deletes v1 while
-// HTTP predict traffic flows; no request may fail.
-func TestHotSwapOverHTTP(t *testing.T) {
+// TestLabelsNeedARepository: a node with no model repository answers
+// both label writes with 501 and installs nothing.
+func TestLabelsNeedARepository(t *testing.T) {
 	_, srv := emptyServer(t)
+	zip, err := saPipe(t, "m", 0).ExportBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, body := do(t, http.MethodPost, srv.URL+"/models", zip); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("upload: %d %s", resp.StatusCode, body)
+	}
+	lbl, _ := json.Marshal(LabelRequest{Label: "stable", Version: 1})
+	if resp, body := do(t, http.MethodPost, srv.URL+"/models/m/labels", lbl); resp.StatusCode != http.StatusNotImplemented {
+		t.Fatalf("label move: %d %s", resp.StatusCode, body)
+	}
+	if resp, body := do(t, http.MethodPost, srv.URL+"/models?label=canary", zip); resp.StatusCode != http.StatusNotImplemented {
+		t.Fatalf("upload with label: %d %s", resp.StatusCode, body)
+	}
+	var info runtime.ModelInfo
+	if _, body := do(t, http.MethodGet, srv.URL+"/models/m", nil); json.Unmarshal(body, &info) != nil || len(info.Versions) != 1 {
+		t.Fatalf("refused upload installed a version: %s", body)
+	}
+}
+
+// TestHotSwapOverHTTP registers v2, moves "stable" and deletes v1 while
+// HTTP predict traffic flows through a managed front end; no request
+// may fail.
+func TestHotSwapOverHTTP(t *testing.T) {
+	_, srv := managedServer(t, Config{})
 	zip, err := saPipe(t, "m", 0).ExportBytes()
 	if err != nil {
 		t.Fatal(err)
@@ -397,11 +434,7 @@ func TestHotSwapOverHTTP(t *testing.T) {
 // concrete resolved version, so a label move immediately serves the new
 // version instead of cached old-version results.
 func TestCacheNotStaleAcrossHotSwap(t *testing.T) {
-	rt := runtime.New(store.New(), runtime.Config{Executors: 2})
-	t.Cleanup(rt.Close)
-	fe := newFE(rt, Config{CacheEntries: 16})
-	srv := httptest.NewServer(fe)
-	t.Cleanup(srv.Close)
+	fe, srv := managedServer(t, Config{CacheEntries: 16})
 
 	// Versions with different weights → different predictions.
 	zipV1, err := saPipe(t, "m", 0).ExportBytes()

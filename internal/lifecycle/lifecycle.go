@@ -587,9 +587,6 @@ func (m *Manager) Register(zip []byte, opts serving.RegisterOptions) (serving.Re
 // setLabelLocked points a label at a published version in the
 // repository, which every later resolve reads. Caller holds loadMu.
 func (m *Manager) setLabelLocked(name, label string, version int) error {
-	if err := runtime.CheckLabel(label); err != nil {
-		return err
-	}
 	if _, err := m.repo.Resolve(name + "@" + strconv.Itoa(version)); err != nil {
 		return err
 	}

@@ -45,15 +45,6 @@ func TestRecorderEmpty(t *testing.T) {
 	}
 }
 
-func TestRecorderReset(t *testing.T) {
-	r := NewRecorder(0)
-	r.Record(time.Second)
-	r.Reset()
-	if r.Count() != 0 {
-		t.Fatal("reset")
-	}
-}
-
 func TestRecordAfterPercentile(t *testing.T) {
 	r := NewRecorder(0)
 	r.Record(2 * time.Millisecond)

@@ -320,11 +320,12 @@ func ruleMergeFeaturizers(g *graphIR) (bool, error) {
 			continue
 		}
 		// The token source must end in a tokenizer and feed only the two
-		// branches (otherwise fusing would duplicate its work).
+		// branches, and each branch only the Concat: otherwise fusing
+		// would leave their work planned twice.
 		if len(src.ops) == 0 || src.ops[len(src.ops)-1].Info().Kind != "Tokenizer" {
 			continue
 		}
-		if len(g.consumers(src)) != 2 {
+		if len(g.consumers(src)) != 2 || len(g.consumers(a)) != 1 || len(g.consumers(b)) != 1 {
 			continue
 		}
 		fused := append(append([]ops.Op{}, src.ops...), a.ops[0], b.ops[0], cc.ops[0])

@@ -252,3 +252,72 @@ func TestCompileConcatReadingOneStageTwice(t *testing.T) {
 		}
 	}
 }
+
+// saCharReadTwice is the SA featurizer whose CharNgram branch feeds a
+// second Concat too: Tokenizer -> CharNgram, WordNgram -> Concat1, and
+// Concat2(Concat1, CharNgram) -> LinearPredictor.
+func saCharReadTwice(t *testing.T) *pipeline.Pipeline {
+	sa := buildSA(t, "sa-char-read-twice", 0)
+	dims := sa.Nodes[3].Op.(*ops.Concat).Dims
+	m := sa.Nodes[4].Op.(*ops.LinearPredictor).Model
+	weights := slices.Concat(m.Weights, m.Weights[:dims[0]])
+	for i := range weights[len(m.Weights):] {
+		weights[len(m.Weights)+i] -= 0.25 // the two char blocks must not score alike
+	}
+	return &pipeline.Pipeline{
+		Name:        sa.Name,
+		InputSchema: sa.InputSchema,
+		Nodes: []pipeline.Node{
+			sa.Nodes[0],
+			{Op: sa.Nodes[1].Op, Inputs: []int{0}},
+			{Op: sa.Nodes[2].Op, Inputs: []int{0}},
+			{Op: &ops.Concat{Dims: dims}, Inputs: []int{1, 2}},
+			{Op: &ops.Concat{Dims: []int{dims[0] + dims[1], dims[0]}}, Inputs: []int{3, 1}},
+			{Op: &ops.LinearPredictor{Model: &ml.LinearModel{Kind: m.Kind, Weights: weights, Bias: m.Bias}}, Inputs: []int{4}},
+		},
+	}
+}
+
+// TestFeaturizersFuseOnlyWhenSoleConsumer: the materializable SA stage
+// swallows its n-gram branches only when its Concat is their one
+// consumer. Here a second Concat reads the CharNgram branch as well, so
+// fusing would leave the tokenizer and the char n-grams planned twice.
+// In both modes exactly one stage holds a Tokenizer and one a CharNgram
+// (counted by kind: ops.Tokenizer is zero-size, so two of them may
+// share an address), and the plan answers as the pipeline does, bit for
+// bit.
+func TestFeaturizersFuseOnlyWhenSoleConsumer(t *testing.T) {
+	inputs := []string{"a nice product", "bad quality, bad support", "", "nice nice nice bad"}
+	for _, opts := range bothModes {
+		p, ref := saCharReadTwice(t), saCharReadTwice(t)
+		pl, err := Compile(p, store.New(), opts)
+		if err != nil {
+			t.Fatalf("materialization %v: %v", opts.Materialization, err)
+		}
+		for _, kind := range []string{"Tokenizer", "CharNgram"} {
+			holding := 0
+			for _, s := range pl.Stages {
+				if slices.Contains(s.OpKinds(), kind) {
+					holding++
+				}
+			}
+			if holding != 1 {
+				t.Fatalf("materialization %v: %d stages hold a %s, want 1", opts.Materialization, holding, kind)
+			}
+		}
+		ec := newExec()
+		in, got, want := vector.New(0), vector.New(0), vector.New(0)
+		for _, s := range inputs {
+			in.SetText(s)
+			if err := plan.RunPlan(pl, ec, in, got); err != nil {
+				t.Fatalf("%q: %v", s, err)
+			}
+			if err := ref.Run(in, want, nil); err != nil {
+				t.Fatal(err)
+			}
+			if got.Dense[0] != want.Dense[0] {
+				t.Fatalf("materialization %v, %q: plan %v, pipeline %v", opts.Materialization, s, got.Dense[0], want.Dense[0])
+			}
+		}
+	}
+}

@@ -106,17 +106,23 @@ type model struct {
 	persisted map[string]int
 }
 
-// label returns the version label names: a persisted label, or, for
-// "stable" when none is persisted, the lowest published version. This is
-// the one statement of that rule on a node.
-func (m *model) label(l string) (int, bool) {
-	if v, ok := m.persisted[l]; ok {
-		return v, true
+// lowest returns the lowest published version (0 when none is).
+func (m *model) lowest() int {
+	if len(m.versions) == 0 {
+		return 0
 	}
-	if l == runtime.LabelStable && len(m.versions) > 0 {
-		return m.versions[0].Version, true
+	return m.versions[0].Version
+}
+
+// selectVersion is runtime.SelectVersion over this model's persisted
+// labels and published versions: the entry part names, if published.
+func (m *model) selectVersion(part string) (Entry, bool) {
+	v, named := runtime.SelectVersion(part, m.persisted, m.lowest)
+	i, published := m.find(v)
+	if !named || !published {
+		return Entry{}, false
 	}
-	return 0, false
+	return m.versions[i], true
 }
 
 // find returns where version v is, or would go, in m.versions.
@@ -295,19 +301,17 @@ func (r *Repo) Labels(name string) (map[string]int, error) {
 	defer r.idx.RUnlock()
 	if m := r.index[name]; m != nil {
 		maps.Copy(out, m.persisted)
-		if v, ok := m.label(runtime.LabelStable); ok {
-			out[runtime.LabelStable] = v
+		if e, ok := m.selectVersion(runtime.LabelStable); ok {
+			out[runtime.LabelStable] = e.Version
 		}
 	}
 	return out, nil
 }
 
 // Resolve picks the published version a model reference "name[@ref]"
-// selects: "2" or "v2" names version 2, and anything else a label, ""
-// meaning "stable" (see model.label). It is runtime.ResolveVersion's
-// rule, restated over the catalog's sorted versions so that the index
-// holds no map per model. It touches no disk and, on success, allocates
-// nothing: the lifecycle tier calls it on every request.
+// selects by runtime.SelectVersion's rule. It touches no disk and, on
+// success, allocates nothing: the lifecycle tier calls it on every
+// request.
 func (r *Repo) Resolve(ref string) (Entry, error) {
 	name, part := runtime.SplitRef(ref)
 	r.idx.RLock()
@@ -316,15 +320,8 @@ func (r *Repo) Resolve(ref string) (Entry, error) {
 	if m == nil {
 		return Entry{}, fmt.Errorf("%w: %q", runtime.ErrModelNotFound, name)
 	}
-	var v int
-	var named bool
-	if part == "" {
-		v, named = m.label(runtime.LabelStable)
-	} else if v, named = runtime.ParseVersion(part); !named {
-		v, named = m.label(part)
-	}
-	if i, ok := m.find(v); named && ok {
-		return m.versions[i], nil
+	if e, ok := m.selectVersion(part); ok {
+		return e, nil
 	}
 	return Entry{}, fmt.Errorf("%w: %q has no published version %q", runtime.ErrModelNotFound, name, part)
 }
@@ -556,10 +553,16 @@ func (r *Repo) Delete(name string, version int) error {
 
 // PutLabels points each given label at its version and persists the
 // model's whole label map atomically, so a node restart (or a cold
-// reload) restores label routing exactly as the operator left it.
+// reload) restores label routing exactly as the operator left it. A
+// label that fails runtime.CheckLabel is refused and nothing is written.
 func (r *Repo) PutLabels(name string, labels map[string]int) error {
 	if err := validName(name); err != nil {
 		return err
+	}
+	for l := range labels {
+		if err := runtime.CheckLabel(l); err != nil {
+			return err
+		}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"pretzel/internal/runtime"
 )
 
 func openTemp(t *testing.T) *Repo {
@@ -197,6 +199,35 @@ func TestLabelsRoundTrip(t *testing.T) {
 	got, err := r.Labels("m")
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("labels %v %v", got, err)
+	}
+	// A label that is empty or reads as a version number is refused,
+	// and nothing of the write is kept.
+	for _, bad := range []string{"", "3", "v3"} {
+		if err := r.PutLabels("m", map[string]int{"beta": 2, bad: 2}); !errors.Is(err, runtime.ErrInvalidInput) {
+			t.Fatalf("PutLabels with label %q: %v", bad, err)
+		}
+	}
+	if got, _ := r.Labels("m"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("refused writes changed the labels: %v", got)
+	}
+}
+
+// TestResolveAllocs: repo.Resolve runs on every request a managed node
+// serves, and on success it allocates nothing, whichever way the
+// reference names the version.
+func TestResolveAllocs(t *testing.T) {
+	r := openTemp(t)
+	if _, err := r.Put("m", 0, []byte("zip")); err != nil {
+		t.Fatal(err)
+	}
+	for _, ref := range []string{"m", "m@1", "m@v1", "m@stable"} {
+		if n := testing.AllocsPerRun(100, func() {
+			if e, err := r.Resolve(ref); err != nil || e.Version != 1 {
+				t.Fatalf("Resolve(%q) = %+v, %v", ref, e, err)
+			}
+		}); n != 0 {
+			t.Fatalf("Resolve(%q): %v allocs", ref, n)
+		}
 	}
 }
 

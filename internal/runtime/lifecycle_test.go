@@ -45,10 +45,10 @@ func mustCompile(t testing.TB, rt *Runtime, name string, bump float32) *Register
 	return r
 }
 
-// TestVersionNumberingAndLabelUpkeep covers what the runtime does to
-// versions and labels; which version a reference then selects is the
-// table in internal/cluster/resolve_test.go, run against every engine.
-func TestVersionNumberingAndLabelUpkeep(t *testing.T) {
+// TestVersionNumbering covers what the runtime does to version
+// numbers; which version a reference then selects is the table in
+// internal/cluster/resolve_test.go, run against every engine.
+func TestVersionNumbering(t *testing.T) {
 	rt, _ := newRT(t, Config{Executors: 1})
 	r1 := mustCompile(t, rt, "sa", 0)
 	if r1.Version != 1 {
@@ -58,28 +58,15 @@ func TestVersionNumberingAndLabelUpkeep(t *testing.T) {
 	if r2.Version != 2 {
 		t.Fatalf("second version = %d", r2.Version)
 	}
-	if err := rt.SetLabel("sa", "canary", 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.SetLabel("sa", LabelStable, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.SetLabel("sa", "x", 9); !errors.Is(err, ErrModelNotFound) {
-		t.Fatalf("label to unknown version: %v", err)
-	}
-	if err := rt.SetLabel("sa", "3", 1); !errors.Is(err, ErrInvalidInput) {
-		t.Fatalf("numeric label must be rejected: %v", err)
-	}
-	// Unregistering v2 — by label — removes the labels that point at it.
-	if err := rt.Unregister("sa@canary"); err != nil {
+	if err := rt.Unregister("sa@2"); err != nil {
 		t.Fatal(err)
 	}
 	info, err := rt.ModelInfo("sa")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(info.Labels) != 0 || len(info.Versions) != 1 || info.Versions[0].Version != 1 {
-		t.Fatalf("canary and stable pointed at v2 and must be gone with it: %+v", info)
+	if info.Labels != nil || len(info.Versions) != 1 || info.Versions[0].Version != 1 {
+		t.Fatalf("want v1 alone and no labels (the repository keeps those): %+v", info)
 	}
 	// The next free version number is taken from what is installed now.
 	if r := mustCompile(t, rt, "sa", 2); r.Version != 2 {
@@ -87,9 +74,11 @@ func TestVersionNumberingAndLabelUpkeep(t *testing.T) {
 	}
 }
 
-// TestHotSwapUnderConcurrentPredict is the acceptance test for atomic
-// label moves: registering v2 and moving "stable" while Predict traffic
-// hammers the bare name must fail zero requests (run with -race).
+// TestHotSwapUnderConcurrentPredict: registering v2 and retiring v1
+// while Predict traffic hammers the bare name must fail zero requests
+// (run with -race). The bare name follows the lowest installed version,
+// so traffic stays on v1 until Unregister takes it away, then moves to
+// v2; requests already in flight on v1 finish there.
 func TestHotSwapUnderConcurrentPredict(t *testing.T) {
 	rt, _ := newRT(t, Config{Executors: 2})
 	mustCompile(t, rt, "sa", 0)
@@ -118,15 +107,18 @@ func TestHotSwapUnderConcurrentPredict(t *testing.T) {
 		}()
 	}
 
-	// Roll out v2 mid-traffic, move the label, retire v1.
+	// Roll out v2 mid-traffic, then retire v1.
 	time.Sleep(5 * time.Millisecond)
 	mustCompile(t, rt, "sa", 1)
-	if err := rt.SetLabel("sa", LabelStable, 2); err != nil {
-		t.Fatal(err)
+	if _, v, err := rt.Resolve("sa"); err != nil || v != 1 {
+		t.Fatalf("bare name with v1 and v2 installed = v%d, %v; want v1", v, err)
 	}
 	time.Sleep(5 * time.Millisecond)
 	if err := rt.Unregister("sa@1"); err != nil {
 		t.Fatal(err)
+	}
+	if _, v, err := rt.Resolve("sa"); err != nil || v != 2 {
+		t.Fatalf("bare name after v1 retired = v%d, %v; want v2", v, err)
 	}
 	time.Sleep(5 * time.Millisecond)
 	close(stop)

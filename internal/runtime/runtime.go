@@ -7,12 +7,15 @@
 //   - the batch engine, which forwards stage events to the Scheduler so
 //     many plans can share executors at high utilization.
 //
-// Models are versioned: Register installs "name@version", labels
-// ("stable", "canary", …) alias a version, and references anywhere in
-// the serving API accept "name", "name@version" or "name@label". Label
-// moves are atomic — in-flight requests finish on the version they
-// resolved, new requests see the new version — and Unregister drains
-// in-flight work before returning.
+// Models are versioned: the catalog is a name → version → plan table,
+// Register installs "name@version", and Unregister drains in-flight
+// work before returning. Labels ("stable", "canary", …) are not kept
+// here: the model repository persists them, and the lifecycle manager
+// that wraps the runtime on a serving node moves them. SelectVersion
+// is the one reference rule — "name", "name@version", "name@label" —
+// that the runtime, the repository and the cluster router all call,
+// so a runtime on its own answers a bare name with its lowest
+// installed version, as a node whose labels never moved does.
 //
 // Physical stages are shared in one place, the plan store the runtime
 // owns (PlanStore): plans compiled through it bind the same *plan.Stage
@@ -38,8 +41,7 @@ import (
 	"pretzel/internal/vector"
 )
 
-// LabelStable is the label bare-name references resolve through. The
-// first registered version of a model receives it automatically.
+// LabelStable is the label bare-name references resolve through.
 const LabelStable = "stable"
 
 // Config parameterizes a Runtime.
@@ -138,10 +140,9 @@ func (ms *modelStats) load() ModelLoad {
 	return ml
 }
 
-// model groups the installed versions of one name with its labels.
+// model groups the installed versions of one name.
 type model struct {
 	versions map[int]*Registered
-	labels   map[string]int
 	stats    *modelStats
 }
 
@@ -288,53 +289,69 @@ func ParseVersion(ref string) (int, bool) {
 	return n, true
 }
 
-// ResolveVersion is the model-reference rule, stated once for every
-// engine: which installed version the part after "name@" selects.
+// SelectVersion is the model-reference rule, stated once for every
+// engine: the version the part after "name@" selects, given the
+// model's persisted labels (nil where there is no repository) and a
+// function that returns its lowest version (0 when it has none).
 //
-//	""          the "stable" label; without one, the only installed version
-//	"2", "v2"   version 2
-//	other       the label of that name
+//	"", "stable"   the "stable" label; without one, the lowest version
+//	"2", "v2"      version 2
+//	other          the label of that name
 //
 // A bare name never falls back to the latest of several versions: that
 // would silently promote an unlabeled canary, and rollout stays opt-in
-// (the operator must move a label). Naming a version that is not in
-// installed — by number or through a label — is ErrModelNotFound.
-func ResolveVersion[V any](name, part string, labels map[string]int, installed map[int]V) (int, error) {
-	var v int
-	var named bool
-	if part == "" {
-		v, named = labels[LabelStable]
-	} else if v, named = ParseVersion(part); !named {
-		v, named = labels[part]
-	}
-	switch {
-	case named:
-	case part != "":
-		return 0, fmt.Errorf("%w: %q has no version or label %q", ErrModelNotFound, name, part)
-	case len(installed) == 1:
-		for v = range installed { // the only one: unambiguous
+// (the operator must move a label). ok is false when part names neither
+// a version nor a label; the caller still checks that the version is
+// present. It allocates nothing: every request resolves through it.
+func SelectVersion(part string, labels map[string]int, lowest func() int) (v int, ok bool) {
+	if part == "" || part == LabelStable {
+		if v, ok = labels[LabelStable]; ok {
+			return v, true
 		}
-	default:
-		return 0, fmt.Errorf("%w: %q has no %q label; reference an explicit version or label", ErrModelNotFound, name, LabelStable)
+		return lowest(), true
 	}
-	if _, ok := installed[v]; !ok {
-		return 0, fmt.Errorf("%w: %q has no version %d", ErrModelNotFound, name, v)
+	if v, ok = ParseVersion(part); ok {
+		return v, true
 	}
-	return v, nil
+	v, ok = labels[part]
+	return v, ok
 }
 
-// resolveLocked resolves (name, ref) to an installed version. The
+// CheckLabel reports whether label can name a version: it must be
+// non-empty and must not read as a version number, which it would
+// shadow. The repository checks every label it writes.
+func CheckLabel(label string) error {
+	if label == "" {
+		return fmt.Errorf("%w: empty label", ErrInvalidInput)
+	}
+	if _, isNum := ParseVersion(label); isNum {
+		return fmt.Errorf("%w: label %q would shadow a version number", ErrInvalidInput, label)
+	}
+	return nil
+}
+
+// lowest returns the lowest installed version (0 when empty).
+func (m *model) lowest() int {
+	low := 0
+	for v := range m.versions {
+		if low == 0 || v < low {
+			low = v
+		}
+	}
+	return low
+}
+
+// resolveLocked resolves (name, part) to an installed version. The
 // caller holds rt.mu (read or write).
-func (rt *Runtime) resolveLocked(name, ref string) (*Registered, error) {
+func (rt *Runtime) resolveLocked(name, part string) (*Registered, error) {
 	m, ok := rt.models[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrModelNotFound, name)
 	}
-	v, err := ResolveVersion(name, ref, m.labels, m.versions)
-	if err != nil {
-		return nil, err
+	if v, ok := SelectVersion(part, nil, m.lowest); ok && m.versions[v] != nil {
+		return m.versions[v], nil
 	}
-	return m.versions[v], nil
+	return nil, fmt.Errorf("%w: %q has no version %q", ErrModelNotFound, name, part)
 }
 
 // acquire resolves a model reference and marks one request in flight
@@ -396,7 +413,7 @@ func (rt *Runtime) Register(p *plan.Plan) (uint64, error) {
 	if ref != "" {
 		v, ok := ParseVersion(ref)
 		if !ok {
-			return 0, fmt.Errorf("%w: %q is not a version (labels are assigned with SetLabel)", ErrInvalidInput, p.Name)
+			return 0, fmt.Errorf("%w: %q is not a version (labels live in the model repository)", ErrInvalidInput, p.Name)
 		}
 		version = v
 	}
@@ -408,9 +425,7 @@ func (rt *Runtime) Register(p *plan.Plan) (uint64, error) {
 }
 
 // RegisterVersion installs a compiled plan as name@version. version<=0
-// picks the next free version. The first version of a model receives
-// the "stable" label; later versions serve only via explicit reference
-// until a label is moved to them (SetLabel), so rollout is opt-in.
+// picks the next free version.
 func (rt *Runtime) RegisterVersion(p *plan.Plan, name string, version int) (*Registered, error) {
 	return rt.register(p, name, version, false)
 }
@@ -429,7 +444,7 @@ func (rt *Runtime) register(p *plan.Plan, name string, version int, requireNewMo
 		return nil, fmt.Errorf("runtime: model %q already registered (register %s@<version> to add a version)", name, name)
 	}
 	if !exists {
-		m = &model{versions: make(map[int]*Registered), labels: make(map[string]int), stats: &modelStats{}}
+		m = &model{versions: make(map[int]*Registered), stats: &modelStats{}}
 	}
 	if version <= 0 {
 		version = m.latest() + 1
@@ -440,49 +455,13 @@ func (rt *Runtime) register(p *plan.Plan, name string, version int, requireNewMo
 	rt.nextID++
 	r := &Registered{ID: rt.nextID, Name: name, Version: version, Plan: p, stats: m.stats}
 	m.versions[version] = r
-	if len(m.versions) == 1 {
-		m.labels[LabelStable] = version
-	}
 	rt.models[name] = m
 	return r, nil
 }
 
-// CheckLabel reports whether label can name a version: it must be
-// non-empty and must not read as a version number, which it would shadow.
-func CheckLabel(label string) error {
-	if label == "" {
-		return fmt.Errorf("%w: empty label", ErrInvalidInput)
-	}
-	if _, isNum := ParseVersion(label); isNum {
-		return fmt.Errorf("%w: label %q would shadow a version number", ErrInvalidInput, label)
-	}
-	return nil
-}
-
-// SetLabel atomically points a label ("stable", "canary", …) at an
-// installed version: requests resolving through the label switch to the
-// new version, while requests already in flight finish on the version
-// they resolved — a zero-downtime hot swap.
-func (rt *Runtime) SetLabel(name, label string, version int) error {
-	if err := CheckLabel(label); err != nil {
-		return err
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	m, ok := rt.models[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrModelNotFound, name)
-	}
-	if _, ok := m.versions[version]; !ok {
-		return fmt.Errorf("%w: %q has no version %d", ErrModelNotFound, name, version)
-	}
-	m.labels[label] = version
-	return nil
-}
-
 // Unregister removes a model reference and drains its in-flight work
 // before returning: a bare name removes every version; "name@ref"
-// removes one version (and any labels pointing at it). Unknown names
+// removes one version. Unknown names
 // and versions return ErrModelNotFound. Removal releases everything the
 // removed plans held: their interned parameters go back to the Object
 // Store and their shared stages to the plan store (each dropped once its
@@ -509,11 +488,6 @@ func (rt *Runtime) Unregister(ref string) error {
 			return err
 		}
 		delete(m.versions, r.Version)
-		for l, v := range m.labels {
-			if v == r.Version {
-				delete(m.labels, l)
-			}
-		}
 		if len(m.versions) == 0 {
 			delete(rt.models, name)
 		}
@@ -597,10 +571,10 @@ type ModelLoad struct {
 }
 
 // ModelInfo describes one model: its labels, installed versions and
-// overload-plane load counters. The lifecycle fields (State, MemBytes,
-// Pinned) are filled by the lifecycle manager when one wraps the
-// engine — the runtime itself only knows resident models and leaves
-// them zero.
+// overload-plane load counters. Labels and the lifecycle fields (State,
+// MemBytes, Pinned) are filled by the lifecycle manager when one wraps
+// the engine — the runtime itself only knows resident versions and
+// leaves them zero.
 type ModelInfo struct {
 	Name     string         `json:"name"`
 	Labels   map[string]int `json:"labels"`
@@ -689,10 +663,7 @@ func (m *model) sharingSplit(rt *Runtime) (unique, shared int) {
 }
 
 func (m *model) info(name string) ModelInfo {
-	mi := ModelInfo{Name: name, Labels: make(map[string]int, len(m.labels)), Load: m.stats.load()}
-	for l, v := range m.labels {
-		mi.Labels[l] = v
-	}
+	mi := ModelInfo{Name: name, Load: m.stats.load()}
 	versions := make([]int, 0, len(m.versions))
 	for v := range m.versions {
 		versions = append(versions, v)

@@ -20,17 +20,6 @@ func TestShorthands(t *testing.T) {
 	}
 }
 
-func TestLookup(t *testing.T) {
-	s := New(Column{Name: "a", Kind: ColText}, Column{Name: "b", Kind: ColVector, Dim: 3})
-	c, ok := s.Lookup("b")
-	if !ok || c.Dim != 3 {
-		t.Fatal("Lookup b")
-	}
-	if _, ok := s.Lookup("zzz"); ok {
-		t.Fatal("Lookup missing should fail")
-	}
-}
-
 func TestSingle(t *testing.T) {
 	s := Scalar("x")
 	if _, err := s.Single(); err != nil {
@@ -43,22 +32,6 @@ func TestSingle(t *testing.T) {
 	var nilS *Schema
 	if _, err := nilS.Single(); err == nil {
 		t.Fatal("Single on nil schema should fail")
-	}
-}
-
-func TestEqual(t *testing.T) {
-	a := Vector("v", 5, false)
-	b := Vector("v", 5, false)
-	if !a.Equal(b) {
-		t.Fatal("equal schemas")
-	}
-	c := Vector("v", 6, false)
-	if a.Equal(c) {
-		t.Fatal("dim mismatch should not be equal")
-	}
-	d := New(Column{Name: "v", Kind: ColVector, Dim: 5, Sparse: true})
-	if a.Equal(d) {
-		t.Fatal("sparsity mismatch should not be equal")
 	}
 }
 

@@ -70,7 +70,8 @@ type RegisterOptions struct {
 	Name string
 	// Version installs as this version (<= 0 picks the next free one).
 	Version int
-	// Label, when non-empty, is pointed at the new version afterwards.
+	// Label, when non-empty, is pointed at the new version afterwards;
+	// an engine with no model repository refuses it (ErrUnsupported).
 	Label string
 }
 
@@ -263,7 +264,8 @@ type Engine interface {
 	Register(zip []byte, opts RegisterOptions) (RegisterResult, error)
 	// Unregister removes a model reference (draining in-flight work).
 	Unregister(ref string) error
-	// SetLabel atomically points a label at an installed version.
+	// SetLabel atomically points a label at an installed version. An
+	// engine with no model repository answers ErrUnsupported.
 	SetLabel(name, label string, version int) error
 
 	// Stats snapshots the engine's white-box counters.

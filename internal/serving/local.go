@@ -102,9 +102,17 @@ func (l *Local) Models() []runtime.ModelInfo { return l.rt.Models() }
 // ModelInfo returns one model's white-box view.
 func (l *Local) ModelInfo(name string) (runtime.ModelInfo, error) { return l.rt.ModelInfo(name) }
 
+// errNoLabels answers a label write: labels live in a model repository
+// (lifecycle.Manager), and a runtime on its own has none.
+var errNoLabels = fmt.Errorf("%w: labels need a model repository", ErrUnsupported)
+
 // Register imports, compiles and installs a model from exported zip
-// bytes, optionally pointing a label at the new version.
+// bytes. A label in opts is refused with ErrUnsupported before anything
+// is installed.
 func (l *Local) Register(zip []byte, opts RegisterOptions) (RegisterResult, error) {
+	if opts.Label != "" {
+		return RegisterResult{}, errNoLabels
+	}
 	p, err := pipeline.ImportIndexed(zip, l.rt.ObjectStore())
 	if err != nil {
 		return RegisterResult{}, fmt.Errorf("%w: importing: %v", ErrBadModel, err)
@@ -113,16 +121,7 @@ func (l *Local) Register(zip []byte, opts RegisterOptions) (RegisterResult, erro
 	if name == "" {
 		name, _ = runtime.SplitRef(p.Name)
 	}
-	res, err := l.Install(p, name, opts.Version, l.compile)
-	if err != nil {
-		return RegisterResult{}, err
-	}
-	if opts.Label != "" {
-		if err := l.rt.SetLabel(name, opts.Label, res.Version); err != nil {
-			return RegisterResult{}, err
-		}
-	}
-	return res, nil
+	return l.Install(p, name, opts.Version, l.compile)
 }
 
 // Install compiles an imported pipeline with co into the runtime's
@@ -187,10 +186,8 @@ func planFootprint(pl *plan.Plan) int {
 // the last sharer of each released object leaves.
 func (l *Local) Unregister(ref string) error { return l.rt.Unregister(ref) }
 
-// SetLabel atomically points a label at an installed version.
-func (l *Local) SetLabel(name, label string, version int) error {
-	return l.rt.SetLabel(name, label, version)
-}
+// SetLabel answers ErrUnsupported (see errNoLabels).
+func (l *Local) SetLabel(string, string, int) error { return errNoLabels }
 
 // Stats snapshots the runtime's white-box counters.
 func (l *Local) Stats() Stats {

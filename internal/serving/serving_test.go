@@ -109,16 +109,17 @@ func TestLocalRegisterLifecycle(t *testing.T) {
 	if _, err := eng.Register(zip, RegisterOptions{Version: 1}); err == nil || errors.Is(err, ErrBadModel) {
 		t.Fatalf("duplicate version: %v", err)
 	}
-	// Label rides the registration.
-	reg, err := eng.Register(zip, RegisterOptions{Name: "m", Version: 2, Label: "canary"})
-	if err != nil {
-		t.Fatal(err)
+	// Labels live in a model repository: without one, a label on the
+	// registration is refused before anything installs, and so is a
+	// label move.
+	if _, err := eng.Register(zip, RegisterOptions{Name: "m", Version: 2, Label: "canary"}); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("register with label: %v", err)
 	}
-	if _, v, _ := eng.Resolve("m@canary"); v != reg.Version {
-		t.Fatalf("canary resolves to %d, want %d", v, reg.Version)
+	if err := eng.SetLabel("m", "stable", 1); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("set label: %v", err)
 	}
-	if err := eng.SetLabel("m", "stable", 2); err != nil {
-		t.Fatal(err)
+	if _, err := eng.Register(zip, RegisterOptions{Name: "m", Version: 2}); err != nil {
+		t.Fatalf("version 2 must still be free: %v", err)
 	}
 	if err := eng.Unregister("m@1"); err != nil {
 		t.Fatal(err)

@@ -30,7 +30,7 @@
 //	        ClassifierBinaryLinear(model)
 //	pln, _ := prg.Plan("my-model", pretzel.DefaultCompileOptions())
 //	rt := pretzel.NewRuntime(objStore, pretzel.RuntimeConfig{Executors: 8})
-//	rt.Register(pln) // installs my-model@1 with the "stable" label
+//	rt.Register(pln) // installs my-model@1
 //
 //	// Context-aware request path with typed errors:
 //	in, out := pretzel.NewVector(), pretzel.NewVector()
@@ -47,10 +47,14 @@
 //	case errors.Is(err, pretzel.ErrDeadlineExceeded): // 504
 //	}
 //
-//	// Versioned lifecycle with atomic hot swap:
-//	rt.RegisterVersion(plnV2, "my-model", 2)
-//	rt.SetLabel("my-model", "stable", 2) // traffic moves atomically
-//	rt.Unregister("my-model@1")          // drains in-flight work, then releases what only v1 held
+//	// Versioned lifecycle with atomic hot swap: labels live in a model
+//	// repository and move through the lifecycle manager over it.
+//	models, _ := pretzel.OpenModelRepo(dir)
+//	mgr, _ := pretzel.NewLifecycleManager(pretzel.NewLocalEngine(rt, nil), models, pretzel.LifecycleConfig{})
+//	mgr.Register(zipV1, pretzel.RegisterOptions{Name: "my-model"}) // my-model@1
+//	mgr.Register(zipV2, pretzel.RegisterOptions{Name: "my-model"}) // my-model@2
+//	mgr.SetLabel("my-model", pretzel.LabelStable, 2)              // traffic moves atomically
+//	mgr.Unregister("my-model@1")                                  // drains in-flight work, then releases what only v1 held
 package pretzel
 
 import (
